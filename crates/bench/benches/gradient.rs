@@ -1,5 +1,6 @@
 //! Criterion bench P2: one ACS objective + gradient evaluation (the
-//! solver's inner-loop unit of work).
+//! solver's inner-loop unit of work), through the hand-written kernel
+//! the solver calls and through the tape reference it must match.
 
 use acs_core::{ObjectiveKind, ScheduleProblem};
 use acs_model::units::Freq;
@@ -26,7 +27,11 @@ fn bench_gradient(c: &mut Criterion) {
         let fps = FullyPreemptiveSchedule::expand(&set).unwrap();
         let problem = ScheduleProblem::new(&set, &cpu, &fps, ObjectiveKind::AcecTrace);
         let x0 = problem.initial_point();
-        g.bench_function(name, |b| {
+        let mut grad = vec![0.0; x0.len()];
+        g.bench_function(&format!("{name}/kernel"), |b| {
+            b.iter(|| black_box(problem.objective(&x0, 1e-3, Some(&mut grad))))
+        });
+        g.bench_function(&format!("{name}/tape"), |b| {
             b.iter(|| {
                 let graph = Graph::with_capacity(x0.len() * 16);
                 let xs: Vec<_> = x0.iter().map(|&v| graph.input(v)).collect();

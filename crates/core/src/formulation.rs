@@ -29,13 +29,16 @@
 //! speed `σ_u`. Piecewise constructs are softened with a temperature the
 //! augmented-Lagrangian driver anneals to zero.
 
+use crate::chain::{self, Chain, ChainGrad, LinkIn, LinkTape, StartMax};
 use crate::quantile::truncated_normal_strata;
 use crate::trace::SpeedBasis;
 use acs_model::TaskSet;
 use acs_opt::problem::{ConstrainedProblem, LinearConstraints, ProblemExprs, SparseLinear};
-use acs_opt::tape::{Expr, Graph};
-use acs_power::{FreqModel, Processor};
-use acs_preempt::FullyPreemptiveSchedule;
+use acs_opt::tape::{relu, softplus, Expr, Graph};
+use acs_power::Processor;
+use acs_preempt::{FullyPreemptiveSchedule, InstanceId};
+use std::cell::RefCell;
+use std::ops::Range;
 
 /// Objective flavor for schedule synthesis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,6 +71,11 @@ struct Scenario {
 }
 
 /// The NLP instance for one (task set, processor, expansion) triple.
+///
+/// The solver evaluates the objective through a hand-written kernel
+/// ([`ConstrainedProblem::objective`], in `crates/core/src/chain.rs`)
+/// that reproduces the tape [`ConstrainedProblem::build`] bit for bit.
+/// The kernel's buffers live in the problem, so it is not `Sync`.
 #[derive(Debug)]
 pub struct ScheduleProblem<'a> {
     set: &'a TaskSet,
@@ -82,6 +90,60 @@ pub struct ScheduleProblem<'a> {
     eps_w: f64,
     /// Optional warm-start point overriding the built-in heuristic.
     warm_start: Option<Vec<f64>>,
+    /// Window start (ms) and task capacitance per sub-instance.
+    link_consts: Vec<(f64, f64)>,
+    /// The fill rule's walk: per instance, its task index and the range
+    /// of `fill_subs` holding its chunks in order.
+    fill_instances: Vec<(usize, Range<usize>)>,
+    fill_subs: Vec<usize>,
+    scratch: RefCell<Scratch>,
+}
+
+/// The objective kernel's buffers, sized once by [`ScheduleProblem::new`]
+/// so evaluations allocate nothing.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Executed share per sub-instance under the fill rule.
+    exec: Vec<f64>,
+    /// Adjoint of `exec`.
+    exec_adj: Vec<f64>,
+    fill: Vec<FillTape>,
+    links: Vec<LinkTape>,
+    /// Greedy-trace energy per workload scenario.
+    energies: Vec<f64>,
+}
+
+/// Local slopes of one chunk's fill clamp, read back by the reverse
+/// sweep.
+#[derive(Debug, Clone, Copy, Default)]
+struct FillTape {
+    /// Slope of the budget bound (`softplus(w)` or `relu(w)`).
+    d_w: f64,
+    /// Slope of the remaining workload (`softplus(rem)` or `relu(rem)`).
+    d_rem: f64,
+    /// Smooth: slope of `softplus(rem − softplus(w))`. Exact: 1 when the
+    /// min takes the remaining workload, 0 when it takes the budget.
+    d_cut: f64,
+}
+
+/// Adjoint destinations of the offline chain: end times and budgets are
+/// variables; executed shares feed back into the fill rule.
+struct ScheduleGrad<'a> {
+    ends: &'a mut [f64],
+    budgets: &'a mut [f64],
+    shares: &'a mut [f64],
+}
+
+impl ChainGrad for ScheduleGrad<'_> {
+    fn end(&mut self, k: usize, d: f64) {
+        self.ends[k] += d;
+    }
+    fn share(&mut self, k: usize, d: f64) {
+        self.shares[k] += d;
+    }
+    fn budget(&mut self, k: usize, d: f64) {
+        self.budgets[k] += d;
+    }
 }
 
 impl<'a> ScheduleProblem<'a> {
@@ -158,6 +220,34 @@ impl<'a> ScheduleProblem<'a> {
             })
             .sum::<f64>()
             .max(1e-12);
+        let m = fps.len();
+        let link_consts = fps
+            .sub_instances()
+            .iter()
+            .map(|sub| {
+                let c_eff = set.task(sub.instance.task).c_eff();
+                (sub.window_start.as_ms(), c_eff)
+            })
+            .collect();
+        let mut fill_instances = Vec::new();
+        let mut fill_subs = Vec::with_capacity(m);
+        for (tid, _) in set.iter() {
+            for index in 0..fps.instances_of(tid) {
+                let first = fill_subs.len();
+                fill_subs.extend(
+                    fps.chunks_of(InstanceId { task: tid, index })
+                        .map(|id| id.0),
+                );
+                fill_instances.push((tid.0, first..fill_subs.len()));
+            }
+        }
+        let scratch = RefCell::new(Scratch {
+            exec: vec![0.0; m],
+            exec_adj: vec![0.0; m],
+            fill: vec![FillTape::default(); m],
+            links: Vec::with_capacity(m),
+            energies: vec![0.0; scenarios.len()],
+        });
         ScheduleProblem {
             set,
             cpu,
@@ -167,6 +257,10 @@ impl<'a> ScheduleProblem<'a> {
             eps_t: 1e-6,
             eps_w: 1e-9,
             warm_start: None,
+            link_consts,
+            fill_instances,
+            fill_subs,
+            scratch,
         }
     }
 
@@ -252,6 +346,84 @@ impl<'a> ScheduleProblem<'a> {
         }
         energy
     }
+
+    /// The fill rule's executed share per sub-instance for one
+    /// scenario's per-task totals, as [`Self::scenario_energy`] builds
+    /// it: each chunk executes `clamp(total − prefix, 0, max(w, 0))`.
+    fn fill_forward(
+        &self,
+        totals: &[f64],
+        w: &[f64],
+        tau: f64,
+        exec: &mut [f64],
+        fill: &mut [FillTape],
+    ) {
+        for (task, chunks) in &self.fill_instances {
+            let total = totals[*task];
+            let mut prefix = 0.0;
+            for &u in &self.fill_subs[chunks.clone()] {
+                let rem = total - prefix;
+                (exec[u], fill[u]) = if tau > 0.0 {
+                    let (hi, d_w) = softplus(w[u], tau);
+                    let (sx, d_rem) = softplus(rem, tau);
+                    let (cut, d_cut) = softplus(rem - hi, tau);
+                    (sx - cut, FillTape { d_w, d_rem, d_cut })
+                } else {
+                    let (rx, d_rem) = relu(rem);
+                    let (hi, d_w) = relu(w[u]);
+                    // The exact min: ties take the remaining workload.
+                    let (x, d_cut) = if rx <= hi { (rx, 1.0) } else { (hi, 0.0) };
+                    (x, FillTape { d_w, d_rem, d_cut })
+                };
+                prefix += w[u];
+            }
+        }
+    }
+
+    /// Reverse sweep of [`Self::fill_forward`]: feeds the executed
+    /// shares' adjoints back into the budgets.
+    fn fill_reverse(&self, tau: f64, fill: &[FillTape], exec_adj: &[f64], budgets: &mut [f64]) {
+        for (_, chunks) in self.fill_instances.iter().rev() {
+            // Adjoint of the prefix after the current chunk (the last
+            // chunk's is unused, hence zero).
+            let mut adj_prefix = 0.0;
+            for &u in self.fill_subs[chunks.clone()].iter().rev() {
+                let t = fill[u];
+                // prefix' = prefix + w
+                let adj_next = adj_prefix;
+                adj_prefix = 0.0;
+                if adj_next != 0.0 {
+                    adj_prefix += adj_next;
+                    budgets[u] += adj_next;
+                }
+                let ax = exec_adj[u];
+                let mut adj_rem = 0.0;
+                if ax != 0.0 && tau > 0.0 {
+                    // x = softplus(rem) − softplus(rem − softplus(w))
+                    let adj_cut = -ax * t.d_cut;
+                    if adj_cut != 0.0 {
+                        adj_rem += adj_cut;
+                        budgets[u] += -adj_cut * t.d_w;
+                    }
+                    adj_rem += ax * t.d_rem;
+                } else if ax != 0.0 {
+                    // x = min(relu(rem), relu(w))
+                    let adj_hi = ax * (1.0 - t.d_cut);
+                    if adj_hi != 0.0 {
+                        budgets[u] += adj_hi * t.d_w;
+                    }
+                    let adj_rx = ax * t.d_cut;
+                    if adj_rx != 0.0 {
+                        adj_rem = adj_rx * t.d_rem;
+                    }
+                }
+                // rem = total − prefix
+                if adj_rem != 0.0 {
+                    adj_prefix -= adj_rem;
+                }
+            }
+        }
+    }
 }
 
 /// Voltage expression for a (non-negative) speed expression under `cpu`'s
@@ -260,19 +432,8 @@ impl<'a> ScheduleProblem<'a> {
 /// ([`crate::reopt`]).
 pub(crate) fn voltage_for_speed<'g>(cpu: &Processor, speed: Expr<'g>, tau: f64) -> Expr<'g> {
     let speed = speed.relu();
-    let v = match *cpu.freq_model() {
-        FreqModel::Linear { kappa } => speed / kappa,
-        FreqModel::Alpha { .. } => {
-            let model = cpu.freq_model();
-            let f_val = speed.value();
-            let freq = acs_model::units::Freq::from_cycles_per_ms(f_val.max(0.0));
-            let v_val = model.volt_for(freq).as_volts();
-            let dv = model.dvolt_dfreq(freq);
-            speed.custom_unary(v_val, dv)
-        }
-    };
-    let vmin = cpu.vmin().as_volts();
-    smax_const(v, vmin, tau)
+    let (v, dv) = chain::volt_and_slope(cpu.freq_model(), speed.value());
+    smax_const(speed.custom_unary(v, dv), cpu.vmin().as_volts(), tau)
 }
 
 /// `max(a, b)`: smooth when `tau > 0`, exact otherwise.
@@ -396,13 +557,56 @@ impl ConstrainedProblem for ScheduleProblem<'_> {
         Some(LinearConstraints { ineq, eq })
     }
 
-    fn build_objective<'g>(&self, g: &'g Graph, x: &[Expr<'g>], smoothing: f64) -> Expr<'g> {
+    fn objective(&self, x: &[f64], smoothing: f64, mut grad: Option<&mut [f64]>) -> f64 {
         let m = self.fps.len();
         let (e, w) = x.split_at(m);
-        let mut objective = g.constant(0.0);
-        for scenario in &self.scenarios {
-            let energy = self.scenario_energy(g, e, w, scenario, smoothing);
-            objective = objective + scenario.weight * energy;
+        let mut scratch = self.scratch.borrow_mut();
+        let Scratch {
+            exec,
+            exec_adj,
+            fill,
+            links,
+            energies,
+        } = &mut *scratch;
+        if let Some(grad) = grad.as_deref_mut() {
+            grad.fill(0.0);
+        }
+        // Later scenarios first: the tape's reverse sweep adds their
+        // contributions to each variable first.
+        for (i, scenario) in self.scenarios.iter().enumerate().rev() {
+            self.fill_forward(&scenario.totals_ms, w, smoothing, exec, fill);
+            let chain = Chain {
+                cpu: self.cpu,
+                fmax: self.cpu.f_max().as_cycles_per_ms(),
+                eps_t: self.eps_t,
+                eps_w: self.eps_w,
+                origin: 0.0,
+                start: StartMax::Exact,
+                basis_is_share: matches!(scenario.basis, SpeedBasis::AverageWork),
+            };
+            let link = |u: usize| LinkIn {
+                lo: self.link_consts[u].0,
+                c_eff: self.link_consts[u].1,
+                e: e[u],
+                a: exec[u],
+                w: w[u],
+            };
+            energies[i] = chain.forward(smoothing, m, link, links);
+            if let Some(grad) = grad.as_deref_mut() {
+                let (ends, budgets) = grad.split_at_mut(m);
+                exec_adj.fill(0.0);
+                let mut sink = ScheduleGrad {
+                    ends,
+                    budgets,
+                    shares: exec_adj,
+                };
+                chain.reverse((1.0 / self.norm) * scenario.weight, links, &mut sink);
+                self.fill_reverse(smoothing, fill, exec_adj, budgets);
+            }
+        }
+        let mut objective = 0.0;
+        for (scenario, energy) in self.scenarios.iter().zip(energies.iter()) {
+            objective += energy * scenario.weight;
         }
         objective / self.norm
     }
@@ -456,6 +660,7 @@ mod tests {
     use acs_model::units::{Cycles, Ticks, Volt};
     use acs_model::Task;
     use acs_opt::numgrad::max_gradient_error;
+    use acs_power::FreqModel;
 
     fn fixture() -> (TaskSet, Processor) {
         let set = TaskSet::new(vec![

@@ -62,6 +62,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod chain;
 pub mod error;
 pub mod export;
 pub mod fill;

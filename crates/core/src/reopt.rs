@@ -61,6 +61,7 @@
 //! # }
 //! ```
 
+use crate::chain::{Chain, ChainGrad, LinkIn, LinkTape, StartMax};
 use crate::fill::fill_amounts;
 use crate::formulation::{smax_const, voltage_for_speed};
 use crate::schedule::StaticSchedule;
@@ -72,6 +73,7 @@ use acs_opt::problem::{ConstrainedProblem, LinearConstraints, ProblemExprs, Spar
 use acs_opt::tape::{Expr, Graph};
 use acs_power::Processor;
 use acs_preempt::InstanceId;
+use std::cell::RefCell;
 
 /// Observable runtime state of one task instance at a job boundary, as
 /// reported by the simulation engine (`acs-sim` fills one of these per
@@ -421,7 +423,7 @@ impl RemainingInstance {
 /// subject to the exact worst-case fit constraints. Budgets are fixed —
 /// the engine enforces the static schedule's worst-case budgets, so only
 /// the speed profile (equivalently the end times) is re-optimized online.
-struct RemainingProblem<'a> {
+pub(crate) struct RemainingProblem<'a> {
     rem: &'a RemainingInstance,
     /// Full-length starting end times, **borrowed** from the caller's
     /// buffer: the per-solve sub-vector used to exist twice (collected
@@ -431,10 +433,25 @@ struct RemainingProblem<'a> {
     norm: f64,
     eps_t: f64,
     eps_w: f64,
+    /// The objective kernel's per-link record, reused by every
+    /// evaluation of the solve.
+    links: RefCell<Vec<LinkTape>>,
+}
+
+/// Adjoint destination of the boundary chain: only end times are
+/// variables (budgets and expected shares are constants).
+struct Ends<'a>(&'a mut [f64]);
+
+impl ChainGrad for Ends<'_> {
+    fn end(&mut self, k: usize, d: f64) {
+        self.0[k] += d;
+    }
+    fn share(&mut self, _: usize, _: f64) {}
+    fn budget(&mut self, _: usize, _: f64) {}
 }
 
 impl<'a> RemainingProblem<'a> {
-    fn new(rem: &'a RemainingInstance, warm_full: &'a [f64]) -> Self {
+    pub(crate) fn new(rem: &'a RemainingInstance, warm_full: &'a [f64]) -> Self {
         let vmax = rem.cpu.vmax().as_volts();
         let norm = rem
             .opt_live
@@ -448,6 +465,7 @@ impl<'a> RemainingProblem<'a> {
             norm,
             eps_t: 1e-6,
             eps_w: 1e-9,
+            links: RefCell::new(Vec::with_capacity(rem.opt_live.len())),
         }
     }
 }
@@ -531,21 +549,32 @@ impl ConstrainedProblem for RemainingProblem<'_> {
         })
     }
 
-    fn build_objective<'g>(&self, g: &'g Graph, x: &[Expr<'g>], smoothing: f64) -> Expr<'g> {
+    fn objective(&self, x: &[f64], smoothing: f64, grad: Option<&mut [f64]>) -> f64 {
         let rem = self.rem;
-        let mut energy = g.constant(0.0);
-        let mut f_prev = g.constant(rem.now_ms);
-        for (k, &u) in rem.opt_live.iter().enumerate() {
-            let a = rem.a_ms[u];
-            let w = rem.rem_w_ms[u];
-            let s = smax_const(f_prev, rem.lo_ms[u], smoothing);
-            let gap = x[k] - s;
-            let denom = smax_const(gap, self.eps_t, smoothing) + self.eps_t;
-            let speed = g.constant(w * rem.fmax) / denom;
-            let v = voltage_for_speed(&rem.cpu, speed, smoothing);
-            energy = energy + rem.c_eff[u] * v.sqr() * (a * rem.fmax);
-            let rho = a / (w + self.eps_w);
-            f_prev = s + rho * (x[k] - s);
+        let chain = Chain {
+            cpu: &rem.cpu,
+            fmax: rem.fmax,
+            eps_t: self.eps_t,
+            eps_w: self.eps_w,
+            origin: rem.now_ms,
+            start: StartMax::Floor,
+            basis_is_share: false,
+        };
+        let link = |k: usize| {
+            let u = rem.opt_live[k];
+            LinkIn {
+                lo: rem.lo_ms[u],
+                c_eff: rem.c_eff[u],
+                e: x[k],
+                a: rem.a_ms[u],
+                w: rem.rem_w_ms[u],
+            }
+        };
+        let mut links = self.links.borrow_mut();
+        let energy = chain.forward(smoothing, x.len(), link, &mut links);
+        if let Some(grad) = grad {
+            grad.fill(0.0);
+            chain.reverse(1.0 / self.norm, &links, &mut Ends(grad));
         }
         energy / self.norm
     }

@@ -15,8 +15,10 @@
 //!
 //! with multiplier updates `λ_j += μ h_j`, `ν_i = max(0, ν_i + μ g_i)`
 //! and a penalty bump whenever feasibility stalls. The inner solver is
-//! [`crate::lbfgs`]; gradients come from the AD tape, so problems only
-//! describe expressions ([`ConstrainedProblem`]).
+//! [`crate::lbfgs`]. Problems whose constraints are all linear are
+//! evaluated in plain `f64`: the objective through
+//! [`ConstrainedProblem::objective`] and the penalties from the sparse
+//! rows. Any other problem is built on the AD tape at every evaluation.
 
 use crate::lbfgs::{self, LbfgsConfig, LbfgsStop};
 use crate::problem::{ConstrainedProblem, LinearConstraints};
@@ -107,11 +109,12 @@ pub struct AugLagResult {
     pub lambda: Vec<f64>,
 }
 
-/// Exact (unsmoothed) objective and violation at `x`, evaluated on the
-/// shared (reset + reused) arena; constraint values land in
-/// `ineq`/`eq`. With a linear-constraints description only the
-/// objective touches the tape; constraint values come from the sparse
-/// rows directly.
+/// Exact (unsmoothed) objective and violation at `x`; constraint
+/// values land in `ineq`/`eq`. With a linear-constraints description
+/// nothing touches the tape: the objective comes from
+/// [`ConstrainedProblem::objective`] and the constraint values from the
+/// sparse rows. Otherwise everything is built on the shared (reset +
+/// reused) arena.
 fn measure<'g>(
     problem: &dyn ConstrainedProblem,
     lc: Option<&LinearConstraints>,
@@ -121,17 +124,17 @@ fn measure<'g>(
     ineq: &mut Vec<f64>,
     eq: &mut Vec<f64>,
 ) -> (f64, f64) {
-    g.reset();
-    xs.clear();
-    xs.extend(x.iter().map(|&v| g.input(v)));
     let obj;
     ineq.clear();
     eq.clear();
     if let Some(lc) = lc {
-        obj = problem.build_objective(g, xs, 0.0).value();
+        obj = problem.objective(x, 0.0, None);
         ineq.extend((0..lc.ineq.rows()).map(|i| lc.ineq.value(i, x)));
         eq.extend((0..lc.eq.rows()).map(|j| lc.eq.value(j, x)));
     } else {
+        g.reset();
+        xs.clear();
+        xs.extend(x.iter().map(|&v| g.input(v)));
         let exprs = problem.build(g, xs, 0.0);
         obj = exprs.objective.value();
         ineq.extend(exprs.inequalities.iter().map(|e| e.value()));
@@ -173,22 +176,21 @@ pub fn solve_seeded(
     let mut x = problem.initial_point();
     assert_eq!(x.len(), n, "initial point dimension mismatch");
 
-    // One AD arena serves every evaluation of this solve: each build
-    // resets the tape and reuses the grown node/value/adjoint buffers, so
-    // warm iterations allocate nothing on the tape side.
-    let g = Graph::with_capacity(n * 16);
-    let mut xs: Vec<Expr<'_>> = Vec::with_capacity(n);
+    // When the problem exposes its (all-linear) constraint system, the
+    // merit function takes the objective from `problem.objective` and
+    // folds the PHR penalty terms in analytically: for
+    // P = (max(0, μg+ν)² − ν²)/2μ the chain rule gives
+    // ∂P/∂x = max(0, μg+ν)·∇g, and ∇g is the constant coefficient row.
+    let lc = problem.linear_constraints();
+
+    // Otherwise one AD arena serves every evaluation of this solve: each
+    // build resets the tape and reuses the grown node/adjoint buffers, so
+    // warm iterations allocate nothing on the tape side. An empty graph
+    // holds no arena; the linear path never builds on it.
+    let g = Graph::new();
+    let mut xs: Vec<Expr<'_>> = Vec::new();
     let mut ineq: Vec<f64> = Vec::new();
     let mut eq: Vec<f64> = Vec::new();
-
-    // When the problem exposes its (all-linear) constraint system, the
-    // merit function puts only the objective on the tape and folds the
-    // PHR penalty terms in analytically: for P = (max(0, μg+ν)² − ν²)/2μ
-    // the chain rule gives ∂P/∂x = max(0, μg+ν)·∇g, and ∇g is the
-    // constant coefficient row. Same math as the tape path, different
-    // floating-point summation order — iterate trajectories may differ
-    // within solver tolerance, the contract does not.
-    let lc = problem.linear_constraints();
 
     // Discover constraint counts once.
     let (num_ineq, num_eq) = match &lc {
@@ -224,14 +226,9 @@ pub fn solve_seeded(
         outer_done += 1;
         // ---- inner minimization of the merit function ----
         let merit = |xv: &[f64], grad: &mut [f64]| -> f64 {
-            g.reset();
-            xs.clear();
-            xs.extend(xv.iter().map(|&v| g.input(v)));
             if let Some(lc) = &lc {
-                // Fast path: objective on the tape, linear penalties in f64.
-                let obj = problem.build_objective(&g, &xs, smoothing);
-                g.gradient_wrt(obj, &xs, grad);
-                let mut merit = obj.value();
+                // Fast path: the problem's objective, linear penalties in f64.
+                let mut merit = problem.objective(xv, smoothing, Some(grad));
                 for (j, &lam) in lambda.iter().enumerate().take(lc.eq.rows()) {
                     let h = lc.eq.value(j, xv);
                     merit += lam * h + (mu / 2.0) * h * h;
@@ -246,6 +243,9 @@ pub fn solve_seeded(
                 }
                 return merit;
             }
+            g.reset();
+            xs.clear();
+            xs.extend(xv.iter().map(|&v| g.input(v)));
             let exprs = problem.build(&g, &xs, smoothing);
             let mut merit = exprs.objective;
             for (j, &h) in exprs.equalities.iter().enumerate() {
@@ -558,13 +558,6 @@ mod tests {
             }
             eq.push_row(&sum, -self.0.total);
             Some(crate::problem::LinearConstraints { ineq, eq })
-        }
-        fn build_objective<'g>(&self, g: &'g Graph, x: &[Expr<'g>], _s: f64) -> Expr<'g> {
-            let mut obj = g.constant(0.0);
-            for (i, &wi) in self.0.w.iter().enumerate() {
-                obj = obj + g.constant(wi.powi(3)) / x[i].sqr();
-            }
-            obj
         }
     }
 

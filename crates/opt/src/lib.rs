@@ -10,11 +10,16 @@
 //!   surrogates ([`tape::Expr::softplus`], [`tape::Expr::smooth_max`],
 //!   [`tape::Expr::smooth_clamp`]) for the piecewise constructs of the
 //!   scheduling formulation, plus exact piecewise ops for final
-//!   evaluation.
+//!   evaluation. Problems are described on it
+//!   ([`problem::ConstrainedProblem::build`]).
 //! * [`linesearch`] / [`lbfgs`] — strong-Wolfe line search and L-BFGS.
 //! * [`auglag`] — a Powell–Hestenes–Rockafellar augmented-Lagrangian
 //!   driver handling equality and inequality constraints, with
-//!   temperature annealing for the smoothed operators.
+//!   temperature annealing for the smoothed operators. When every
+//!   constraint is linear it never touches the tape: the objective comes
+//!   from [`problem::ConstrainedProblem::objective`] (a hand-written
+//!   kernel that must match the tape bit for bit) and the penalties
+//!   from sparse rows.
 //! * [`numgrad`] — finite-difference utilities to validate gradients.
 //!
 //! ## Example: constrained minimization

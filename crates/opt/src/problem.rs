@@ -95,7 +95,7 @@ pub struct LinearConstraints {
 }
 
 /// A smooth constrained minimization problem, expressed by building its
-/// objective and constraints on a fresh AD [`Graph`] at every evaluation.
+/// objective and constraints on an AD [`Graph`].
 ///
 /// `smoothing` is a temperature for piecewise operations (`max`, `clamp`):
 /// implementations should use smooth surrogates
@@ -116,22 +116,33 @@ pub trait ConstrainedProblem {
     /// The constraint system as sparse linear rows, when *every*
     /// constraint is linear in `x`. Solvers that see `Some` evaluate
     /// constraints and penalty gradients in plain `f64` from these rows
-    /// and build only the objective on the tape
-    /// ([`ConstrainedProblem::build_objective`]) — the same math with a
-    /// fraction of the tape nodes. Implementations must keep row order
+    /// and the objective through [`ConstrainedProblem::objective`],
+    /// never building on a tape. Implementations must keep row order
     /// identical to the expression order of
     /// [`ConstrainedProblem::build`].
     fn linear_constraints(&self) -> Option<LinearConstraints> {
         None
     }
 
-    /// Objective-only build, used together with
-    /// [`ConstrainedProblem::linear_constraints`]. The default delegates
-    /// to [`ConstrainedProblem::build`] (correct but wastes the
-    /// constraint nodes); implementations providing linear constraints
-    /// should override it to skip constraint construction entirely.
-    fn build_objective<'g>(&self, g: &'g Graph, x: &[Expr<'g>], smoothing: f64) -> Expr<'g> {
-        self.build(g, x, smoothing).objective
+    /// The objective at `x`; when `grad` is given, its gradient is
+    /// written there (every entry overwritten). Used together with
+    /// [`ConstrainedProblem::linear_constraints`].
+    ///
+    /// The default builds the problem on a fresh tape — correct, but it
+    /// allocates the arena and records every constraint node on each
+    /// call. Implementations override it with a hand-written kernel that
+    /// must return the same bits as the default, value and every
+    /// gradient entry, so that the solver's iterates do not depend on
+    /// which of the two ran; [`ConstrainedProblem::build`] stays the
+    /// reference the kernel is tested against.
+    fn objective(&self, x: &[f64], smoothing: f64, grad: Option<&mut [f64]>) -> f64 {
+        let g = Graph::new();
+        let xs: Vec<Expr<'_>> = x.iter().map(|&v| g.input(v)).collect();
+        let objective = self.build(&g, &xs, smoothing).objective;
+        if let Some(grad) = grad {
+            g.gradient_wrt(objective, &xs, grad);
+        }
+        objective.value()
     }
 }
 
@@ -167,5 +178,9 @@ mod tests {
         let exprs = p.build(&g, &xs, 0.0);
         assert_eq!(exprs.objective.value(), 1.0);
         assert!(exprs.inequalities.is_empty());
+        let mut grad = [0.0];
+        assert_eq!(p.objective(&[2.0], 0.0, Some(&mut grad)), 1.0);
+        assert_eq!(grad, [2.0]);
+        assert_eq!(p.objective(&[2.0], 0.0, None), 1.0);
     }
 }

@@ -1,11 +1,14 @@
 //! Tape-based reverse-mode automatic differentiation.
 //!
-//! The optimizer re-builds a fresh expression graph at every merit-function
-//! evaluation (values are eager, the tape only records local partial
-//! derivatives), then a single reverse sweep yields the gradient with
-//! respect to every input at `O(#nodes)` cost. This is the textbook
-//! "tape" design: flat arena, two-parent nodes, no graph reuse, no
-//! allocation inside the hot loop beyond the arena `Vec`s.
+//! Problems describe their objective and constraints on a fresh
+//! expression graph ([`crate::problem::ConstrainedProblem::build`]);
+//! values are eager, the tape only records local partial derivatives,
+//! and a single reverse sweep yields the gradient with respect to every
+//! input at `O(#nodes)` cost. This is the textbook "tape" design: flat
+//! arena, two-parent nodes, no graph reuse, no allocation inside the hot
+//! loop beyond the arena `Vec`s. The solver evaluates on the tape on its
+//! general path; on the linear-constraint path the tape is the reference
+//! that hand-written objective kernels are tested against.
 //!
 //! ```
 //! use acs_opt::tape::Graph;
@@ -191,6 +194,34 @@ impl Graph {
     }
 }
 
+/// Value and slope of `max(v, 0)`, the slope 0 at the kink: the
+/// arithmetic of [`Expr::relu`], shared with hand-written kernels like
+/// [`softplus`].
+pub fn relu(v: f64) -> (f64, f64) {
+    if v > 0.0 {
+        (v, 1.0)
+    } else {
+        (0.0, 0.0)
+    }
+}
+
+/// Value and slope of `τ·ln(1 + e^{v/τ})` at `v`: the arithmetic of
+/// [`Expr::softplus`], exposed so hand-written kernels that must match
+/// the tape bit for bit share it instead of restating it.
+pub fn softplus(v: f64, tau: f64) -> (f64, f64) {
+    let x = v / tau;
+    // Stable: softplus(x) = max(x,0) + ln(1+exp(-|x|)).
+    let t = (-x.abs()).exp();
+    let val = tau * (x.max(0.0) + t.ln_1p());
+    // d/dx τ·softplus(x/τ) = sigmoid(x/τ), from the same exp(-|x|).
+    let d = if x >= 0.0 {
+        1.0 / (1.0 + t)
+    } else {
+        t / (1.0 + t)
+    };
+    (val, d)
+}
+
 /// The result of a reverse sweep: adjoints of every node.
 #[derive(Debug, Clone)]
 pub struct Gradient {
@@ -294,8 +325,7 @@ impl<'g> Expr<'g> {
     /// kink is 0. Continuous, piecewise-smooth; safe inside augmented
     /// Lagrangian penalty terms, which square it.
     pub fn relu(self) -> Expr<'g> {
-        let v = self.value();
-        let (val, d) = if v > 0.0 { (v, 1.0) } else { (0.0, 0.0) };
+        let (val, d) = relu(self.value());
         self.graph.unary(self, val, d)
     }
 
@@ -328,16 +358,7 @@ impl<'g> Expr<'g> {
     /// Panics if `tau` is not positive.
     pub fn softplus(self, tau: f64) -> Expr<'g> {
         assert!(tau > 0.0, "softplus temperature must be positive");
-        let x = self.value() / tau;
-        // Stable: softplus(x) = max(x,0) + ln(1+exp(-|x|)).
-        let val = tau * (x.max(0.0) + (-x.abs()).exp().ln_1p());
-        // d/dx τ·softplus(x/τ) = sigmoid(x/τ).
-        let d = if x >= 0.0 {
-            1.0 / (1.0 + (-x).exp())
-        } else {
-            let e = x.exp();
-            e / (1.0 + e)
-        };
+        let (val, d) = softplus(self.value(), tau);
         self.graph.unary(self, val, d)
     }
 

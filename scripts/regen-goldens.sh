@@ -1,0 +1,22 @@
+#!/usr/bin/env sh
+# Regenerates every golden CSV in tests/golden/ from the scenario of the
+# same name in scenarios/, with `acsched run --threads 1` on a release
+# build, then shows which goldens moved. tests/golden.rs asserts them
+# byte for byte.
+#
+# Rule: a change that moves any golden explains why in its CHANGES.md
+# entry. To pin a new scenario, create an empty tests/golden/<name>.csv,
+# add <name> to the list in tests/golden.rs and run this script.
+#
+# Run from anywhere; paths resolve against the repository root.
+set -eu
+
+cd "$(dirname "$0")/.."
+cargo build --release --quiet --bin acsched
+
+for golden in tests/golden/*.csv; do
+    name=$(basename "$golden" .csv)
+    ./target/release/acsched run "scenarios/$name.txt" --threads 1 --quiet --out "$golden"
+done
+
+git --no-pager diff --stat -- tests/golden

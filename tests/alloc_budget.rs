@@ -9,15 +9,17 @@
 //! pinned contract: any new `Vec::new`/`clone`/`format!` on the hot
 //! path fails this suite before it can regress the benchmarks.
 //!
-//! **Single-threaded by design.** The counter is process-global, so
-//! these tests serialize on a shared mutex, and CI runs the binary with
-//! `--test-threads=1` (the `alloc-budget` job in
-//! `.github/workflows/ci.yml`). The
-//! count is exact under that regime; a parallel run could only inflate
-//! it (another thread's allocations), never hide a regression.
+//! **Only the measuring thread counts.** Counting is switched on per
+//! thread (a `const`-initialised thread-local flag the allocator reads),
+//! so allocations by the harness's own threads — printing results,
+//! spawning the next test — never reach the count. The engine under test
+//! runs on the thread that switched counting on, so the count is exact
+//! under the parallel harness too. The tests still serialize on a mutex
+//! because they share the one counter.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use acs_core::{synthesize_wcs, SynthesisOptions};
@@ -27,34 +29,39 @@ use acs_power::{FreqModel, Processor};
 use acs_sim::policy::{DispatchContext, Policy, SolverContext};
 use acs_sim::{NoDvs, SimOptions, Simulator, StaticSpeed};
 
-/// System allocator with a switchable allocation counter. Deallocations
-/// are not counted: freeing retired buffers is fine, *acquiring* new
-/// ones in steady state is the regression.
+/// System allocator with a per-thread switchable allocation counter.
+/// Deallocations are not counted: freeing retired buffers is fine,
+/// *acquiring* new ones in steady state is the regression.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static ENABLED: AtomicBool = AtomicBool::new(false);
+
+thread_local! {
+    /// Whether this thread's allocations count. `const`-initialised and
+    /// without a destructor, so reading it never allocates.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count_one() {
+    if COUNTING.with(Cell::get) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ENABLED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_one();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if ENABLED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_one();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A grow is a new acquisition in disguise.
-        if ENABLED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -66,16 +73,17 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Serializes the tests of this binary: the counter is process-global.
+/// Serializes the tests of this binary: they share the one counter.
 static SERIAL: Mutex<()> = Mutex::new(());
 
-/// Runs `f` with counting enabled and returns the exact number of
-/// allocation acquisitions (alloc/alloc_zeroed/realloc) it performed.
+/// Runs `f` on this thread with counting enabled and returns the exact
+/// number of allocation acquisitions (alloc/alloc_zeroed/realloc) this
+/// thread performed.
 fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
     ALLOCS.store(0, Ordering::SeqCst);
-    ENABLED.store(true, Ordering::SeqCst);
+    COUNTING.with(|c| c.set(true));
     let r = f();
-    ENABLED.store(false, Ordering::SeqCst);
+    COUNTING.with(|c| c.set(false));
     (ALLOCS.load(Ordering::SeqCst), r)
 }
 

@@ -227,6 +227,10 @@ fn reopt_reports_identical_with_cache_on_and_off() {
     );
 }
 
+/// Runs on one thread: the campaign-wide solver cache is shared by the
+/// workers, so with several of them the split of lookups between
+/// `solver_cache_hits` and `boundary_resolves` depends on interleaving,
+/// and callers compare whole `CellStats`, counters included.
 fn reopt_only_campaign(sets: Vec<(String, TaskSet)>, cfg: ReOptConfig) -> CampaignReport {
     Campaign::builder()
         .task_sets(sets)
@@ -236,6 +240,7 @@ fn reopt_only_campaign(sets: Vec<(String, TaskSet)>, cfg: ReOptConfig) -> Campai
         .workload(WorkloadSpec::Paper)
         .seeds([11, 12])
         .hyper_periods(3)
+        .threads(1)
         .build()
         .unwrap()
         .run()
