@@ -5,7 +5,7 @@
 //!   steady state (two warm-up hyper-periods, then three counted ones).
 //!   The arena design pins this at exactly `0.000` (see docs/PERF.md
 //!   and tests/alloc_budget.rs); the bench records it so a regression
-//!   shows up in the BENCH_<n>.json series too.
+//!   shows up in the `BENCH_<n>.json` series too.
 //! * `peak_rss_mb` — the process's peak resident set (`VmHWM` from
 //!   /proc/self/status) after running the scenario given as the first
 //!   argument in-process (the same campaign the sweep metric times).

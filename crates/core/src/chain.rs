@@ -11,7 +11,8 @@
 //!
 //! * every local partial is computed the way the tape records it
 //!   (`adj · (1/b)`, not `adj / b`), with the tape's own scalar helpers
-//!   ([`relu`], [`softplus`], [`volt_and_slope`]);
+//!   ([`relu`], [`softplus`], [`volt_and_slope`]), so their shortcuts,
+//!   like `softplus`'s saturated tails, hold for tape and kernel alike;
 //! * contributions are added to each variable in the tape's reverse
 //!   node order — later links before earlier ones, and within a link the
 //!   order below — straight into the gradient buffer;

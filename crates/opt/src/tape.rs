@@ -205,11 +205,28 @@ pub fn relu(v: f64) -> (f64, f64) {
     }
 }
 
+/// From this `x = v/τ` up, the formula in [`softplus`] is exactly
+/// `(τ·x, 1)`: `t = e^{−x} ≤ e^{−40} < 2⁻⁵³` rounds away in the slope's
+/// `1 + t`, and in `x + ln_1p(t)` because `ln_1p(t) ≈ t < 2⁻⁴⁸ ≤ ulp(x)/2`.
+const SOFTPLUS_LINEAR_FROM: f64 = 40.0;
+
+/// From this `x = v/τ` down, it is exactly `(τ·0, 0)`: `e^{x}` underflows
+/// to +0 below `ln 2⁻¹⁰⁷⁵ ≈ −745.13`, and `ln_1p(+0) = +0`.
+const SOFTPLUS_ZERO_TO: f64 = -746.0;
+
 /// Value and slope of `τ·ln(1 + e^{v/τ})` at `v`: the arithmetic of
 /// [`Expr::softplus`], exposed so hand-written kernels that must match
-/// the tape bit for bit share it instead of restating it.
+/// the tape bit for bit share it instead of restating it. In the tails
+/// past the two constants above it skips `exp` and `ln_1p`, bit for bit.
 pub fn softplus(v: f64, tau: f64) -> (f64, f64) {
     let x = v / tau;
+    if x >= SOFTPLUS_LINEAR_FROM {
+        return (tau * x, 1.0);
+    }
+    if x <= SOFTPLUS_ZERO_TO {
+        // `τ·0`, not `0`: the formula's sign for any τ.
+        return (tau * 0.0, 0.0);
+    }
     // Stable: softplus(x) = max(x,0) + ln(1+exp(-|x|)).
     let t = (-x.abs()).exp();
     let val = tau * (x.max(0.0) + t.ln_1p());
@@ -609,6 +626,101 @@ mod tests {
         // No overflow for extreme inputs.
         let w = g.input(1e6);
         assert!(w.softplus(1e-3).value().is_finite());
+    }
+
+    /// [`softplus`] without its saturated tails: the formula alone.
+    fn softplus_reference(v: f64, tau: f64) -> (f64, f64) {
+        let x = v / tau;
+        let t = (-x.abs()).exp();
+        let val = tau * (x.max(0.0) + t.ln_1p());
+        let d = if x >= 0.0 {
+            1.0 / (1.0 + t)
+        } else {
+            t / (1.0 + t)
+        };
+        (val, d)
+    }
+
+    /// The saturated tails are the only thing that can make tape and
+    /// kernels wrong together, so this pins them against the formula.
+    #[test]
+    fn softplus_saturation_is_bit_exact() {
+        let same = |a: f64, b: f64| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+        // Inputs seen per branch: linear tail, zero tail, formula.
+        let mut hits = [0usize; 3];
+        let mut check = |v: f64, tau: f64| {
+            let (got, want) = (softplus(v, tau), softplus_reference(v, tau));
+            assert!(
+                same(got.0, want.0) && same(got.1, want.1),
+                "softplus({v:e}, {tau:e}) = {got:?}, formula {want:?}"
+            );
+            let x = v / tau;
+            hits[if x >= SOFTPLUS_LINEAR_FROM {
+                0
+            } else if x <= SOFTPLUS_ZERO_TO {
+                1
+            } else {
+                2
+            }] += 1;
+        };
+
+        // Dense sweeps of x across both thresholds, plus each threshold
+        // and its neighbouring floats (exactly so at τ = 1).
+        for tau in [1.0, 1e-2, 1e-7] {
+            for (lo, hi) in [(36.0, 41.0), (744.0, 748.0)] {
+                let n = 50_000;
+                for i in 0..=n {
+                    let x = lo + (hi - lo) * f64::from(i) / f64::from(n);
+                    check(x * tau, tau);
+                    check(-x * tau, tau);
+                }
+            }
+            for e in [SOFTPLUS_LINEAR_FROM, SOFTPLUS_ZERO_TO] {
+                for x in [e.next_down(), e, e.next_up()] {
+                    check(x * tau, tau);
+                }
+            }
+        }
+
+        // Log-uniform |v| over 24 decades, spread by a golden-ratio
+        // sequence, at every temperature of the synthesis annealing
+        // ladder (1e-2 · 0.15ᵏ, floored at 1e-7).
+        let ladder = std::iter::successors(Some(1e-2_f64), |&t| {
+            (t > 1e-7).then(|| (t * 0.15).max(1e-7))
+        });
+        let step = (5f64.sqrt() - 1.0) / 2.0;
+        for tau in ladder {
+            for i in 0..1u32 << 16 {
+                let decade = -12.0 + 24.0 * (f64::from(i) * step).fract();
+                let v = 10f64.powf(decade);
+                check(v, tau);
+                check(-v, tau);
+            }
+        }
+
+        // Special values, as v and as τ.
+        let specials = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE / 2.0,
+            -f64::MIN_POSITIVE / 2.0,
+            f64::MAX,
+            -f64::MAX,
+            1.0,
+            1e-7,
+        ];
+        for v in specials {
+            for tau in specials {
+                check(v, tau);
+            }
+        }
+
+        assert!(hits.iter().all(|&n| n > 0), "branch hits {hits:?}");
     }
 
     #[test]

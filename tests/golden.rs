@@ -6,6 +6,10 @@
 //! <name>.csv` writes; debug and release builds write the same bytes.
 //! Regenerate them with `scripts/regen-goldens.sh`. A change that moves
 //! any golden must explain why in its CHANGES.md entry.
+//!
+//! The paper-scale grids (`fig6a_random`, `fig6a_threeway`,
+//! `ablation_policies`) are `#[ignore]`d, so the debug suite stays fast;
+//! `cargo test --release --test golden -- --include-ignored` runs them.
 
 use acsched::prelude::*;
 
@@ -53,6 +57,13 @@ macro_rules! golden {
             assert_golden(stringify!($name));
         }
     )*};
+    (#[ignore = $why:literal] $($name:ident),* $(,)?) => {$(
+        #[test]
+        #[ignore = $why]
+        fn $name() {
+            assert_golden(stringify!($name));
+        }
+    )*};
 }
 
 golden!(
@@ -63,4 +74,11 @@ golden!(
     arrivals_sweep,
     design_space,
     serve_warm,
+);
+
+golden!(
+    #[ignore = "paper-scale: minutes; release only"]
+    fig6a_random,
+    fig6a_threeway,
+    ablation_policies,
 );
