@@ -1,40 +1,14 @@
-//! Global multiprocessor dispatch: one shared ready pool across cores.
+//! Machine placements: how jobs map onto the cores of a multiprocessor.
 //!
-//! Where [`partition`](crate::partition()) pins every task to a core up
-//! front, global scheduling keeps a single queue of released jobs and,
-//! at every scheduling event, runs the `m` most eligible jobs on the
-//! `m` cores — RM priority order or EDF absolute-deadline order, per
-//! [`SchedulingClass`]. Jobs may *migrate*: a preempted job can resume
-//! on whichever core frees up first. Migrations are counted in
-//! [`SimReport::migrations`]; the dispatcher is sticky (a job that
-//! keeps its slot between events stays on its core, and a re-dispatched
-//! job prefers the core it last ran on), so migrations only happen when
-//! the eligibility order forces them.
-//!
-//! The dispatcher is intentionally schedule-free: it accepts the same
-//! online policies the single-core engine runs without a static
-//! schedule ([`NoDvs`](acs_sim::NoDvs), [`CcRm`](acs_sim::CcRm), …) and
-//! shares one policy instance across all cores — utilization-driven
-//! policies observe the whole set's releases and completions, which is
-//! exactly the "global" view. Milestone schedules encode a single-core
-//! worst-case interleaving and do not transfer to a migrating
-//! dispatcher, so schedule-backed policies are rejected up front.
-//!
-//! On one core the dispatcher degenerates to the event engine's own
-//! semantics and reproduces `acs-sim` byte-for-byte (every float
-//! operation mirrors the engine's dispatch arithmetic); the
-//! `global_differential` suite pins that equivalence. Precedence
-//! graphs ([`acs_model::TaskGraph`]) gate readiness exactly like the
-//! single-core engine: a job becomes eligible only once every
-//! predecessor job of its graph instance has completed.
-
-use crate::error::MultiError;
-use crate::machine::MachineReport;
-use acs_model::units::{Cycles, Energy, Freq, Time, TimeSpan};
-use acs_model::{SchedulingClass, TaskId, TaskSet};
-use acs_power::Processor;
-use acs_sim::policy::{DispatchContext, IntoPolicy, Policy};
-use acs_sim::{ExecutionTrace, SimOptions, SimReport, Slice, WorkloadSource};
+//! [`Placement::Partitioned`] pins every task to one core
+//! ([`partition`](crate::partition())) and runs each core as its own
+//! single-core engine ([`MachineRun`](crate::MachineRun)).
+//! [`Placement::Global`] keeps one shared ready queue and runs the `m`
+//! most eligible jobs on the `m` cores — RM priority order or EDF
+//! absolute-deadline order, per `SchedulingClass` — migrating jobs when
+//! the eligibility order forces it. Global runs are the event engine
+//! itself on `m` cores (`acs_sim::Simulator::with_cores`); see
+//! `docs/ENGINE.md` for its placement, migration and preemption rules.
 
 /// How jobs are mapped onto the cores of a multiprocessor machine.
 ///
@@ -53,7 +27,8 @@ pub enum Placement {
     Partitioned,
     /// One shared ready queue; at every scheduling event the `m` most
     /// eligible jobs (RM priority or EDF deadline order) run on the
-    /// `m` cores, migrating when necessary ([`GlobalRun`]).
+    /// `m` cores, migrating when necessary
+    /// (`acs_sim::Simulator::with_cores`).
     Global,
 }
 
@@ -90,664 +65,9 @@ impl std::str::FromStr for Placement {
     }
 }
 
-// Mirrors the single-core engine's tolerances (they are crate-private
-// there; the values are part of the engine's determinism contract, see
-// `docs/ENGINE.md`).
-const EPS: f64 = 1e-9;
-const CYCLE_EPS: f64 = 1e-2;
-
-/// Per-round dispatch scratch: `(job, start_ms, dt, f_actual, voltage)`.
-type RunningSlot = Option<(usize, f64, f64, f64, acs_model::units::Volt)>;
-
-/// A global-dispatch run over `cores` identical processors.
-///
-/// The whole task set runs as one machine: releases follow the built-in
-/// periodic pattern, readiness respects the set's precedence graph (if
-/// any), and at every scheduling event the `m` most eligible ready jobs
-/// execute. The per-core [`SimReport`]s land in a [`MachineReport`]
-/// exactly like partitioned runs, with migrations attributed to the
-/// core a job *arrived* on and preemptions to the core that displaced
-/// the previous job.
-///
-/// ```
-/// use acs_model::{Task, TaskSet, units::{Cycles, Ticks, Volt}};
-/// use acs_power::{FreqModel, Processor};
-/// use acs_sim::{NoDvs, SimOptions};
-/// use acs_multi::GlobalRun;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let set = TaskSet::new(vec![
-///     Task::builder("a", Ticks::new(10)).wcec(Cycles::from_cycles(800.0)).build()?,
-///     Task::builder("b", Ticks::new(10)).wcec(Cycles::from_cycles(800.0)).build()?,
-/// ])?;
-/// let cpu = Processor::builder(FreqModel::linear(50.0)?)
-///     .vmax(Volt::from_volts(4.0)).build()?;
-/// let run = GlobalRun { set: &set, cpu: &cpu, cores: 2, options: SimOptions::default() };
-/// let out = run.run(NoDvs, &mut |_, _| Cycles::from_cycles(800.0))?;
-/// assert_eq!(out.report.to_sim_report().jobs_completed, 2);
-/// assert!(out.report.all_deadlines_met());
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct GlobalRun<'a> {
-    /// The whole-machine task set (never partitioned).
-    pub set: &'a TaskSet,
-    /// The processor model every core instantiates.
-    pub cpu: &'a Processor,
-    /// Number of identical cores.
-    pub cores: usize,
-    /// Simulation options (`class` selects RM vs EDF eligibility;
-    /// `record_trace` records per-core traces of the first
-    /// hyper-period).
-    pub options: SimOptions,
-}
-
-/// Result of [`GlobalRun::run`].
-#[derive(Debug, Clone)]
-pub struct GlobalOutput {
-    /// Per-core reports, machine-shaped like a partitioned run.
-    pub report: MachineReport,
-    /// Per-core traces of the first hyper-period when
-    /// [`SimOptions::record_trace`] is set (indexed by core).
-    pub traces: Option<Vec<ExecutionTrace>>,
-}
-
-/// One job (task instance) of the current hyper-period.
-struct GJob {
-    task: usize,
-    instance: u64,
-    release_ms: f64,
-    deadline_ms: f64,
-    remaining: f64,
-    executed: f64,
-    /// Remaining budget of the synthetic single chunk (starts at WCEC).
-    budget_left: f64,
-    done: bool,
-    released: bool,
-    /// Held back by the precedence gate (released but not eligible).
-    waiting: bool,
-    /// Core this job last executed on (`None` before its first
-    /// dispatch — a first dispatch is never a migration).
-    last_core: Option<usize>,
-}
-
-/// Per-hyper-period machine state.
-struct Machine {
-    jobs: Vec<GJob>,
-    /// Unfinished same-instance predecessor jobs per job (empty vec
-    /// when the set has no graph).
-    pred_left: Vec<usize>,
-    succ_jobs: Vec<Vec<usize>>,
-    /// Job indices in release order `(release_ms, job)`.
-    order: Vec<usize>,
-    ptr: usize,
-    per_core: Vec<SimReport>,
-    traces: Option<Vec<ExecutionTrace>>,
-    last_voltage: Vec<Option<f64>>,
-    last_dispatched: Vec<Option<usize>>,
-    class: SchedulingClass,
-    floors: Vec<f64>,
-    deadline_tol_ms: f64,
-}
-
-impl Machine {
-    fn charge_idle(&mut self, cpu: &Processor, core: usize, span_ms: f64) {
-        let r = &mut self.per_core[core];
-        r.idle_time += TimeSpan::from_ms(span_ms);
-        let idle_power = cpu.idle_power();
-        if idle_power > 0.0 {
-            let e = Energy::from_units(idle_power * span_ms);
-            r.idle_energy += e;
-            r.energy += e;
-        }
-    }
-
-    /// Completes job `i` at time `t` on `core`'s report, with full
-    /// deadline accounting, and fires the completion hook.
-    fn complete(
-        &mut self,
-        set: &TaskSet,
-        cpu: &Processor,
-        policy: &mut dyn Policy,
-        i: usize,
-        t: f64,
-        core: usize,
-    ) {
-        let j = &mut self.jobs[i];
-        j.done = true;
-        let r = &mut self.per_core[core];
-        r.jobs_completed += 1;
-        r.worst_lateness_ms = r.worst_lateness_ms.max(t - j.deadline_ms);
-        if t > j.deadline_ms + self.deadline_tol_ms {
-            r.deadline_misses += 1;
-        }
-        let (task, executed) = (TaskId(j.task), j.executed);
-        policy.on_completion(task, Cycles::from_cycles(executed), set, cpu);
-    }
-
-    /// Propagates a completion through the precedence gate: dependents
-    /// lose one outstanding predecessor; a freed dependent with no
-    /// remaining work completes instantly (cascading further), one with
-    /// work simply becomes eligible at the next scheduling event.
-    fn cascade(
-        &mut self,
-        set: &TaskSet,
-        cpu: &Processor,
-        policy: &mut dyn Policy,
-        root: usize,
-        t: f64,
-        core: usize,
-    ) {
-        let mut stack = vec![root];
-        while let Some(done_job) = stack.pop() {
-            let succs = self.succ_jobs[done_job].clone();
-            for s in succs {
-                self.pred_left[s] -= 1;
-                if self.pred_left[s] > 0 || !self.jobs[s].waiting {
-                    continue;
-                }
-                self.jobs[s].waiting = false;
-                if !self.jobs[s].done && self.jobs[s].remaining <= CYCLE_EPS {
-                    self.complete(set, cpu, policy, s, t, core);
-                    stack.push(s);
-                }
-            }
-        }
-    }
-}
-
-impl GlobalRun<'_> {
-    /// Runs the global simulation. `workload` is called once per job
-    /// with the task id and the absolute instance index across the run
-    /// (hyper-period-major, task-major within — the same draw order as
-    /// the single-core engine, so one workload stream serves both
-    /// placements).
-    ///
-    /// # Errors
-    ///
-    /// [`MultiError::InvalidCoreCount`] for zero cores;
-    /// [`MultiError::Sim`] when the policy requires a static schedule,
-    /// a workload draw is invalid, or the processor stalls.
-    pub fn run(
-        &self,
-        policy: impl IntoPolicy,
-        workload: &mut dyn FnMut(TaskId, u64) -> Cycles,
-    ) -> Result<GlobalOutput, MultiError> {
-        // `&mut dyn FnMut` is itself a (per-draw) `WorkloadSource`.
-        self.run_source(policy, &mut { workload })
-    }
-
-    /// [`GlobalRun::run`] over a batched [`WorkloadSource`]: each
-    /// hyper-period build pulls every task's whole instance window in
-    /// one `draw_batch` call (same task-major order as the per-job
-    /// closure, so under the batch purity contract the results are
-    /// byte-identical — and one workload stream still serves both the
-    /// single-core and global placements).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`GlobalRun::run`].
-    pub fn run_source(
-        &self,
-        policy: impl IntoPolicy,
-        workload: &mut dyn WorkloadSource,
-    ) -> Result<GlobalOutput, MultiError> {
-        if self.cores == 0 {
-            return Err(MultiError::InvalidCoreCount);
-        }
-        let mut policy = policy.into_policy();
-        if policy.needs_schedule() {
-            return Err(MultiError::Sim(format!(
-                "policy {} requires a static schedule — global dispatch \
-                 runs schedule-free policies only",
-                policy.name()
-            )));
-        }
-        let set = self.set;
-        let cpu = self.cpu;
-        let class = self.options.class.unwrap_or_else(|| set.class());
-        let floors: Vec<f64> = set
-            .tasks()
-            .iter()
-            .map(|t| cpu.floor_speed(t.c_eff()).as_cycles_per_ms())
-            .collect();
-
-        let mut totals: Vec<SimReport> = (0..self.cores)
-            .map(|_| SimReport::empty(set.len()))
-            .collect();
-        let mut traces_out: Option<Vec<ExecutionTrace>> = None;
-        let mut abs_base: u64 = 0;
-        let instances_per_hyper = set.total_instances();
-
-        for h in 0..self.options.hyper_periods {
-            let record = self.options.record_trace && h == 0;
-            policy.on_start(set, cpu);
-            let mut m = self.build_hyper_period(
-                policy.as_mut(),
-                workload,
-                abs_base,
-                record,
-                class,
-                &floors,
-            )?;
-            self.run_hyper_period(policy.as_mut(), &mut m)?;
-            for (total, hp) in totals.iter_mut().zip(&m.per_core) {
-                total.absorb(hp);
-            }
-            if record {
-                traces_out = m.traces.take();
-            }
-            abs_base += instances_per_hyper;
-        }
-
-        Ok(GlobalOutput {
-            report: MachineReport {
-                per_core: totals,
-                machine_hyper_periods: self.options.hyper_periods,
-            },
-            traces: traces_out,
-        })
-    }
-
-    /// Draws workloads, builds the hyper-period's jobs (task-major, one
-    /// per instance) and the precedence gate.
-    fn build_hyper_period(
-        &self,
-        _policy: &mut dyn Policy,
-        workload: &mut dyn WorkloadSource,
-        abs_base: u64,
-        record: bool,
-        class: SchedulingClass,
-        floors: &[f64],
-    ) -> Result<Machine, MultiError> {
-        let set = self.set;
-        // Machine-level counters (clamps, gate completions) land on
-        // core 0 — on one core this reproduces the engine's report.
-        let mut per_core: Vec<SimReport> = (0..self.cores)
-            .map(|_| {
-                let mut r = SimReport::empty(set.len());
-                r.hyper_periods = 1;
-                r
-            })
-            .collect();
-
-        let mut jobs: Vec<GJob> = Vec::with_capacity(set.total_instances() as usize);
-        let mut abs_counter = abs_base;
-        let mut drawn_buf: Vec<Cycles> = Vec::new();
-        for (tid, task) in set.iter() {
-            // One batched draw per task per hyper-period — identical
-            // stream to per-job draws by the batch purity contract.
-            drawn_buf.clear();
-            workload.draw_batch(tid, abs_counter, set.instances_of(tid), &mut drawn_buf);
-            abs_counter += set.instances_of(tid);
-            for (inst, &drawn) in drawn_buf.iter().enumerate() {
-                let inst = inst as u64;
-                let release = (inst * task.period().get()) as f64;
-                let raw = drawn.as_cycles();
-                if !raw.is_finite() || raw < 0.0 {
-                    return Err(MultiError::Sim(format!(
-                        "invalid workload {raw} cycles drawn for task {} instance {inst}",
-                        tid.0
-                    )));
-                }
-                let wcec = task.wcec().as_cycles();
-                let actual = if raw > wcec {
-                    per_core[0].clamped_draws += 1;
-                    wcec
-                } else {
-                    raw
-                };
-                jobs.push(GJob {
-                    task: tid.0,
-                    instance: inst,
-                    release_ms: release,
-                    deadline_ms: release + task.deadline().get() as f64,
-                    remaining: actual,
-                    executed: 0.0,
-                    budget_left: wcec,
-                    done: false,
-                    released: false,
-                    waiting: false,
-                    last_core: None,
-                });
-            }
-        }
-
-        // Precedence gate over task-major jobs: edge endpoints share a
-        // period (validated at graph construction), so instance `k`
-        // pairs with instance `k`.
-        let n = jobs.len();
-        let mut pred_left = vec![0usize; n];
-        let mut succ_jobs: Vec<Vec<usize>> = vec![Vec::new(); n];
-        if let Some(g) = set.graph().filter(|g| !g.is_empty()) {
-            let mut base = vec![0usize; set.len()];
-            let mut acc = 0usize;
-            for (tid, _) in set.iter() {
-                base[tid.0] = acc;
-                acc += set.instances_of(tid) as usize;
-            }
-            for &(a, b) in g.edges() {
-                for k in 0..set.instances_of(a) as usize {
-                    succ_jobs[base[a.0] + k].push(base[b.0] + k);
-                    pred_left[base[b.0] + k] += 1;
-                }
-            }
-        }
-
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| {
-            jobs[a]
-                .release_ms
-                .total_cmp(&jobs[b].release_ms)
-                .then(a.cmp(&b))
-        });
-
-        Ok(Machine {
-            jobs,
-            pred_left,
-            succ_jobs,
-            order,
-            ptr: 0,
-            per_core,
-            traces: record.then(|| (0..self.cores).map(|_| ExecutionTrace::new()).collect()),
-            last_voltage: vec![None; self.cores],
-            last_dispatched: vec![None; self.cores],
-            class,
-            floors: floors.to_vec(),
-            deadline_tol_ms: self.options.deadline_tol_ms,
-        })
-    }
-
-    /// The event loop of one hyper-period: admit releases, open the
-    /// gate, pick the `m` most eligible jobs, assign cores stickily,
-    /// execute until the next scheduling event, process completions.
-    #[allow(clippy::too_many_lines)]
-    fn run_hyper_period(&self, policy: &mut dyn Policy, m: &mut Machine) -> Result<(), MultiError> {
-        let set = self.set;
-        let cpu = self.cpu;
-        let h_ms = set.hyper_period().get() as f64;
-        let mut t = 0.0f64;
-        let mut admitted: Vec<usize> = Vec::new();
-        let mut running: Vec<RunningSlot> = vec![None; self.cores];
-
-        loop {
-            // ---- admit due releases, in (time, job) order ----
-            admitted.clear();
-            while m.ptr < m.order.len() && m.jobs[m.order[m.ptr]].release_ms <= t + EPS {
-                let i = m.order[m.ptr];
-                m.ptr += 1;
-                policy.on_release(TaskId(m.jobs[i].task), set, cpu);
-                m.jobs[i].released = true;
-                admitted.push(i);
-            }
-            admitted.sort_unstable();
-            for &i in &admitted {
-                if m.pred_left[i] > 0 {
-                    m.jobs[i].waiting = true;
-                }
-            }
-            // Zero-workload jobs complete instantly (job-index order,
-            // like the engine's admission scan — at release time, so no
-            // lateness accounting is needed here; gate-freed cascades
-            // use the full accounting path).
-            for &i in &admitted {
-                if m.jobs[i].waiting {
-                    continue;
-                }
-                if !m.jobs[i].done && m.jobs[i].remaining <= CYCLE_EPS {
-                    let j = &mut m.jobs[i];
-                    j.done = true;
-                    m.per_core[0].jobs_completed += 1;
-                    let (task, executed) = (TaskId(j.task), j.executed);
-                    policy.on_completion(task, Cycles::from_cycles(executed), set, cpu);
-                    m.cascade(set, cpu, policy, i, t, 0);
-                }
-            }
-
-            // ---- eligibility: released, ungated, unfinished ----
-            let mut cand: Vec<usize> = (0..m.jobs.len())
-                .filter(|&i| {
-                    let j = &m.jobs[i];
-                    j.released && !j.done && !j.waiting && j.remaining > CYCLE_EPS
-                })
-                .collect();
-            if cand.is_empty() {
-                if m.ptr < m.order.len() {
-                    let next = m.jobs[m.order[m.ptr]].release_ms;
-                    for c in 0..self.cores {
-                        m.charge_idle(cpu, c, next - t);
-                    }
-                    t = next;
-                    continue;
-                }
-                if t < h_ms {
-                    for c in 0..self.cores {
-                        m.charge_idle(cpu, c, h_ms - t);
-                    }
-                }
-                return Ok(());
-            }
-            // The engine's ReadyKey order: RM compares on priority
-            // (task id), EDF on absolute deadline first.
-            let key = |i: usize| -> (f64, usize, f64, usize) {
-                let j = &m.jobs[i];
-                let deadline = match m.class {
-                    SchedulingClass::FixedPriorityRm => 0.0,
-                    SchedulingClass::Edf => j.deadline_ms,
-                };
-                (deadline, j.task, j.release_ms, i)
-            };
-            cand.sort_by(|&a, &b| {
-                let (ka, kb) = (key(a), key(b));
-                ka.0.total_cmp(&kb.0)
-                    .then(ka.1.cmp(&kb.1))
-                    .then(ka.2.total_cmp(&kb.2))
-                    .then(ka.3.cmp(&kb.3))
-            });
-            let selected = &cand[..self.cores.min(cand.len())];
-
-            // ---- sticky core assignment ----
-            // Pass 1 (eligibility order): keep the core a job last ran
-            // on when free. Pass 2: everyone else takes the lowest free
-            // core; arriving on a different core than the last run is a
-            // migration, attributed to the arrival core.
-            let mut claimed = vec![false; self.cores];
-            let mut core_of: Vec<Option<usize>> = vec![None; selected.len()];
-            for (s, &i) in selected.iter().enumerate() {
-                if let Some(c) = m.jobs[i].last_core {
-                    if !claimed[c] {
-                        claimed[c] = true;
-                        core_of[s] = Some(c);
-                    }
-                }
-            }
-            for (s, &i) in selected.iter().enumerate() {
-                if core_of[s].is_some() {
-                    continue;
-                }
-                let c = (0..self.cores)
-                    .find(|&c| !claimed[c])
-                    .expect("at most `cores` jobs are selected");
-                claimed[c] = true;
-                core_of[s] = Some(c);
-                if m.jobs[i].last_core.is_some_and(|lc| lc != c) {
-                    m.per_core[c].migrations += 1;
-                }
-            }
-
-            // ---- dispatch the selected jobs, in core order ----
-            for r in running.iter_mut() {
-                *r = None;
-            }
-            let mut assignment: Vec<Option<usize>> = vec![None; self.cores];
-            for (s, &i) in selected.iter().enumerate() {
-                assignment[core_of[s].expect("every selected job got a core")] = Some(i);
-            }
-            let mut next_t = f64::INFINITY;
-            for c in 0..self.cores {
-                let Some(i) = assignment[c] else { continue };
-                if let Some(prev) = m.last_dispatched[c] {
-                    if prev != i && !m.jobs[prev].done && m.jobs[prev].remaining > CYCLE_EPS {
-                        m.per_core[c].preemptions += 1;
-                    }
-                }
-                m.last_dispatched[c] = Some(i);
-                m.jobs[i].last_core = Some(c);
-
-                let (task, budget_left, remaining, deadline_ms) = {
-                    let j = &m.jobs[i];
-                    (j.task, j.budget_left, j.remaining, j.deadline_ms)
-                };
-                let ctx = DispatchContext {
-                    set,
-                    cpu,
-                    task: TaskId(task),
-                    now: Time::from_ms(t),
-                    chunk_end: Time::from_ms(deadline_ms),
-                    chunk_budget_remaining: Cycles::from_cycles(budget_left),
-                    static_speed: cpu.f_max(),
-                    sub: None,
-                };
-                let (speed, clamped) = cpu.clamp_speed(policy.on_dispatch(&ctx));
-                let speed = speed.max(Freq::from_cycles_per_ms(m.floors[task]));
-                let (v, table_saturated) = match cpu.dispatch_voltage(speed) {
-                    Ok(v) => (v, false),
-                    Err(_) => (cpu.vmax(), true),
-                };
-                if clamped || table_saturated {
-                    m.per_core[c].saturated_dispatches += 1;
-                }
-                let f_actual = cpu
-                    .freq_at(v)
-                    .map_err(|e| MultiError::Sim(e.to_string()))?
-                    .as_cycles_per_ms();
-                if f_actual <= 1e-12 {
-                    return Err(MultiError::Sim(
-                        "processor frequency is zero at the dispatched voltage".into(),
-                    ));
-                }
-
-                let overhead = cpu.overhead();
-                let changed = m.last_voltage[c]
-                    .map(|lv| (lv - v.as_volts()).abs() > 1e-9)
-                    .unwrap_or(false);
-                let mut start = t;
-                if changed {
-                    m.per_core[c].voltage_switches += 1;
-                    m.per_core[c].energy += overhead.energy;
-                    start += overhead.time.as_ms();
-                }
-                m.last_voltage[c] = Some(v.as_volts());
-
-                // Engine dispatch arithmetic, verbatim (the m=1
-                // differential pins byte equality on these ops).
-                let until_complete = remaining / f_actual;
-                let until_budget = if budget_left > EPS && budget_left < remaining {
-                    budget_left / f_actual
-                } else {
-                    f64::INFINITY
-                };
-                let next_release = if m.ptr < m.order.len() {
-                    m.jobs[m.order[m.ptr]].release_ms
-                } else {
-                    f64::INFINITY
-                };
-                let until_event = if next_release.is_finite() {
-                    (next_release - start).max(0.0)
-                } else {
-                    f64::INFINITY
-                };
-                let dt = until_complete.min(until_budget).min(until_event).max(0.0);
-                running[c] = Some((i, start, dt, f_actual, v));
-                next_t = next_t.min(start + dt);
-            }
-
-            // ---- execute until the next scheduling event ----
-            // Cores ending exactly at `next_t` run their full slice
-            // (the engine's own `dt`); later-ending cores are chopped
-            // at `next_t`, where the machine schedule is re-evaluated.
-            for c in 0..self.cores {
-                let Some((i, start, dt, f_actual, v)) = running[c] else {
-                    m.charge_idle(cpu, c, next_t - t);
-                    continue;
-                };
-                let dt_run = if start + dt <= next_t {
-                    dt
-                } else {
-                    (next_t - start).max(0.0)
-                };
-                let cycles = f_actual * dt_run;
-                {
-                    let j = &mut m.jobs[i];
-                    j.remaining = (j.remaining - cycles).max(0.0);
-                    j.budget_left -= cycles;
-                    j.executed += cycles;
-                }
-                let task = m.jobs[i].task;
-                let c_eff = set.tasks()[task].c_eff();
-                let e = cpu.energy(c_eff, v, Cycles::from_cycles(cycles));
-                m.per_core[c].energy += e;
-                m.per_core[c].per_task_energy[task] += e;
-                let leak = cpu.static_power_at(v);
-                if leak > 0.0 {
-                    let e_static = Energy::from_units(leak * dt_run);
-                    m.per_core[c].static_energy += e_static;
-                    m.per_core[c].energy += e_static;
-                }
-                m.per_core[c].busy_time += TimeSpan::from_ms(dt_run);
-                if let Some(traces) = m.traces.as_mut() {
-                    if dt_run > 0.0 {
-                        traces[c].push(Slice {
-                            task: TaskId(task),
-                            instance: m.jobs[i].instance,
-                            start: Time::from_ms(start),
-                            end: Time::from_ms(start + dt_run),
-                            voltage: v,
-                        });
-                    }
-                }
-                running[c] = Some((i, start, dt_run, f_actual, v));
-            }
-
-            // ---- completions (core order), then advance the clock ----
-            for (c, slot) in running.iter().enumerate() {
-                let Some((i, start, dt_run, _, _)) = *slot else {
-                    continue;
-                };
-                if !m.jobs[i].done && m.jobs[i].remaining <= CYCLE_EPS {
-                    let end = start + dt_run;
-                    m.complete(set, cpu, policy, i, end, c);
-                    m.cascade(set, cpu, policy, i, end, c);
-                }
-            }
-            t = next_t;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acs_model::units::{Ticks, Volt};
-    use acs_model::{Task, TaskGraph};
-    use acs_power::FreqModel;
-    use acs_sim::{CcRm, GreedyReclaim, NoDvs};
-
-    fn task(name: &str, period: u64, wcec: f64) -> Task {
-        Task::builder(name, Ticks::new(period))
-            .wcec(Cycles::from_cycles(wcec))
-            .build()
-            .unwrap()
-    }
-
-    fn cpu() -> Processor {
-        Processor::builder(FreqModel::linear(50.0).unwrap())
-            .vmin(Volt::from_volts(0.5))
-            .vmax(Volt::from_volts(4.0))
-            .build()
-            .unwrap()
-    }
 
     #[test]
     fn placement_labels_round_trip() {
@@ -756,179 +76,5 @@ mod tests {
             assert_eq!(p.to_string(), p.label());
         }
         assert!("clustered".parse::<Placement>().is_err());
-    }
-
-    #[test]
-    fn overloaded_single_core_heals_on_two() {
-        // Two tasks, each needing the full capacity of one core at
-        // f_max: one core misses, two cores meet every deadline with
-        // both running concurrently.
-        let set = TaskSet::new(vec![task("a", 10, 2000.0), task("b", 10, 2000.0)]).unwrap();
-        let cpu = cpu();
-        let mut wl = |tid: TaskId, _| set.tasks()[tid.0].wcec();
-        let one = GlobalRun {
-            set: &set,
-            cpu: &cpu,
-            cores: 1,
-            options: SimOptions::default(),
-        }
-        .run(NoDvs, &mut wl)
-        .unwrap();
-        assert!(!one.report.all_deadlines_met());
-        let two = GlobalRun {
-            set: &set,
-            cpu: &cpu,
-            cores: 2,
-            options: SimOptions::default(),
-        }
-        .run(NoDvs, &mut wl)
-        .unwrap();
-        assert!(two.report.all_deadlines_met());
-        let r = two.report.to_sim_report();
-        assert_eq!(r.jobs_completed, 2);
-        assert_eq!(r.migrations, 0, "independent full-load jobs never move");
-    }
-
-    #[test]
-    fn dag_set_runs_in_topological_order_across_cores() {
-        // t3 -> t1: even with two cores, no slice of t1 may start
-        // before t3 completes.
-        let mk = |n: &str| {
-            Task::builder(n, Ticks::new(20))
-                .wcec(Cycles::from_cycles(1000.0))
-                .build()
-                .unwrap()
-        };
-        let set = TaskSet::new(vec![mk("t1"), mk("t2"), mk("t3")]).unwrap();
-        let graph = TaskGraph::new(&set, vec![("t3", "t1")]).unwrap();
-        let set = set.with_graph(graph);
-        let cpu = cpu();
-        let run = GlobalRun {
-            set: &set,
-            cpu: &cpu,
-            cores: 2,
-            options: SimOptions {
-                record_trace: true,
-                ..SimOptions::default()
-            },
-        };
-        let out = run
-            .run(NoDvs, &mut |tid, _| set.tasks()[tid.0].wcec())
-            .unwrap();
-        assert!(out.report.all_deadlines_met());
-        let traces = out.traces.expect("trace recorded");
-        let pred_end = traces
-            .iter()
-            .flat_map(|tr| tr.slices())
-            .filter(|s| s.task == TaskId(2))
-            .map(|s| s.end.as_ms())
-            .fold(0.0f64, f64::max);
-        for s in traces.iter().flat_map(|tr| tr.slices()) {
-            if s.task == TaskId(0) {
-                assert!(
-                    s.start.as_ms() >= pred_end - 1e-9,
-                    "successor slice at {} precedes predecessor end {pred_end}",
-                    s.start.as_ms()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn preempted_job_migrates_to_a_freed_core() {
-        // EDF, 2 cores, fmax = 200 cycles/ms. First hyper-period:
-        // u (d=8) takes core 0 and p0 (d=10) core 1; q0 (d=12) follows
-        // p0 on core 1, v (d=16) follows u on core 0. Core 1 frees
-        // first (q0 ends at 10, v holds core 0 until 14), so c (d=40)
-        // starts on core 1. At t=20 the fresh p1/q1 pair displaces c:
-        // p1 lands on core 0, q1 on core 1. p1 (2 ms) frees core 0
-        // while q1 (8 ms) still holds c's old core 1 -- c resumes on
-        // core 0. Exactly one migration, attributed to the arrival
-        // core; the displacement itself is a preemption on core 1.
-        let mk = |n: &str, period: u64, d: u64, wcec: f64| {
-            Task::builder(n, Ticks::new(period))
-                .deadline(Ticks::new(d))
-                .wcec(Cycles::from_cycles(wcec))
-                .build()
-                .unwrap()
-        };
-        let set = TaskSet::new(vec![
-            mk("p", 20, 10, 400.0),
-            mk("q", 20, 12, 1600.0),
-            mk("u", 40, 8, 1200.0),
-            mk("v", 40, 16, 1600.0),
-            mk("c", 40, 40, 3000.0),
-        ])
-        .unwrap()
-        .with_class(SchedulingClass::Edf);
-        let cpu = cpu();
-        let run = GlobalRun {
-            set: &set,
-            cpu: &cpu,
-            cores: 2,
-            options: SimOptions::default(),
-        };
-        let out = run
-            .run(NoDvs, &mut |tid, _| set.tasks()[tid.0].wcec())
-            .unwrap();
-        let r = out.report.to_sim_report();
-        assert_eq!(r.jobs_completed as u64, set.total_instances());
-        assert!(r.all_deadlines_met(), "lateness {}", r.worst_lateness_ms);
-        assert_eq!(r.migrations, 1, "c moves core 1 to core 0 exactly once");
-        assert!(r.preemptions >= 1, "the p1/q1 pair displaces c");
-    }
-
-    #[test]
-    fn schedule_backed_policies_are_rejected() {
-        let set = TaskSet::new(vec![task("a", 10, 500.0)]).unwrap();
-        let cpu = cpu();
-        let run = GlobalRun {
-            set: &set,
-            cpu: &cpu,
-            cores: 2,
-            options: SimOptions::default(),
-        };
-        let err = run
-            .run(GreedyReclaim, &mut |_, _| Cycles::from_cycles(100.0))
-            .unwrap_err();
-        assert!(err.to_string().contains("static schedule"), "{err}");
-        assert_eq!(
-            GlobalRun {
-                set: &set,
-                cpu: &cpu,
-                cores: 0,
-                options: SimOptions::default(),
-            }
-            .run(NoDvs, &mut |_, _| Cycles::from_cycles(100.0))
-            .unwrap_err(),
-            MultiError::InvalidCoreCount
-        );
-    }
-
-    #[test]
-    fn ccrm_runs_globally_with_shared_state() {
-        let set = TaskSet::new(vec![
-            task("a", 10, 400.0),
-            task("b", 20, 600.0),
-            task("c", 20, 500.0),
-        ])
-        .unwrap();
-        let cpu = cpu();
-        let out = GlobalRun {
-            set: &set,
-            cpu: &cpu,
-            cores: 2,
-            options: SimOptions {
-                hyper_periods: 3,
-                ..SimOptions::default()
-            },
-        }
-        .run(CcRm::default(), &mut |tid, _| {
-            Cycles::from_cycles(set.tasks()[tid.0].wcec().as_cycles() * 0.5)
-        })
-        .unwrap();
-        let r = out.report.to_sim_report();
-        assert!(r.all_deadlines_met());
-        assert_eq!(r.jobs_completed as u64, 3 * set.total_instances());
     }
 }

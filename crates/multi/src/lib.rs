@@ -25,18 +25,20 @@
 //! `acs-runtime` campaign axes (`cores`, `partitioners`) sweep exactly
 //! this trade-off.
 //!
-//! The alternative to pinning is *global* dispatch ([`GlobalRun`],
-//! selected by [`Placement::Global`]): one shared ready queue, the `m`
-//! most eligible jobs on `m` cores, jobs migrating between cores when
-//! the eligibility order forces it. Global placement is the only way to
-//! run precedence-constrained sets ([`acs_model::TaskGraph`]) on
-//! multiple cores — precedence edges cannot cross a partition, and
+//! The alternative to pinning is *global* dispatch, selected by
+//! [`Placement::Global`]: one shared ready queue, the `m` most eligible
+//! jobs on `m` cores, jobs migrating between cores when the eligibility
+//! order forces it. That is the event engine itself on `m` cores
+//! (`acs_sim::Simulator::with_cores`), so this crate only names the
+//! placement. Global placement is the only way to run
+//! precedence-constrained sets ([`acs_model::TaskGraph`]) on multiple
+//! cores — precedence edges cannot cross a partition, and
 //! [`partition()`] rejects such sets up front.
 //!
 //! ## Example
 //!
 //! ```
-//! use acs_model::{Task, TaskSet, units::{Cycles, Ticks, Volt}};
+//! use acs_model::{Task, TaskId, TaskSet, units::{Cycles, Ticks, Volt}};
 //! use acs_multi::{partition, MachineRun, PartitionHeuristic};
 //! use acs_power::{FreqModel, Processor};
 //! use acs_sim::{NoDvs, SimOptions};
@@ -61,7 +63,11 @@
 //!     schedules: None,
 //!     options: SimOptions::default(),
 //! }
-//! .run(|| Box::new(NoDvs), &mut |_core, _task, _abs| Cycles::from_cycles(400.0))?;
+//! .run(
+//!     || Box::new(NoDvs),
+//!     |_core, _set| |_task: TaskId, _abs: u64| Cycles::from_cycles(400.0),
+//!     &mut |_core, _set| None,
+//! )?;
 //! assert!(report.all_deadlines_met());
 //! let split = report.breakdown();
 //! assert!(split.static_ > acs_model::units::Energy::ZERO);
@@ -79,6 +85,6 @@ pub mod machine;
 pub mod partition;
 
 pub use error::MultiError;
-pub use global::{GlobalOutput, GlobalRun, Placement};
+pub use global::Placement;
 pub use machine::{CoreSourceFactory, MachineReport, MachineRun};
 pub use partition::{partition, CoreAssignment, Partition, PartitionHeuristic};

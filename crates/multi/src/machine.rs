@@ -5,18 +5,16 @@
 use crate::error::MultiError;
 use crate::partition::Partition;
 use acs_core::StaticSchedule;
-use acs_model::units::{Cycles, Energy, TimeSpan};
-use acs_model::{TaskId, TaskSet};
+use acs_model::units::{Energy, TimeSpan};
+use acs_model::TaskSet;
 use acs_power::Processor;
 use acs_sim::{
     ArrivalSource, EnergyBreakdown, Policy, SimOptions, SimReport, Simulator, WorkloadSource,
 };
-use std::cell::RefCell;
 
-/// Per-core arrival-source factory passed to
-/// [`MachineRun::run_with_sources`]: `(core, core's task set)` →
-/// `Some(source)` to drive that core from generated/recorded releases,
-/// `None` for the classic periodic grid.
+/// Per-core arrival-source factory passed to [`MachineRun::run`]:
+/// `(core, core's task set)` → `Some(source)` to drive that core from
+/// generated/recorded releases, `None` for the classic periodic grid.
 pub type CoreSourceFactory<'a> = dyn FnMut(usize, &TaskSet) -> Option<Box<dyn ArrivalSource>> + 'a;
 
 /// One machine run: the partition, the per-core hardware (identical
@@ -96,43 +94,33 @@ impl MachineReport {
 }
 
 impl MachineRun<'_> {
-    /// Runs every core and aggregates. `make_policy` is called once per
-    /// non-empty core (policies carry state, so each core needs a fresh
-    /// instance); `workload` is called once per job with the core index,
-    /// the task id *within that core's set*, and the absolute instance
-    /// index of the core's run — give every core an independent,
-    /// deterministic draw stream.
+    /// Runs every core and aggregates. Each callback is called once per
+    /// **non-empty** core, the last two with the core index and that
+    /// core's task set:
+    ///
+    /// * `make_policy` returns the core's fresh policy (policies carry
+    ///   state, so each core needs its own instance);
+    /// * `make_workload` returns the core's [`WorkloadSource`], drawn by
+    ///   task id *within that core's set* and the absolute instance
+    ///   index of the core's run — give every core an independent,
+    ///   deterministic stream;
+    /// * `make_arrivals` returns `Some(source)` to drive the core from
+    ///   generated or recorded releases (see `Simulator::with_arrivals`),
+    ///   `None` for the classic periodic grid.
+    ///
+    /// Key any randomness by `(seed, set, core)` — never by call order —
+    /// so machine results stay deterministic at any thread count.
     ///
     /// # Errors
     ///
     /// [`MultiError::ScheduleCount`] when `schedules` does not line up
     /// with the non-empty cores; [`MultiError::Sim`] when a core's
     /// simulation fails (the first failing core aborts the machine).
-    pub fn run(
-        &self,
-        make_policy: impl FnMut() -> Box<dyn Policy>,
-        workload: &mut dyn FnMut(usize, TaskId, u64) -> Cycles,
-    ) -> Result<MachineReport, MultiError> {
-        self.run_with_sources(make_policy, workload, &mut |_, _| None)
-    }
-
-    /// [`MachineRun::run`] with a per-core arrival-source factory:
-    /// `make_source` is called once per **non-empty** core with the core
-    /// index and that core's task set; returning `Some(source)` runs the
-    /// core's engine from the source's releases instead of the strictly
-    /// periodic grid (see `Simulator::with_arrivals`), `None` keeps the
-    /// classic periodic releases. Key any randomness inside the factory
-    /// by `(seed, set, core)` — never by call order — so machine results
-    /// stay deterministic at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`MachineRun::run`].
-    pub fn run_with_sources(
+    pub fn run<S: WorkloadSource>(
         &self,
         mut make_policy: impl FnMut() -> Box<dyn Policy>,
-        workload: &mut dyn FnMut(usize, TaskId, u64) -> Cycles,
-        make_source: &mut CoreSourceFactory<'_>,
+        mut make_workload: impl FnMut(usize, &TaskSet) -> S,
+        make_arrivals: &mut CoreSourceFactory<'_>,
     ) -> Result<MachineReport, MultiError> {
         let busy = self.partition.busy_cores();
         if let Some(schedules) = self.schedules {
@@ -167,202 +155,13 @@ impl MachineRun<'_> {
                 sim = sim.with_schedule(&schedules[sched_idx]);
             }
             sched_idx += 1;
-            if let Some(source) = make_source(core, set) {
-                sim = sim.with_arrivals(source);
-            }
-            let out = sim
-                .run(&mut |task, abs| workload(core, task, abs))
-                .map_err(|e| MultiError::Sim(format!("core {core}: {e}")))?;
-            per_core.push(out.report);
-        }
-        Ok(MachineReport {
-            per_core,
-            machine_hyper_periods: self.options.hyper_periods,
-        })
-    }
-
-    /// [`MachineRun::run`] with a per-core **batched**
-    /// [`WorkloadSource`] instead of a per-job closure: `make_source`
-    /// is called once per non-empty core with the core index and that
-    /// core's task set, and the core's engine pulls whole
-    /// hyper-period-window cycle batches from the returned source
-    /// (`Simulator::run_source`) instead of one closure call per job.
-    /// Under the source's batch purity contract
-    /// ([`WorkloadSource::draw_batch`]) the reports are byte-identical
-    /// to [`MachineRun::run`] over per-job draws of the same streams.
-    /// Key the source's randomness by `(seed, set, core)` — never by
-    /// call order — exactly like [`MachineRun::run_with_sources`];
-    /// `make_arrivals` is the same per-core arrival-source factory that
-    /// method takes (`|_, _| None` for the periodic grid).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`MachineRun::run`].
-    pub fn run_batched<S: WorkloadSource>(
-        &self,
-        mut make_policy: impl FnMut() -> Box<dyn Policy>,
-        mut make_source: impl FnMut(usize, &TaskSet) -> S,
-        make_arrivals: &mut CoreSourceFactory<'_>,
-    ) -> Result<MachineReport, MultiError> {
-        let busy = self.partition.busy_cores();
-        if let Some(schedules) = self.schedules {
-            if schedules.len() != busy {
-                return Err(MultiError::ScheduleCount {
-                    got: schedules.len(),
-                    expected: busy,
-                });
-            }
-        }
-        let horizon_ms =
-            self.options.hyper_periods as f64 * self.partition.machine_hyper_period.get() as f64;
-        let mut per_core = Vec::with_capacity(self.partition.cores.len());
-        let mut sched_idx = 0usize;
-        for (core, assignment) in self.partition.cores.iter().enumerate() {
-            let Some(set) = &assignment.set else {
-                let mut idle = SimReport::empty(0);
-                idle.hyper_periods = self.options.hyper_periods;
-                idle.idle_time = TimeSpan::from_ms(horizon_ms);
-                let e = Energy::from_units(self.cpu.idle_power() * horizon_ms);
-                idle.idle_energy = e;
-                idle.energy = e;
-                per_core.push(idle);
-                continue;
-            };
-            let mut sim = Simulator::new(set, self.cpu, make_policy()).with_options(SimOptions {
-                hyper_periods: self.options.hyper_periods * self.partition.hyper_multiplier(core),
-                ..self.options
-            });
-            if let Some(schedules) = self.schedules {
-                sim = sim.with_schedule(&schedules[sched_idx]);
-            }
-            sched_idx += 1;
             if let Some(arrivals) = make_arrivals(core, set) {
                 sim = sim.with_arrivals(arrivals);
             }
-            let mut source = make_source(core, set);
             let out = sim
-                .run_source(&mut source)
+                .run_source(&mut make_workload(core, set))
                 .map_err(|e| MultiError::Sim(format!("core {core}: {e}")))?;
             per_core.push(out.report);
-        }
-        Ok(MachineReport {
-            per_core,
-            machine_hyper_periods: self.options.hyper_periods,
-        })
-    }
-
-    /// Runs every core's event engine **interleaved on one shared
-    /// virtual clock**: each non-empty core becomes a paused
-    /// [`SteppedRun`](acs_sim::SteppedRun), and the machine repeatedly
-    /// steps whichever core's clock is furthest behind (ties broken by
-    /// the lowest core index). This is the global-time execution order
-    /// a cross-core policy or a DAG dependency layer will observe;
-    /// per-core results are unaffected by the interleaving because
-    /// cores share no simulation state.
-    ///
-    /// Equivalent to [`MachineRun::run`] — byte-identical per-core
-    /// reports — **provided the workload draw for `(core, task, abs)`
-    /// does not depend on the order the closure is called in** (the
-    /// interleaving changes that order across cores, never within one
-    /// core). Seeded per-`(core, task, abs)` streams qualify; a single
-    /// shared sequential RNG does not.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`MachineRun::run`]; the first failing core aborts the
-    /// machine.
-    pub fn run_interleaved(
-        &self,
-        mut make_policy: impl FnMut() -> Box<dyn Policy>,
-        workload: &mut dyn FnMut(usize, TaskId, u64) -> Cycles,
-    ) -> Result<MachineReport, MultiError> {
-        let busy = self.partition.busy_cores();
-        if let Some(schedules) = self.schedules {
-            if schedules.len() != busy {
-                return Err(MultiError::ScheduleCount {
-                    got: schedules.len(),
-                    expected: busy,
-                });
-            }
-        }
-        let horizon_ms =
-            self.options.hyper_periods as f64 * self.partition.machine_hyper_period.get() as f64;
-        // One draw source shared by every core's stream; each per-core
-        // closure only tags calls with its core index.
-        let shared = RefCell::new(workload);
-        let shared = &shared;
-        let mut sims: Vec<(usize, Simulator)> = Vec::with_capacity(busy);
-        let mut streams: Vec<Box<dyn FnMut(TaskId, u64) -> Cycles + '_>> = Vec::with_capacity(busy);
-        let mut sched_idx = 0usize;
-        for (core, assignment) in self.partition.cores.iter().enumerate() {
-            let Some(set) = &assignment.set else {
-                continue;
-            };
-            let mut sim = Simulator::new(set, self.cpu, make_policy()).with_options(SimOptions {
-                hyper_periods: self.options.hyper_periods * self.partition.hyper_multiplier(core),
-                ..self.options
-            });
-            if let Some(schedules) = self.schedules {
-                sim = sim.with_schedule(&schedules[sched_idx]);
-            }
-            sched_idx += 1;
-            sims.push((core, sim));
-            streams.push(Box::new(move |task, abs| {
-                (shared.borrow_mut())(core, task, abs)
-            }));
-        }
-        let mut runs = Vec::with_capacity(busy);
-        for ((core, sim), stream) in sims.iter_mut().zip(streams.iter_mut()) {
-            let run = sim
-                .stepped(&mut **stream)
-                .map_err(|e| MultiError::Sim(format!("core {core}: {e}")))?;
-            runs.push((*core, run));
-        }
-        // The shared-clock loop: always advance the core furthest
-        // behind in virtual time. Strict `<` keeps the first (lowest
-        // core index) of equal clocks, making the global order fully
-        // deterministic.
-        loop {
-            let mut next: Option<(f64, usize)> = None;
-            for (i, (_, run)) in runs.iter().enumerate() {
-                if let Some(clock) = run.clock_ms() {
-                    if next.is_none_or(|(best, _)| clock < best) {
-                        next = Some((clock, i));
-                    }
-                }
-            }
-            let Some((_, i)) = next else { break };
-            let core = runs[i].0;
-            runs[i]
-                .1
-                .step()
-                .map_err(|e| MultiError::Sim(format!("core {core}: {e}")))?;
-        }
-        let mut finished: Vec<(usize, SimReport)> = Vec::with_capacity(busy);
-        for (core, run) in runs {
-            let out = run
-                .finish()
-                .map_err(|e| MultiError::Sim(format!("core {core}: {e}")))?;
-            finished.push((core, out.report));
-        }
-        let mut finished = finished.into_iter().peekable();
-        let mut per_core = Vec::with_capacity(self.partition.cores.len());
-        for (core, assignment) in self.partition.cores.iter().enumerate() {
-            if assignment.set.is_none() {
-                // Empty cores only draw idle power over the horizon —
-                // identical to `run()`'s synthetic idle report.
-                let mut idle = SimReport::empty(0);
-                idle.hyper_periods = self.options.hyper_periods;
-                idle.idle_time = TimeSpan::from_ms(horizon_ms);
-                let e = Energy::from_units(self.cpu.idle_power() * horizon_ms);
-                idle.idle_energy = e;
-                idle.energy = e;
-                per_core.push(idle);
-            } else {
-                let (c, report) = finished.next().expect("one report per busy core");
-                debug_assert_eq!(c, core);
-                per_core.push(report);
-            }
         }
         Ok(MachineReport {
             per_core,
@@ -375,8 +174,8 @@ impl MachineRun<'_> {
 mod tests {
     use super::*;
     use crate::partition::{partition, PartitionHeuristic};
-    use acs_model::units::{Ticks, Volt};
-    use acs_model::{Task, TaskSet};
+    use acs_model::units::{Cycles, Ticks, Volt};
+    use acs_model::{Task, TaskId, TaskSet};
     use acs_power::FreqModel;
     use acs_sim::NoDvs;
 
@@ -419,9 +218,11 @@ mod tests {
             },
         };
         let report = run
-            .run(|| Box::new(NoDvs), &mut |_, _, _| {
-                Cycles::from_cycles(500.0)
-            })
+            .run(
+                || Box::new(NoDvs),
+                |_, _| |_: TaskId, _: u64| Cycles::from_cycles(500.0),
+                &mut |_, _| None,
+            )
             .unwrap();
         assert_eq!(report.per_core.len(), 2);
         assert!(report.all_deadlines_met());
@@ -454,9 +255,11 @@ mod tests {
             },
         };
         let report = run
-            .run(|| Box::new(NoDvs), &mut |_, _, _| {
-                Cycles::from_cycles(100.0)
-            })
+            .run(
+                || Box::new(NoDvs),
+                |_, _| |_: TaskId, _: u64| Cycles::from_cycles(100.0),
+                &mut |_, _| None,
+            )
             .unwrap();
         let horizon = 2.0 * set.hyper_period().get() as f64;
         for (core, r) in report.per_core.iter().enumerate() {
@@ -476,76 +279,6 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_run_matches_sequential_run() {
-        let set = set();
-        // Idle-draining cores and an empty core (3 cores, 3 tasks under
-        // WFD may still pack 2) exercise the synthetic-report path too.
-        let cpu = cpu(1.5);
-        let p = partition(&set, cpu.f_max(), 3, PartitionHeuristic::WorstFitDecreasing).unwrap();
-        let run = MachineRun {
-            partition: &p,
-            cpu: &cpu,
-            schedules: None,
-            options: SimOptions {
-                hyper_periods: 3,
-                ..Default::default()
-            },
-        };
-        // Order-independent draws: a pure function of (core, task, abs)
-        // — the interleaving contract (see `run_interleaved` docs).
-        let mut draw = |core: usize, task: TaskId, abs: u64| {
-            Cycles::from_cycles(80.0 + ((core * 131 + task.0 * 17) as u64 + abs * 7 % 390) as f64)
-        };
-        let sequential = run.run(|| Box::new(NoDvs), &mut draw).unwrap();
-        let interleaved = run.run_interleaved(|| Box::new(NoDvs), &mut draw).unwrap();
-        assert_eq!(sequential, interleaved);
-        // The interleaved run really used the event engine per core.
-        assert!(interleaved
-            .per_core
-            .iter()
-            .any(|r| r.events_handled > 0 && r.event_queue_peak > 0));
-    }
-
-    #[test]
-    fn batched_run_matches_per_job_run() {
-        let set = set();
-        let cpu = cpu(1.5);
-        let p = partition(&set, cpu.f_max(), 3, PartitionHeuristic::WorstFitDecreasing).unwrap();
-        let run = MachineRun {
-            partition: &p,
-            cpu: &cpu,
-            schedules: None,
-            options: SimOptions {
-                hyper_periods: 3,
-                ..Default::default()
-            },
-        };
-        // A pure (core, task, abs) function, expressed once as a per-job
-        // closure and once as a batched WorkloadSource per core — the
-        // batch purity contract says the reports must match exactly.
-        let cycles = |core: usize, task: TaskId, abs: u64| {
-            Cycles::from_cycles(80.0 + ((core * 131 + task.0 * 17) as u64 + abs * 7 % 390) as f64)
-        };
-        let per_job = run
-            .run(|| Box::new(NoDvs), &mut |c, t, a| cycles(c, t, a))
-            .unwrap();
-        struct PureSource<F>(usize, F);
-        impl<F: FnMut(usize, TaskId, u64) -> Cycles> acs_sim::WorkloadSource for PureSource<F> {
-            fn draw(&mut self, task: TaskId, instance: u64) -> Cycles {
-                (self.1)(self.0, task, instance)
-            }
-        }
-        let batched = run
-            .run_batched(
-                || Box::new(NoDvs),
-                |core, _| PureSource(core, cycles),
-                &mut |_, _| None,
-            )
-            .unwrap();
-        assert_eq!(per_job, batched);
-    }
-
-    #[test]
     fn schedule_count_mismatch_rejected() {
         let set = set();
         let cpu = cpu(0.0);
@@ -557,7 +290,11 @@ mod tests {
             options: SimOptions::default(),
         };
         let err = run
-            .run(|| Box::new(NoDvs), &mut |_, _, _| Cycles::from_cycles(1.0))
+            .run(
+                || Box::new(NoDvs),
+                |_, _| |_: TaskId, _: u64| Cycles::from_cycles(1.0),
+                &mut |_, _| None,
+            )
             .unwrap_err();
         assert!(matches!(err, MultiError::ScheduleCount { .. }), "{err}");
     }

@@ -192,7 +192,7 @@ pub fn partition(
     // Precedence edges cannot cross a partition: a successor pinned to
     // core A would need to observe its predecessor's completion on core
     // B, which independent per-core simulations cannot express. DAG
-    // sets run under global placement ([`crate::GlobalRun`]) instead.
+    // sets run under global placement (`Simulator::with_cores`) instead.
     if set.graph().is_some_and(|g| !g.is_empty()) {
         return Err(MultiError::GraphNotPartitionable);
     }

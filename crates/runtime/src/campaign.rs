@@ -8,7 +8,7 @@ use acs_core::{
 };
 use acs_model::units::Energy;
 use acs_model::{SchedulingClass, TaskSet};
-use acs_multi::{partition, GlobalRun, MachineRun, Partition, PartitionHeuristic, Placement};
+use acs_multi::{partition, MachineRun, Partition, PartitionHeuristic, Placement};
 use acs_power::Processor;
 use acs_sim::{
     ArrivalKind, CcRm, GreedyReclaim, NoDvs, Policy, ReOpt, ReOptConfig, SimOptions, SimReport,
@@ -1151,14 +1151,18 @@ impl Campaign {
                     class: Some(cell.class),
                 };
                 let schedules = plans.schedules_of(cell)?;
-                if cell.cores == 1 {
-                    // Mix only the set index into the draw seed: cells
-                    // that differ in schedule/policy/processor see
-                    // identical draws, so comparisons across those axes
-                    // are paired.
+                if cell.cores == 1 || cell.placement == Placement::Global {
+                    // Single-core and global cells are one engine run on
+                    // `cores` cores. Mix only the set index into the draw
+                    // seed: cells that differ in schedule/policy/processor
+                    // see identical draws, so comparisons across those
+                    // axes are paired. The engine draws task-major per
+                    // hyper-period at any core count, so global cells
+                    // pair with their single-core twins too.
                     let mut draws =
                         TaskWorkloads::from_dists(spec.dists(set), mix_seed(seed, cell.set));
                     let mut sim = Simulator::new(set, cpu, b.policies[cell.policy].instantiate())
+                        .with_cores(cell.cores)
                         .with_options(options);
                     if let Some(s) = schedules {
                         sim = sim.with_schedule(&s[0]);
@@ -1184,35 +1188,17 @@ impl Campaign {
                     }
                     sim.run_source(&mut draws)
                         .map(|out| {
-                            let energy = out.report.energy.as_units();
-                            (out.report, vec![energy])
+                            let per_core = if out.cores.is_empty() {
+                                vec![out.report.energy.as_units()]
+                            } else {
+                                out.cores
+                                    .iter()
+                                    .map(|c| c.report.energy.as_units())
+                                    .collect()
+                            };
+                            (out.report, per_core)
                         })
                         .map_err(|e| e.to_string())
-                } else if cell.placement == Placement::Global {
-                    // One shared draw stream keyed (seed, set), exactly
-                    // like single-core cells: GlobalRun draws task-major
-                    // per hyper-period — the single-core engine's order —
-                    // so global cells pair with their single-core twins
-                    // and with partitioned cells across every other axis.
-                    let mut draws =
-                        TaskWorkloads::from_dists(spec.dists(set), mix_seed(seed, cell.set));
-                    GlobalRun {
-                        set,
-                        cpu,
-                        cores: cell.cores,
-                        options,
-                    }
-                    .run_source(b.policies[cell.policy].instantiate(), &mut draws)
-                    .map(|out| {
-                        let per_core: Vec<f64> = out
-                            .report
-                            .per_core_energy()
-                            .iter()
-                            .map(|e| e.as_units())
-                            .collect();
-                        (out.report.to_sim_report(), per_core)
-                    })
-                    .map_err(|e| e.to_string())
                 } else {
                     let plan = plans.plan_of(cell).expect("multicore cells are planned");
                     let parted = match plan.partition.as_ref().expect("multicore plans partition") {
@@ -1228,7 +1214,7 @@ impl Campaign {
                         schedules,
                         options,
                     }
-                    .run_batched(
+                    .run(
                         || b.policies[cell.policy].instantiate(),
                         // Independent per-core batched draw streams,
                         // keyed by (seed, set, core): deterministic at

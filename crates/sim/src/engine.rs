@@ -4,7 +4,10 @@
 //! Jobs are released periodically, preemption is immediate when a more
 //! eligible job appears — a higher-priority release under RM (paper
 //! §2.1), an earlier-deadline release under EDF — and the processor
-//! shuts down (zero energy) when idle. The engine is a discrete-event
+//! shuts down (zero energy) when idle. On `m` identical cores
+//! ([`Simulator::with_cores`]) the same dispatcher places jobs
+//! globally: every round runs the `m` most eligible jobs, one per core
+//! (see `docs/ENGINE.md`). The engine is a discrete-event
 //! simulation: releases and chunk-window wakeups live in a
 //! deterministic binary-heap [`EventQueue`] keyed
 //! `(time, kind-priority, seq)`, dispatch selection pops a
@@ -31,7 +34,7 @@ use crate::report::SimReport;
 use crate::workload::{WorkloadRef, WorkloadSource};
 use acs_core::reopt::InstanceProgress;
 use acs_core::StaticSchedule;
-use acs_model::units::{Cycles, Energy, Freq, Time, TimeSpan};
+use acs_model::units::{Cycles, Energy, Freq, Time, TimeSpan, Volt};
 use acs_model::{SchedulingClass, TaskId, TaskSet};
 use acs_power::Processor;
 use acs_preempt::SubInstanceId;
@@ -68,9 +71,29 @@ impl Default for SimOptions {
 /// Result of [`Simulator::run`].
 #[derive(Debug, Clone)]
 pub struct RunOutput {
-    /// Aggregate counters and energy.
+    /// Aggregate counters and energy. A multi-core run folds its cores'
+    /// reports into this one (sums and maxima, `hyper_periods` counted
+    /// once).
     pub report: SimReport,
-    /// Trace of the first hyper-period when requested.
+    /// Trace of the first hyper-period when requested (a multi-core run
+    /// records one per core, in [`RunOutput::cores`]).
+    pub trace: Option<ExecutionTrace>,
+    /// Each core's own report and first-hyper-period trace, in core
+    /// order, on a multi-core run; empty on one core, where `report`
+    /// and `trace` already are the core's.
+    pub cores: Vec<CoreOutput>,
+}
+
+/// One core's results in a multi-core run. Each counter lands on the
+/// core where its event happened: a migration on the core the job
+/// arrived on, a preemption on the core that displaced the job.
+/// Machine-level counters (clamped draws, jobs completed at release,
+/// event statistics, solver counters) land on core 0.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CoreOutput {
+    /// The core's counters and energy.
+    pub report: SimReport,
+    /// The core's trace of the first hyper-period when requested.
     pub trace: Option<ExecutionTrace>,
 }
 
@@ -134,13 +157,16 @@ pub(crate) struct Job {
     /// per-round maintenance basis and no further (the legacy oracle
     /// initializes it and never reads it).
     pub(crate) maintained_at: f64,
+    /// Core this job last ran on (`None` before its first dispatch,
+    /// which is never a migration).
+    pub(crate) last_core: Option<usize>,
 }
 
 /// The simulator: borrows the system description, owns the online
 /// policy, and runs workloads through them.
 ///
-/// Any [`Policy`] value (built-in or user-defined), a `Box<dyn Policy>`,
-/// or the deprecated `DvsPolicy` enum is accepted.
+/// Any [`Policy`] value (built-in or user-defined) or a
+/// `Box<dyn Policy>` is accepted.
 ///
 /// ```
 /// use acs_model::{Task, TaskSet, TaskId, units::{Cycles, Ticks, Volt}};
@@ -169,6 +195,8 @@ pub struct Simulator<'a> {
     /// When set, job releases come from this source instead of the
     /// built-in periodic pattern (see [`Simulator::with_arrivals`]).
     pub(crate) arrivals: Option<Box<dyn ArrivalSource>>,
+    /// Number of identical cores (see [`Simulator::with_cores`]).
+    pub(crate) cores: usize,
 }
 
 impl std::fmt::Debug for Simulator<'_> {
@@ -177,6 +205,7 @@ impl std::fmt::Debug for Simulator<'_> {
             .field("policy", &self.policy.name())
             .field("schedule", &self.schedule.map(|s| s.kind()))
             .field("options", &self.options)
+            .field("cores", &self.cores)
             .finish_non_exhaustive()
     }
 }
@@ -191,7 +220,48 @@ impl<'a> Simulator<'a> {
             schedule: None,
             options: SimOptions::default(),
             arrivals: None,
+            cores: 1,
         }
+    }
+
+    /// Runs the set on `cores` identical processors (default 1) under
+    /// global placement: one shared ready queue, and every round the
+    /// `cores` most eligible jobs run, one per core. A job keeps the
+    /// core it last ran on when that core is free; otherwise it takes
+    /// the lowest free core, a migration counted on that core. Each
+    /// core has its own voltage, transition overhead and preemption
+    /// count, and [`RunOutput::cores`] reports each core separately.
+    ///
+    /// One policy instance serves every core, so utilization-driven
+    /// policies see the whole set. A multi-core run is schedule-free: it
+    /// rejects a static schedule (milestones encode a single-core
+    /// worst-case interleaving), a policy that needs one, and an arrival
+    /// source (it runs the built-in periodic releases).
+    ///
+    /// ```
+    /// use acs_model::{Task, TaskSet, units::{Cycles, Ticks, Volt}};
+    /// use acs_power::{FreqModel, Processor};
+    /// use acs_sim::{NoDvs, Simulator};
+    ///
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let set = TaskSet::new(vec![
+    ///     Task::builder("a", Ticks::new(10)).wcec(Cycles::from_cycles(800.0)).build()?,
+    ///     Task::builder("b", Ticks::new(10)).wcec(Cycles::from_cycles(800.0)).build()?,
+    /// ])?;
+    /// let cpu = Processor::builder(FreqModel::linear(50.0)?)
+    ///     .vmax(Volt::from_volts(4.0)).build()?;
+    /// let out = Simulator::new(&set, &cpu, NoDvs)
+    ///     .with_cores(2)
+    ///     .run(&mut |_, _| Cycles::from_cycles(800.0))?;
+    /// assert_eq!(out.report.jobs_completed, 2);
+    /// assert_eq!(out.cores.len(), 2);
+    /// assert!(out.report.all_deadlines_met());
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn with_cores(mut self, cores: usize) -> Self {
+        self.cores = cores;
+        self
     }
 
     /// Attaches an [`ArrivalSource`]: job releases (and, for trace
@@ -252,9 +322,11 @@ impl<'a> Simulator<'a> {
         workload: &mut dyn FnMut(TaskId, u64) -> Cycles,
     ) -> Result<RunOutput, SimError> {
         #[cfg(feature = "legacy-engine")]
-        // The chunk-scan oracle predates arrival sources and precedence
-        // graphs; it only covers the built-in periodic, independent path.
+        // The chunk-scan oracle predates arrival sources, precedence
+        // graphs and multi-core runs; it only covers the built-in
+        // periodic, independent, single-core path.
         if crate::legacy::legacy_engine_enabled()
+            && self.cores == 1
             && self.arrivals.is_none()
             && self.set.graph().is_none_or(|g| g.is_empty())
         {
@@ -276,6 +348,7 @@ impl<'a> Simulator<'a> {
     pub fn run_source(&mut self, workload: &mut dyn WorkloadSource) -> Result<RunOutput, SimError> {
         #[cfg(feature = "legacy-engine")]
         if crate::legacy::legacy_engine_enabled()
+            && self.cores == 1
             && self.arrivals.is_none()
             && self.set.graph().is_none_or(|g| g.is_empty())
         {
@@ -290,12 +363,8 @@ impl<'a> Simulator<'a> {
 
     /// Starts a resumable run: the same simulation `run` performs, but
     /// advanced one event round at a time via [`SteppedRun::step`].
-    ///
-    /// This is how `acs-multi` interleaves per-core engines on one
-    /// shared clock: each core holds a `SteppedRun`, and the machine
-    /// repeatedly steps whichever core's [`SteppedRun::clock_ms`] is
-    /// smallest. Driving a `SteppedRun` to completion produces exactly
-    /// the [`RunOutput`] that `run` would have returned.
+    /// Driving a `SteppedRun` to completion produces exactly the
+    /// [`RunOutput`] that `run` would have returned.
     ///
     /// # Errors
     ///
@@ -328,15 +397,46 @@ impl<'a> Simulator<'a> {
         if self.arrivals.is_some() && self.set.graph().is_some_and(|g| !g.is_empty()) {
             return Err(SimError::GraphWithArrivals);
         }
+        let cores = self.cores;
+        let reject = |reason: String| Err(SimError::Cores { cores, reason });
+        if cores == 0 {
+            return reject("a run needs at least one core".into());
+        }
+        if cores > 1 {
+            if self.schedule.is_some() {
+                return reject(
+                    "a static schedule encodes a single-core worst-case interleaving".into(),
+                );
+            }
+            if self.policy.needs_schedule() {
+                return reject(format!(
+                    "policy {} requires a static schedule; multi-core dispatch runs \
+                     schedule-free policies only",
+                    self.policy.name()
+                ));
+            }
+            if self.arrivals.is_some() {
+                return reject(
+                    "multi-core dispatch runs the built-in periodic releases, not an \
+                     arrival source"
+                        .into(),
+                );
+            }
+        }
         let plans = self.build_plans()?;
         let stats_before = self.policy.solver_stats();
         let instances_per_hyper = self.set.total_instances();
+        let tasks = self.set.len();
         Ok(SteppedRun {
-            report: SimReport::empty(self.set.len()),
+            cores: (0..cores)
+                .map(|_| CoreOutput {
+                    report: SimReport::empty(tasks),
+                    trace: None,
+                })
+                .collect(),
             sim: self,
             workload,
             plans,
-            trace: None,
             instances_per_hyper,
             abs_base: 0,
             h: 0,
@@ -471,6 +571,7 @@ struct Env<'e> {
     schedule: Option<&'e StaticSchedule>,
     options: &'e SimOptions,
     plans: &'e [Vec<Vec<ChunkPlan>>],
+    cores: usize,
 }
 
 /// Advances a job's chunk state to virtual time `t`.
@@ -578,9 +679,58 @@ impl Gate {
     }
 }
 
+/// One core's dispatch state within a hyper-period, and the slice it
+/// runs in the current round.
+struct Core {
+    /// The core's counters for this hyper-period.
+    report: SimReport,
+    trace: Option<ExecutionTrace>,
+    last_voltage: Option<f64>,
+    /// Job index of this core's most recent dispatch, for preemption
+    /// counting: a dispatch of a *different* job while this one still
+    /// has work is a displacement (both classes use the same rule, so
+    /// RM/EDF preemption counts are directly comparable).
+    last_dispatched: Option<usize>,
+    /// The job placed on this core this round (`None`: it idles). The
+    /// round's completion pass clears it again.
+    job: Option<usize>,
+    /// The placed job's slice: start (after any transition dead time),
+    /// length, and the frequency and voltage it runs at.
+    start: f64,
+    dt: f64,
+    freq: f64,
+    volt: Volt,
+}
+
+impl Core {
+    fn charge_idle(&mut self, cpu: &Processor, span_ms: f64) {
+        self.report.idle_time += TimeSpan::from_ms(span_ms);
+        let idle_power = cpu.idle_power();
+        if idle_power > 0.0 {
+            let e = Energy::from_units(idle_power * span_ms);
+            self.report.idle_energy += e;
+            self.report.energy += e;
+        }
+    }
+
+    fn new(tasks: usize) -> Self {
+        Core {
+            report: SimReport::empty(tasks),
+            trace: None,
+            last_voltage: None,
+            last_dispatched: None,
+            job: None,
+            start: 0.0,
+            dt: 0.0,
+            freq: 0.0,
+            volt: Volt::from_volts(0.0),
+        }
+    }
+}
+
 /// The live state of one hyper-period under the event engine: the jobs,
 /// the event queue (pending releases and chunk wakeups), the ready
-/// queue, and the virtual clock.
+/// queue, the cores, and the virtual clock.
 struct HpState {
     jobs: Vec<Job>,
     /// Pending timed events: every not-yet-admitted release, plus one
@@ -596,18 +746,14 @@ struct HpState {
     /// previous maintenance pass. Lazy forwarding to this basis (and no
     /// further) reproduces those snapshots bit-for-bit.
     maint_time: f64,
-    last_voltage: Option<f64>,
-    /// Job index of the most recent dispatch, for preemption counting:
-    /// a dispatch of a *different* job while this one still has work is
-    /// a displacement (both classes use the same rule, so RM/EDF
-    /// preemption counts are directly comparable).
-    last_dispatched: Option<usize>,
-    /// A job whose slice just ended unfinished; it is re-classified
+    /// One entry per core, in core order. Machine-level counters
+    /// (clamped draws, jobs completed at release, event statistics)
+    /// land on core 0.
+    cores: Vec<Core>,
+    /// Jobs whose slices just ended unfinished; they are re-classified
     /// (ready vs throttled) at the *next* round's entry so boundary
     /// snapshots never observe a post-slice chunk advance early.
-    pending: Option<usize>,
-    report: SimReport,
-    trace: Option<ExecutionTrace>,
+    pending: Vec<usize>,
     record: bool,
     class: SchedulingClass,
     wants_boundaries: bool,
@@ -620,6 +766,9 @@ struct HpState {
     /// Predecessor gate, when the set carries a task graph.
     gate: Option<Gate>,
     // Per-round scratch (kept to avoid reallocation).
+    /// Selected jobs whose last core was taken (or who never ran), in
+    /// eligibility order, awaiting the lowest free core.
+    unplaced: Vec<usize>,
     admitted: Vec<usize>,
     woken: Vec<usize>,
     /// Jobs the gate freed at a predecessor's completion, awaiting
@@ -654,11 +803,8 @@ impl HpState {
             ready: ReadyQueue::new(),
             t: 0.0,
             maint_time: f64::NEG_INFINITY,
-            last_voltage: None,
-            last_dispatched: None,
-            pending: None,
-            report: SimReport::empty(set.len()),
-            trace: None,
+            cores: (0..env.cores).map(|_| Core::new(set.len())).collect(),
+            pending: Vec::with_capacity(env.cores),
             record: false,
             class: env.options.class.unwrap_or_else(|| set.class()),
             wants_boundaries: false,
@@ -669,6 +815,7 @@ impl HpState {
                 .collect(),
             dispatches: 0,
             gate: None,
+            unplaced: Vec::with_capacity(env.cores),
             admitted: Vec::new(),
             woken: Vec::new(),
             ungated: Vec::new(),
@@ -712,12 +859,15 @@ impl HpState {
         st.ready.clear();
         st.t = 0.0;
         st.maint_time = f64::NEG_INFINITY;
-        st.last_voltage = None;
-        st.last_dispatched = None;
-        st.pending = None;
-        st.report.reset(set.len());
-        st.report.hyper_periods = 1;
-        st.trace = record.then(ExecutionTrace::new);
+        for core in &mut st.cores {
+            core.report.reset(set.len());
+            core.report.hyper_periods = 1;
+            core.trace = record.then(ExecutionTrace::new);
+            core.last_voltage = None;
+            core.last_dispatched = None;
+            core.job = None;
+        }
+        st.pending.clear();
         st.record = record;
         st.dispatches = 0;
         st.admitted.clear();
@@ -753,7 +903,7 @@ impl HpState {
                         }
                         let wcec = task.wcec().as_cycles();
                         let mut actual = if raw > wcec {
-                            st.report.clamped_draws += 1;
+                            st.cores[0].report.clamped_draws += 1;
                             wcec
                         } else {
                             raw
@@ -781,6 +931,7 @@ impl HpState {
                             done: false,
                             own_plan: None,
                             maintained_at: f64::NEG_INFINITY,
+                            last_core: None,
                         });
                     }
                 }
@@ -833,7 +984,7 @@ impl HpState {
                     }
                     let wcec = task.wcec().as_cycles();
                     let mut actual = if raw > wcec {
-                        st.report.clamped_draws += 1;
+                        st.cores[0].report.clamped_draws += 1;
                         wcec
                     } else {
                         raw
@@ -863,6 +1014,7 @@ impl HpState {
                                 done: false,
                                 own_plan: None,
                                 maintained_at: f64::NEG_INFINITY,
+                                last_core: None,
                             });
                         }
                         // An aperiodic job carries its own single-chunk
@@ -895,6 +1047,7 @@ impl HpState {
                                 done: false,
                                 own_plan: Some(own),
                                 maintained_at: f64::NEG_INFINITY,
+                                last_core: None,
                             });
                         }
                     }
@@ -946,16 +1099,6 @@ impl HpState {
         }
 
         Ok(st)
-    }
-
-    fn charge_idle(&mut self, env: &Env<'_>, span_ms: f64) {
-        self.report.idle_time += TimeSpan::from_ms(span_ms);
-        let idle_power = env.cpu.idle_power();
-        if idle_power > 0.0 {
-            let e = Energy::from_units(idle_power * span_ms);
-            self.report.idle_energy += e;
-            self.report.energy += e;
-        }
     }
 
     /// Forwards chunk maintenance of every released job to the current
@@ -1053,12 +1196,17 @@ impl HpState {
     /// One engine round at the current clock: drain due events (admit
     /// releases, buffer wakeups), complete zero-workload jobs, advance
     /// the snapshot basis, re-classify woken/pending jobs, then either
-    /// dispatch the most eligible job as an event handler or idle-hop
-    /// the clock to the next event. Returns `Ok(false)` when the
-    /// hyper-period is finished.
+    /// dispatch the most eligible jobs, one per core, as event handlers
+    /// or idle-hop the clock to the next event. Returns `Ok(false)` when
+    /// the hyper-period is finished.
+    ///
+    /// One round serves every core count: it selects up to `m` jobs,
+    /// places them on cores, dispatches the cores in core order, runs
+    /// them all to the earliest slice end and completes jobs in core
+    /// order. On one core that is exactly one dispatch per round.
     #[allow(clippy::too_many_lines)]
     fn round(&mut self, env: &Env<'_>, policy: &mut dyn Policy) -> Result<bool, SimError> {
-        let mut t = self.t;
+        let t = self.t;
 
         // ---- due events: admissions first, wakeups buffered ----
         // Releases pop ahead of same-timestamp wakeups (kind priority),
@@ -1078,7 +1226,6 @@ impl HpState {
                     }
                 }
                 EventKind::ChunkWakeup => self.woken.push(ev.job),
-                _ => debug_assert!(false, "engine queues only releases and wakeups"),
             }
         }
 
@@ -1105,31 +1252,32 @@ impl HpState {
                 let j = &mut self.jobs[i];
                 j.done = true;
                 let (task, executed) = (TaskId(j.task), j.executed);
-                self.report.jobs_completed += 1;
+                self.cores[0].report.jobs_completed += 1;
                 policy.on_completion(task, Cycles::from_cycles(executed), env.set, env.cpu);
                 if self.wants_boundaries {
                     self.fire_boundary_at(env, policy, t, BoundaryEvent::Completion(task));
                 }
-                self.release_dependents(env, policy, i, t, true);
+                self.release_dependents(env, policy, i, t, 0, true);
             }
         }
 
         // Everything after this point observes maintenance as of `t`.
         self.maint_time = t;
 
-        // ---- classification: pending slice-end job, woken jobs, and
+        // ---- classification: pending slice-end jobs, woken jobs, and
         // newly admitted jobs enter the ready queue (or a wakeup) ----
-        if let Some(i) = self.pending.take() {
+        for k in 0..self.pending.len() {
+            let i = self.pending[k];
             self.classify(env, i, t);
         }
+        self.pending.clear();
         // Jobs the gate freed at a predecessor's completion (in this
         // round's instant scan, or the previous round's slice end).
-        if !self.ungated.is_empty() {
-            let freed = std::mem::take(&mut self.ungated);
-            for i in freed {
-                self.classify(env, i, t);
-            }
+        for k in 0..self.ungated.len() {
+            let i = self.ungated[k];
+            self.classify(env, i, t);
         }
+        self.ungated.clear();
         for k in 0..self.woken.len() {
             let i = self.woken[k];
             self.classify(env, i, t);
@@ -1142,12 +1290,42 @@ impl HpState {
             self.classify(env, i, t);
         }
 
-        // ---- dispatch (or idle) ----
-        let Some(key) = self.ready.pop() else {
+        // ---- selection and sticky placement ----
+        // Pop up to one job per core, in eligibility order. A pick keeps
+        // the core it last ran on when that core is free; the others
+        // wait in `unplaced` and then take the lowest free cores, in
+        // eligibility order. When one core is left, the pick is the last
+        // and nothing waits before it, so that core is its only choice.
+        self.unplaced.clear();
+        let mut placed = 0;
+        while placed + self.unplaced.len() < self.cores.len() {
+            let Some(key) = self.ready.pop() else { break };
+            let i = key.job;
+            if placed + 1 == self.cores.len() {
+                let only = self
+                    .cores
+                    .iter()
+                    .position(|core| core.job.is_none())
+                    .expect("one core is left");
+                self.place(i, only);
+            } else {
+                match self.jobs[i].last_core {
+                    Some(c) if self.cores[c].job.is_none() => self.place(i, c),
+                    _ => {
+                        self.unplaced.push(i);
+                        continue;
+                    }
+                }
+            }
+            placed += 1;
+        }
+        if placed == 0 && self.unplaced.is_empty() {
             // Idle until the next release or throttle expiry.
             let next = self.events.next_time();
             if next.is_finite() {
-                self.charge_idle(env, next - t);
+                for core in &mut self.cores {
+                    core.charge_idle(env.cpu, next - t);
+                }
                 self.t = next;
                 return Ok(true);
             }
@@ -1156,155 +1334,202 @@ impl HpState {
             // power-gating; the paper's processor has it at zero).
             let h = env.set.hyper_period().get() as f64;
             if t < h {
-                self.charge_idle(env, h - t);
+                for core in &mut self.cores {
+                    core.charge_idle(env.cpu, h - t);
+                }
             }
-            self.report.events_handled = self.events.popped() as u64 + self.dispatches;
-            self.report.event_queue_peak = self.events.high_water();
+            let report = &mut self.cores[0].report;
+            report.events_handled = self.events.popped() as u64 + self.dispatches;
+            report.event_queue_peak = self.events.high_water();
             return Ok(false);
-        };
-        let job_idx = key.job;
-        // The selected job's chunk state is maintained lazily, exactly
-        // here (see `maintain_job` for why this equals eager per-round
-        // maintenance).
-        let own = self.jobs[job_idx].own_plan;
-        let plan: &[ChunkPlan] = match &own {
-            Some(cp) => std::slice::from_ref(cp),
-            None => {
-                let j = &self.jobs[job_idx];
-                &env.plans[j.task][j.instance_in_hyper as usize]
+        }
+        // Claimed cores stay claimed, so the lowest free core only moves
+        // up.
+        let mut free = 0;
+        for k in 0..self.unplaced.len() {
+            while self.cores[free].job.is_some() {
+                free += 1;
             }
-        };
-        maintain_job(&mut self.jobs[job_idx], plan, t);
-        if let Some(prev) = self.last_dispatched {
-            if prev != job_idx && !self.jobs[prev].done && self.jobs[prev].remaining > CYCLE_EPS {
-                self.report.preemptions += 1;
-            }
-        }
-        self.last_dispatched = Some(job_idx);
-        self.dispatches += 1;
-
-        let (task, chunk, budget_left, remaining) = {
-            let j = &self.jobs[job_idx];
-            (j.task, j.chunk, j.chunk_budget_left, j.remaining)
-        };
-        let cp = match self.jobs[job_idx].own_plan {
-            Some(cp) => cp,
-            None => env.plans[task][self.jobs[job_idx].instance_in_hyper as usize][chunk],
-        };
-        let ctx = DispatchContext {
-            set: env.set,
-            cpu: env.cpu,
-            task: TaskId(task),
-            now: Time::from_ms(t),
-            chunk_end: Time::from_ms(cp.end_ms),
-            chunk_budget_remaining: Cycles::from_cycles(budget_left),
-            static_speed: Freq::from_cycles_per_ms(cp.static_speed),
-            sub: cp.sub,
-        };
-        let (speed, clamped) = env.cpu.clamp_speed(policy.on_dispatch(&ctx));
-        // Leakage floor: under-requests rise (unflagged, like the f_min
-        // clamp — running faster than asked never endangers deadlines)
-        // to the task's critical speed.
-        let speed = speed.max(Freq::from_cycles_per_ms(self.floors[task]));
-        // The clamp keeps `speed` realizable by the *continuous*
-        // model; a discrete level table whose highest level sits
-        // below `vmax` can still fail to serve it, in which case the
-        // engine saturates at `vmax` (the historical fallback). Both
-        // paths are one saturated dispatch — never double-counted.
-        let (v, table_saturated) = match env.cpu.dispatch_voltage(speed) {
-            Ok(v) => (v, false),
-            Err(_) => (env.cpu.vmax(), true),
-        };
-        if clamped || table_saturated {
-            self.report.saturated_dispatches += 1;
-        }
-        let f_actual = env
-            .cpu
-            .freq_at(v)
-            .map_err(|_| SimError::StalledProcessor)?
-            .as_cycles_per_ms();
-        if f_actual <= 1e-12 {
-            return Err(SimError::StalledProcessor);
+            self.place(self.unplaced[k], free);
         }
 
-        // Voltage transition accounting (dead time + energy).
-        let overhead = env.cpu.overhead();
-        let changed = self
-            .last_voltage
-            .map(|lv| (lv - v.as_volts()).abs() > 1e-9)
-            .unwrap_or(false);
-        if changed {
-            self.report.voltage_switches += 1;
-            self.report.energy += overhead.energy;
-            t += overhead.time.as_ms();
-        }
-        self.last_voltage = Some(v.as_volts());
-
-        // ---- execute until the next event ----
-        let until_complete = remaining / f_actual;
-        // A spent last chunk (possible only with inconsistent custom
-        // schedules) no longer gates execution — run the remainder.
-        let until_budget = if budget_left > EPS && budget_left < remaining {
-            budget_left / f_actual
-        } else {
-            f64::INFINITY
-        };
+        // ---- dispatch, in core order ----
         // The queue's head is min(next release, next wakeup); IEEE
         // subtraction is monotone, so folding the two legacy terms into
         // one is bit-identical.
         let next_event = self.events.next_time();
-        let until_event = if next_event.is_finite() {
-            (next_event - t).max(0.0)
-        } else {
-            f64::INFINITY
-        };
-        let dt = until_complete.min(until_budget).min(until_event);
-        // Progress guard: a zero-length slice can only come from a
-        // release exactly at `t`, which the admission drain absorbs.
-        let dt = dt.max(0.0);
-        let cycles = f_actual * dt;
+        let overhead = env.cpu.overhead();
+        let mut round_end = f64::INFINITY;
+        for (c, core) in self.cores.iter_mut().enumerate() {
+            let Some(job_idx) = core.job else {
+                continue;
+            };
+            // The selected job's chunk state is maintained lazily,
+            // exactly here (see `maintain_job` for why this equals eager
+            // per-round maintenance).
+            let own = self.jobs[job_idx].own_plan;
+            let plan: &[ChunkPlan] = match &own {
+                Some(cp) => std::slice::from_ref(cp),
+                None => {
+                    let j = &self.jobs[job_idx];
+                    &env.plans[j.task][j.instance_in_hyper as usize]
+                }
+            };
+            maintain_job(&mut self.jobs[job_idx], plan, t);
+            if let Some(prev) = core.last_dispatched {
+                if prev != job_idx && !self.jobs[prev].done && self.jobs[prev].remaining > CYCLE_EPS
+                {
+                    core.report.preemptions += 1;
+                }
+            }
+            core.last_dispatched = Some(job_idx);
+            self.dispatches += 1;
 
-        {
+            let j = &mut self.jobs[job_idx];
+            j.last_core = Some(c);
+            let (task, budget_left, remaining) = (j.task, j.chunk_budget_left, j.remaining);
+            let cp = match j.own_plan {
+                Some(cp) => cp,
+                None => env.plans[task][j.instance_in_hyper as usize][j.chunk],
+            };
+            let ctx = DispatchContext {
+                set: env.set,
+                cpu: env.cpu,
+                task: TaskId(task),
+                now: Time::from_ms(t),
+                chunk_end: Time::from_ms(cp.end_ms),
+                chunk_budget_remaining: Cycles::from_cycles(budget_left),
+                static_speed: Freq::from_cycles_per_ms(cp.static_speed),
+                sub: cp.sub,
+            };
+            let (speed, clamped) = env.cpu.clamp_speed(policy.on_dispatch(&ctx));
+            // Leakage floor: under-requests rise (unflagged, like the
+            // f_min clamp — running faster than asked never endangers
+            // deadlines) to the task's critical speed.
+            let speed = speed.max(Freq::from_cycles_per_ms(self.floors[task]));
+            // The clamp keeps `speed` realizable by the *continuous*
+            // model; a discrete level table whose highest level sits
+            // below `vmax` can still fail to serve it, in which case the
+            // engine saturates at `vmax` (the historical fallback). Both
+            // paths are one saturated dispatch — never double-counted.
+            let (v, table_saturated) = match env.cpu.dispatch_voltage(speed) {
+                Ok(v) => (v, false),
+                Err(_) => (env.cpu.vmax(), true),
+            };
+            if clamped || table_saturated {
+                core.report.saturated_dispatches += 1;
+            }
+            let f_actual = env
+                .cpu
+                .freq_at(v)
+                .map_err(|_| SimError::StalledProcessor)?
+                .as_cycles_per_ms();
+            if f_actual <= 1e-12 {
+                return Err(SimError::StalledProcessor);
+            }
+
+            // Voltage transition accounting (dead time + energy): each
+            // core switches, and waits out the switch, on its own.
+            let changed = core
+                .last_voltage
+                .map(|lv| (lv - v.as_volts()).abs() > 1e-9)
+                .unwrap_or(false);
+            let mut start = t;
+            if changed {
+                core.report.voltage_switches += 1;
+                core.report.energy += overhead.energy;
+                start += overhead.time.as_ms();
+            }
+            core.last_voltage = Some(v.as_volts());
+
+            let until_complete = remaining / f_actual;
+            // A spent last chunk (possible only with inconsistent custom
+            // schedules) no longer gates execution — run the remainder.
+            let until_budget = if budget_left > EPS && budget_left < remaining {
+                budget_left / f_actual
+            } else {
+                f64::INFINITY
+            };
+            let until_event = if next_event.is_finite() {
+                (next_event - start).max(0.0)
+            } else {
+                f64::INFINITY
+            };
+            // Progress guard: a zero-length slice can only come from a
+            // release exactly at `t`, which the admission drain absorbs.
+            let dt = until_complete.min(until_budget).min(until_event).max(0.0);
+            core.start = start;
+            core.dt = dt;
+            core.freq = f_actual;
+            core.volt = v;
+            round_end = round_end.min(start + dt);
+        }
+
+        // ---- execute every core until the round ends ----
+        // The round ends at the earliest slice end. A slice ending there
+        // runs in full; a longer one is cut there, where the next round
+        // re-plans the machine.
+        for core in &mut self.cores {
+            let Some(job_idx) = core.job else {
+                core.charge_idle(env.cpu, round_end - t);
+                continue;
+            };
+            if core.start + core.dt > round_end {
+                core.dt = (round_end - core.start).max(0.0);
+            }
+            let (start, dt, v) = (core.start, core.dt, core.volt);
+            let cycles = core.freq * dt;
             let j = &mut self.jobs[job_idx];
             j.remaining = (j.remaining - cycles).max(0.0);
             j.chunk_budget_left -= cycles;
             j.executed += cycles;
-        }
-        let c_eff = env.set.tasks()[task].c_eff();
-        let e = env.cpu.energy(c_eff, v, Cycles::from_cycles(cycles));
-        self.report.energy += e;
-        self.report.per_task_energy[task] += e;
-        let leak = env.cpu.static_power_at(v);
-        if leak > 0.0 {
-            let e_static = Energy::from_units(leak * dt);
-            self.report.static_energy += e_static;
-            self.report.energy += e_static;
-        }
-        self.report.busy_time += TimeSpan::from_ms(dt);
-        if let Some(tr) = self.trace.as_mut() {
-            if dt > 0.0 {
-                tr.push(Slice {
-                    task: TaskId(task),
-                    instance: self.jobs[job_idx].instance_in_hyper,
-                    start: Time::from_ms(t),
-                    end: Time::from_ms(t + dt),
-                    voltage: v,
-                });
+            let task = j.task;
+            let c_eff = env.set.tasks()[task].c_eff();
+            let e = env.cpu.energy(c_eff, v, Cycles::from_cycles(cycles));
+            core.report.energy += e;
+            core.report.per_task_energy[task] += e;
+            let leak = env.cpu.static_power_at(v);
+            if leak > 0.0 {
+                let e_static = Energy::from_units(leak * dt);
+                core.report.static_energy += e_static;
+                core.report.energy += e_static;
+            }
+            core.report.busy_time += TimeSpan::from_ms(dt);
+            if let Some(tr) = core.trace.as_mut() {
+                if dt > 0.0 {
+                    tr.push(Slice {
+                        task: TaskId(task),
+                        instance: j.instance_in_hyper,
+                        start: Time::from_ms(start),
+                        end: Time::from_ms(start + dt),
+                        voltage: v,
+                    });
+                }
             }
         }
-        t += dt;
-        self.t = t;
+        self.t = round_end;
 
-        // ---- completion (a derived event: no queue round-trip) ----
-        let j = &mut self.jobs[job_idx];
-        if j.remaining <= CYCLE_EPS {
+        // ---- completions (derived events: no queue round-trip), in
+        // core order; every core is free again afterwards ----
+        for c in 0..self.cores.len() {
+            let core = &mut self.cores[c];
+            let Some(job_idx) = core.job.take() else {
+                continue;
+            };
+            let end = core.start + core.dt;
+            let j = &mut self.jobs[job_idx];
+            if j.remaining > CYCLE_EPS {
+                self.pending.push(job_idx);
+                continue;
+            }
             j.done = true;
-            self.report.jobs_completed += 1;
-            self.report.worst_lateness_ms = self.report.worst_lateness_ms.max(t - j.deadline_ms);
-            if t > j.deadline_ms + env.options.deadline_tol_ms {
-                self.report.deadline_misses += 1;
+            let report = &mut core.report;
+            report.jobs_completed += 1;
+            report.worst_lateness_ms = report.worst_lateness_ms.max(end - j.deadline_ms);
+            if end > j.deadline_ms + env.options.deadline_tol_ms {
+                report.deadline_misses += 1;
                 if j.own_plan.is_some() {
-                    self.report.misses_aperiodic += 1;
+                    report.misses_aperiodic += 1;
                 }
             }
             let (ctask, executed) = (TaskId(j.task), j.executed);
@@ -1313,31 +1538,41 @@ impl HpState {
                 // The snapshot basis is this round's entry time — the
                 // slice's own budget/progress deltas are visible, its
                 // chunk advance is not (it happens next round).
-                self.fire_boundary_at(env, policy, t, BoundaryEvent::Completion(ctask));
+                self.fire_boundary_at(env, policy, end, BoundaryEvent::Completion(ctask));
             }
-            self.release_dependents(env, policy, job_idx, t, false);
-        } else {
-            self.pending = Some(job_idx);
+            self.release_dependents(env, policy, job_idx, end, c, false);
         }
         Ok(true)
+    }
+
+    /// Puts job `i` on `core` for this round. Arriving on a core other
+    /// than the one it last ran on is a migration, counted on `core`; a
+    /// first dispatch is never one.
+    fn place(&mut self, i: usize, core: usize) {
+        self.cores[core].job = Some(i);
+        if self.jobs[i].last_core.is_some_and(|c| c != core) {
+            self.cores[core].report.migrations += 1;
+        }
     }
 
     /// Propagates a completion through the predecessor gate: every
     /// dependent of `root` loses one outstanding predecessor, and a
     /// *waiting* dependent whose count reaches zero is freed — a job
     /// with no remaining work completes instantly here (full deadline
-    /// accounting, hooks, cascading further), one with work is queued
-    /// for classification at the next classification pass.
+    /// accounting on `core`, hooks, cascading further), one with work
+    /// is queued for classification at the next classification pass.
     /// `during_admission` marks calls from the instant-completion scan,
     /// where jobs freed out of this round's own admissions are left to
     /// the admitted classification loop instead of the queue (pushing
     /// both would classify them twice).
+    #[allow(clippy::too_many_arguments)]
     fn release_dependents(
         &mut self,
         env: &Env<'_>,
         policy: &mut dyn Policy,
         root: usize,
         t: f64,
+        core: usize,
         during_admission: bool,
     ) {
         // The gate moves out of `self` for the traversal (and back in
@@ -1360,11 +1595,11 @@ impl HpState {
                 if !self.jobs[s].done && self.jobs[s].remaining <= CYCLE_EPS {
                     let j = &mut self.jobs[s];
                     j.done = true;
-                    self.report.jobs_completed += 1;
-                    self.report.worst_lateness_ms =
-                        self.report.worst_lateness_ms.max(t - j.deadline_ms);
+                    let report = &mut self.cores[core].report;
+                    report.jobs_completed += 1;
+                    report.worst_lateness_ms = report.worst_lateness_ms.max(t - j.deadline_ms);
                     if t > j.deadline_ms + env.options.deadline_tol_ms {
-                        self.report.deadline_misses += 1;
+                        report.deadline_misses += 1;
                     }
                     let (ctask, executed) = (TaskId(j.task), j.executed);
                     policy.on_completion(ctask, Cycles::from_cycles(executed), env.set, env.cpu);
@@ -1387,8 +1622,8 @@ pub struct SteppedRun<'s, 'a, 'w> {
     sim: &'s mut Simulator<'a>,
     workload: WorkloadRef<'w>,
     plans: Vec<Vec<Vec<ChunkPlan>>>,
-    report: SimReport,
-    trace: Option<ExecutionTrace>,
+    /// Per-core totals so far, in core order.
+    cores: Vec<CoreOutput>,
     instances_per_hyper: u64,
     abs_base: u64,
     h: u64,
@@ -1413,9 +1648,7 @@ impl std::fmt::Debug for SteppedRun<'_, '_, '_> {
 
 impl SteppedRun<'_, '_, '_> {
     /// The absolute virtual clock (ms since the run began, across
-    /// hyper-periods), or `None` once the run has finished. The
-    /// shared-clock interleaver in `acs-multi` steps whichever core
-    /// reports the smallest clock.
+    /// hyper-periods), or `None` once the run has finished.
     pub fn clock_ms(&self) -> Option<f64> {
         if self.done {
             return None;
@@ -1450,6 +1683,7 @@ impl SteppedRun<'_, '_, '_> {
             schedule: sim.schedule,
             options: &sim.options,
             plans: &self.plans,
+            cores: sim.cores,
         };
         let policy = sim.policy.as_mut();
         if self.current.is_none() {
@@ -1486,9 +1720,11 @@ impl SteppedRun<'_, '_, '_> {
             Ok(true) => Ok(true),
             Ok(false) => {
                 let mut state = self.current.take().expect("hyper-period state exists");
-                self.report.absorb(&state.report);
-                if state.record {
-                    self.trace = state.trace.take();
+                for (total, core) in self.cores.iter_mut().zip(&mut state.cores) {
+                    total.report.absorb(&core.report);
+                    if state.record {
+                        total.trace = core.trace.take();
+                    }
                 }
                 // Retire the state: the next hyper-period reuses every
                 // backing allocation.
@@ -1509,15 +1745,17 @@ impl SteppedRun<'_, '_, '_> {
     }
 
     /// Attribute this run's share of the policy's cumulative solver
-    /// counters (policies persist across consecutive `run` calls).
+    /// counters (policies persist across consecutive `run` calls) to
+    /// core 0.
     fn finalize(&mut self) {
         if let Some(after) = self.sim.policy.solver_stats() {
             let delta = after.delta_since(self.stats_before.unwrap_or_default());
-            self.report.solver_lookups = delta.lookups;
-            self.report.solver_cache_hits = delta.cache_hits;
-            self.report.boundary_resolves = delta.resolves;
-            self.report.resolves_adopted = delta.adopted;
-            self.report.warm_carry_hits = delta.warm_carry_hits;
+            let report = &mut self.cores[0].report;
+            report.solver_lookups = delta.lookups;
+            report.solver_cache_hits = delta.cache_hits;
+            report.boundary_resolves = delta.resolves;
+            report.resolves_adopted = delta.adopted;
+            report.warm_carry_hits = delta.warm_carry_hits;
         }
         self.done = true;
     }
@@ -1530,9 +1768,24 @@ impl SteppedRun<'_, '_, '_> {
     /// See [`SimError`].
     pub fn finish(mut self) -> Result<RunOutput, SimError> {
         while self.step()? {}
+        let mut cores = self.cores;
+        if cores.len() == 1 {
+            let CoreOutput { report, trace } = cores.pop().expect("one core");
+            return Ok(RunOutput {
+                report,
+                trace,
+                cores: Vec::new(),
+            });
+        }
+        let mut report = SimReport::empty(self.sim.set.len());
+        for core in &cores {
+            report.absorb(&core.report);
+        }
+        report.hyper_periods = cores[0].report.hyper_periods;
         Ok(RunOutput {
-            report: self.report,
-            trace: self.trace,
+            report,
+            trace: None,
+            cores,
         })
     }
 }
@@ -2387,5 +2640,203 @@ mod tests {
         // The queue is rebuilt per hyper-period: the peak is a max,
         // not a sum.
         assert_eq!(five.event_queue_peak, one.event_queue_peak);
+    }
+
+    fn task(name: &str, period: u64, wcec: f64) -> Task {
+        Task::builder(name, Ticks::new(period))
+            .wcec(Cycles::from_cycles(wcec))
+            .build()
+            .unwrap()
+    }
+
+    /// Two tasks, each needing a whole core at f_max: one core misses,
+    /// two cores meet every deadline running both at once, and neither
+    /// job ever moves.
+    #[test]
+    fn overload_heals_on_two_cores() {
+        let set = TaskSet::new(vec![task("a", 10, 2000.0), task("b", 10, 2000.0)]).unwrap();
+        let (_, cpu) = motivation();
+        let run = |cores| {
+            Simulator::new(&set, &cpu, NoDvs)
+                .with_cores(cores)
+                .run(&mut |tid: TaskId, _| set.tasks()[tid.0].wcec())
+                .unwrap()
+        };
+        assert!(!run(1).report.all_deadlines_met());
+        let two = run(2);
+        assert!(two.report.all_deadlines_met());
+        assert_eq!(two.report.jobs_completed, 2);
+        assert_eq!(
+            two.report.migrations, 0,
+            "independent full-load jobs never move"
+        );
+        assert_eq!(two.cores.len(), 2);
+        assert!(
+            two.report.events_handled > 0,
+            "global runs count their events"
+        );
+    }
+
+    /// `t3 -> t1` on two cores: even with a core free, no slice of `t1`
+    /// starts before `t3` completes.
+    #[test]
+    fn predecessor_gate_orders_execution_across_cores() {
+        let set = TaskSet::new(vec![
+            task("t1", 20, 1000.0),
+            task("t2", 20, 1000.0),
+            task("t3", 20, 1000.0),
+        ])
+        .unwrap();
+        let graph = acs_model::TaskGraph::new(&set, vec![("t3", "t1")]).unwrap();
+        let set = set.with_graph(graph);
+        let (_, cpu) = motivation();
+        let out = Simulator::new(&set, &cpu, NoDvs)
+            .with_cores(2)
+            .with_options(SimOptions {
+                record_trace: true,
+                ..SimOptions::default()
+            })
+            .run(&mut |tid: TaskId, _| set.tasks()[tid.0].wcec())
+            .unwrap();
+        assert!(out.report.all_deadlines_met());
+        assert!(out.trace.is_none(), "multi-core traces are per core");
+        let slices = || {
+            out.cores
+                .iter()
+                .flat_map(|c| c.trace.as_ref().expect("trace recorded").slices())
+        };
+        let pred_end = slices()
+            .filter(|s| s.task == TaskId(2))
+            .map(|s| s.end.as_ms())
+            .fold(0.0f64, f64::max);
+        for s in slices().filter(|s| s.task == TaskId(0)) {
+            assert!(
+                s.start.as_ms() >= pred_end - 1e-9,
+                "successor slice at {} precedes predecessor end {pred_end}",
+                s.start.as_ms()
+            );
+        }
+    }
+
+    /// EDF, 2 cores, fmax = 200 cycles/ms. First hyper-period: u (d=8)
+    /// takes core 0 and p0 (d=10) core 1; q0 (d=12) follows p0 on core
+    /// 1, v (d=16) follows u on core 0. Core 1 frees first (q0 ends at
+    /// 10, v holds core 0 until 14), so c (d=40) starts on core 1. At
+    /// t=20 the fresh p1/q1 pair displaces c: p1 lands on core 0, q1 on
+    /// core 1. p1 (2 ms) frees core 0 while q1 (8 ms) still holds c's
+    /// old core 1 — c resumes on core 0. Exactly one migration,
+    /// attributed to the arrival core; the displacement itself is a
+    /// preemption on core 1.
+    #[test]
+    fn preempted_job_migrates_to_a_freed_core() {
+        let mk = |n: &str, period: u64, d: u64, wcec: f64| {
+            Task::builder(n, Ticks::new(period))
+                .deadline(Ticks::new(d))
+                .wcec(Cycles::from_cycles(wcec))
+                .build()
+                .unwrap()
+        };
+        let set = TaskSet::new(vec![
+            mk("p", 20, 10, 400.0),
+            mk("q", 20, 12, 1600.0),
+            mk("u", 40, 8, 1200.0),
+            mk("v", 40, 16, 1600.0),
+            mk("c", 40, 40, 3000.0),
+        ])
+        .unwrap()
+        .with_class(SchedulingClass::Edf);
+        let (_, cpu) = motivation();
+        let out = Simulator::new(&set, &cpu, NoDvs)
+            .with_cores(2)
+            .run(&mut |tid: TaskId, _| set.tasks()[tid.0].wcec())
+            .unwrap();
+        let r = &out.report;
+        assert_eq!(r.jobs_completed as u64, set.total_instances());
+        assert!(r.all_deadlines_met(), "lateness {}", r.worst_lateness_ms);
+        assert_eq!(r.migrations, 1, "c moves core 1 to core 0 exactly once");
+        assert_eq!(
+            out.cores[0].report.migrations, 1,
+            "counted on the arrival core"
+        );
+        assert!(
+            out.cores[1].report.preemptions >= 1,
+            "the p1/q1 pair displaces c"
+        );
+    }
+
+    /// A multi-core run is schedule-free and periodic: it rejects a
+    /// policy that needs a schedule, a static schedule and an arrival
+    /// source, and every run rejects zero cores. Each error names its
+    /// cause.
+    #[test]
+    fn multi_core_runs_reject_what_global_dispatch_cannot_honor() {
+        let (set, cpu) = motivation();
+        let sched = synthesize_wcs(&set, &cpu, &SynthesisOptions::default()).unwrap();
+        let draw = &mut |_, _| Cycles::from_cycles(100.0);
+        let cause = |err: SimError| match err {
+            SimError::Cores { cores, reason } => (cores, reason),
+            other => panic!("expected a core-count error, got {other}"),
+        };
+        let (cores, reason) = cause(
+            Simulator::new(&set, &cpu, GreedyReclaim)
+                .with_cores(2)
+                .run(draw)
+                .unwrap_err(),
+        );
+        assert_eq!(cores, 2);
+        assert!(
+            reason.contains("greedy requires a static schedule"),
+            "{reason}"
+        );
+        let (_, reason) = cause(
+            Simulator::new(&set, &cpu, NoDvs)
+                .with_schedule(&sched)
+                .with_cores(2)
+                .run(draw)
+                .unwrap_err(),
+        );
+        assert!(reason.contains("static schedule"), "{reason}");
+        let (_, reason) = cause(
+            Simulator::new(&set, &cpu, NoDvs)
+                .with_arrivals(Box::new(acs_trace::Sporadic::new(&set, 1)))
+                .with_cores(3)
+                .run(draw)
+                .unwrap_err(),
+        );
+        assert!(reason.contains("arrival source"), "{reason}");
+        let (cores, reason) = cause(
+            Simulator::new(&set, &cpu, NoDvs)
+                .with_cores(0)
+                .run(draw)
+                .unwrap_err(),
+        );
+        assert_eq!(cores, 0);
+        assert!(reason.contains("at least one core"), "{reason}");
+    }
+
+    /// One `CcRm` instance serves every core: it sees the whole set's
+    /// releases and completions.
+    #[test]
+    fn ccrm_runs_globally_with_shared_state() {
+        let set = TaskSet::new(vec![
+            task("a", 10, 400.0),
+            task("b", 20, 600.0),
+            task("c", 20, 500.0),
+        ])
+        .unwrap();
+        let (_, cpu) = motivation();
+        let out = Simulator::new(&set, &cpu, CcRm::default())
+            .with_cores(2)
+            .with_options(SimOptions {
+                hyper_periods: 3,
+                ..SimOptions::default()
+            })
+            .run(&mut |tid: TaskId, _| {
+                Cycles::from_cycles(set.tasks()[tid.0].wcec().as_cycles() * 0.5)
+            })
+            .unwrap();
+        assert!(out.report.all_deadlines_met());
+        assert_eq!(out.report.jobs_completed as u64, 3 * set.total_instances());
+        assert_eq!(out.report.hyper_periods, 3);
     }
 }

@@ -41,6 +41,15 @@ pub enum SimError {
     /// instance `k` of a successor to instance `k` of its predecessor,
     /// which only exists on the built-in periodic release pattern.
     GraphWithArrivals,
+    /// The core count is zero, or a multi-core run was configured with
+    /// something global dispatch cannot honor (a static schedule, a
+    /// policy that needs one, an arrival source).
+    Cores {
+        /// The configured core count.
+        cores: usize,
+        /// Why the run cannot start on that many cores.
+        reason: String,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -71,6 +80,9 @@ impl fmt::Display for SimError {
                 "precedence-constrained task sets require the built-in periodic \
                  release pattern (no arrival source)"
             ),
+            SimError::Cores { cores, reason } => {
+                write!(f, "cannot run on {cores} cores: {reason}")
+            }
         }
     }
 }

@@ -25,27 +25,17 @@ use std::collections::BinaryHeap;
 /// What an engine event means. The numeric discriminant is the
 /// **kind-priority**: at equal timestamps, smaller pops first.
 ///
-/// The event engine queues [`Release`](EventKind::Release) and
-/// [`ChunkWakeup`](EventKind::ChunkWakeup) events; completions, budget
+/// These are the only events the engine queues: completions, budget
 /// exhaustions and speed changes are *derived* events — the dispatch
 /// handler computes the earliest of them directly from the executing
 /// speed, so no queued event ever needs cancelling (see
-/// `docs/ENGINE.md`). The remaining kinds name the rest of the engine's
-/// event vocabulary for extensions that schedule them explicitly
-/// (sporadic arrivals, traced speed changes).
+/// `docs/ENGINE.md`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EventKind {
     /// A job instance is released (becomes eligible to execute).
     Release = 0,
     /// A throttled job's next chunk window opens.
     ChunkWakeup = 1,
-    /// A job finishes its remaining work (derived at dispatch today).
-    Completion = 2,
-    /// A policy boundary (hyper-period start / release / completion
-    /// hooks fire here; derived today).
-    Boundary = 3,
-    /// The processor changes speed/voltage (derived at dispatch today).
-    SpeedChange = 4,
 }
 
 /// One queued event: a timestamp, a kind, and the job it concerns.
@@ -297,7 +287,7 @@ mod tests {
         q.push(ev(3.0, EventKind::ChunkWakeup, 1));
         q.push(ev(3.0, EventKind::Release, 2));
         q.push(ev(3.0, EventKind::Release, 3));
-        q.push(ev(1.0, EventKind::SpeedChange, 4));
+        q.push(ev(1.0, EventKind::ChunkWakeup, 4));
         let order: Vec<usize> = std::iter::from_fn(|| q.pop()).map(|e| e.job).collect();
         // time 1 first; at time 3 the Release events outrank the wakeup,
         // in insertion order (job 2 then 3); time 5 last.

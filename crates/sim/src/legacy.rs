@@ -95,7 +95,11 @@ impl Simulator<'_> {
             report.resolves_adopted = delta.adopted;
             report.warm_carry_hits = delta.warm_carry_hits;
         }
-        Ok(RunOutput { report, trace })
+        Ok(RunOutput {
+            report,
+            trace,
+            cores: Vec::new(),
+        })
     }
 }
 
@@ -188,6 +192,8 @@ fn run_one_chunk_scan(
                 // lazy-maintenance stamp; the chunk-scan loop maintains
                 // eagerly and never reads it.
                 maintained_at: f64::NEG_INFINITY,
+                // Single-core only: no core placement.
+                last_core: None,
             });
         }
     }

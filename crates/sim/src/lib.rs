@@ -26,8 +26,10 @@
 //!   the workload observed so far (warm-started, receding-horizon,
 //!   cache-backed — see the [`reopt`] module docs).
 //!
-//! (The pre-0.2 closed [`DvsPolicy`] enum still works everywhere a
-//! policy is accepted, as a deprecated shim.)
+//! The same engine runs a set on `m` identical cores with global
+//! placement ([`Simulator::with_cores`]): one shared ready queue, the
+//! `m` most eligible jobs per round, sticky cores and per-core reports
+//! ([`CoreOutput`]).
 //!
 //! The simulator reports energy, deadline misses, saturation events,
 //! idle/busy time and voltage switches ([`SimReport`]), optionally
@@ -90,15 +92,15 @@ pub use acs_model::SchedulingClass;
 // Arrival-source surface (re-exported so `Simulator::with_arrivals`
 // callers need no direct `acs-trace` dependency).
 pub use acs_trace::{ArrivalJob, ArrivalKind, ArrivalSource, MmppProfile};
-pub use engine::{simulate_deterministic, RunOutput, SimOptions, Simulator, SteppedRun};
+pub use engine::{
+    simulate_deterministic, CoreOutput, RunOutput, SimOptions, Simulator, SteppedRun,
+};
 pub use error::SimError;
 pub use event::{Event, EventKind, EventQueue, ReadyKey, ReadyQueue};
 pub use exec_trace::{ExecutionTrace, Slice};
 pub use gantt::render_gantt;
 #[cfg(feature = "legacy-engine")]
 pub use legacy::{legacy_engine_enabled, set_legacy_engine};
-#[allow(deprecated)]
-pub use policy::DvsPolicy;
 pub use policy::{
     BoundaryEvent, CcRm, DispatchContext, GreedyReclaim, IntoPolicy, NoDvs, Policy, SolverContext,
     SolverStats, StaticSpeed,

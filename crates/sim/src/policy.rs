@@ -205,8 +205,7 @@ pub trait Policy: Send {
 }
 
 /// Conversion into a boxed [`Policy`], so [`Simulator::new`] accepts
-/// policy values, boxed policies, and the deprecated [`DvsPolicy`] enum
-/// uniformly.
+/// policy values and boxed policies uniformly.
 ///
 /// [`Simulator::new`]: crate::Simulator::new
 pub trait IntoPolicy {
@@ -356,111 +355,6 @@ impl Policy for CcRm {
     }
 }
 
-// ---------------------------------------------------------------------
-// Deprecated closed enum (compatibility shim)
-// ---------------------------------------------------------------------
-
-/// The original closed set of online policies, kept as a thin shim over
-/// the [`Policy`] trait: `Simulator::new(&set, &cpu, DvsPolicy::NoDvs)`
-/// still works through [`IntoPolicy`].
-///
-/// # Migrating from `DvsPolicy` to `Policy`
-///
-/// Each enum variant has a 1:1 replacement that plugs into the exact
-/// same call sites (`Simulator::new`, `Box<dyn Policy>` collections,
-/// `PolicySpec::custom` in `acs-runtime`):
-///
-/// | before (≤ 0.1)                | after (0.2+)                  |
-/// |-------------------------------|-------------------------------|
-/// | `DvsPolicy::NoDvs`            | [`NoDvs`]                     |
-/// | `DvsPolicy::StaticSpeed`      | [`StaticSpeed`]               |
-/// | `DvsPolicy::GreedyReclaim`    | [`GreedyReclaim`]             |
-/// | `DvsPolicy::CcRm`             | [`CcRm::new()`](CcRm::new)    |
-///
-/// ```
-/// # use acs_model::{Task, TaskSet, units::{Cycles, Ticks, Volt}};
-/// # use acs_power::{FreqModel, Processor};
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// # let set = TaskSet::new(vec![Task::builder("t", Ticks::new(10))
-/// #     .wcec(Cycles::from_cycles(100.0)).build()?])?;
-/// # let cpu = Processor::builder(FreqModel::linear(50.0)?)
-/// #     .vmax(Volt::from_volts(4.0)).build()?;
-/// // Before (deprecated, still compiles with a warning):
-/// // let sim = Simulator::new(&set, &cpu, DvsPolicy::GreedyReclaim);
-///
-/// // After — same behavior, open to user-defined policies:
-/// use acs_sim::{GreedyReclaim, Simulator};
-/// let sim = Simulator::new(&set, &cpu, GreedyReclaim);
-/// # let _ = sim;
-/// # Ok(())
-/// # }
-/// ```
-///
-/// Match statements over `DvsPolicy` have no direct equivalent — replace
-/// them with the trait's own hooks ([`Policy::name`],
-/// [`Policy::needs_schedule`], [`Policy::on_dispatch`]) or keep your own
-/// enum and implement [`Policy`] for it.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the Policy trait implementations (NoDvs, StaticSpeed, GreedyReclaim, CcRm) \
-            or implement Policy directly; see the DvsPolicy rustdoc for a before/after table"
-)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DvsPolicy {
-    /// See [`NoDvs`].
-    NoDvs,
-    /// See [`StaticSpeed`].
-    StaticSpeed,
-    /// See [`GreedyReclaim`].
-    GreedyReclaim,
-    /// See [`CcRm`].
-    CcRm,
-}
-
-#[allow(deprecated)]
-impl DvsPolicy {
-    /// `true` when the policy dispatches from static milestones.
-    pub fn needs_schedule(self) -> bool {
-        matches!(self, DvsPolicy::StaticSpeed | DvsPolicy::GreedyReclaim)
-    }
-
-    /// Short display name used in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            DvsPolicy::NoDvs => "no-dvs",
-            DvsPolicy::StaticSpeed => "static",
-            DvsPolicy::GreedyReclaim => "greedy",
-            DvsPolicy::CcRm => "ccrm",
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl std::fmt::Display for DvsPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-#[allow(deprecated)]
-impl From<DvsPolicy> for Box<dyn Policy> {
-    fn from(p: DvsPolicy) -> Box<dyn Policy> {
-        match p {
-            DvsPolicy::NoDvs => Box::new(NoDvs),
-            DvsPolicy::StaticSpeed => Box::new(StaticSpeed),
-            DvsPolicy::GreedyReclaim => Box::new(GreedyReclaim),
-            DvsPolicy::CcRm => Box::new(CcRm::new()),
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl IntoPolicy for DvsPolicy {
-    fn into_policy(self) -> Box<dyn Policy> {
-        self.into()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -566,24 +460,5 @@ mod tests {
         let (set, cpu) = fixture();
         let c = ctx(&set, &cpu, 6.0, 6.0, 1.0, 0.0);
         assert_eq!(GreedyReclaim.on_dispatch(&c), cpu.f_max());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn enum_shim_converts_to_matching_trait_policies() {
-        let (set, cpu) = fixture();
-        for (e, expect_name, expect_sched) in [
-            (DvsPolicy::NoDvs, "no-dvs", false),
-            (DvsPolicy::StaticSpeed, "static", true),
-            (DvsPolicy::GreedyReclaim, "greedy", true),
-            (DvsPolicy::CcRm, "ccrm", false),
-        ] {
-            assert_eq!(e.to_string(), expect_name);
-            let mut p: Box<dyn Policy> = e.into();
-            p.on_start(&set, &cpu);
-            assert_eq!(p.name(), expect_name);
-            assert_eq!(p.needs_schedule(), expect_sched);
-            assert_eq!(e.needs_schedule(), expect_sched);
-        }
     }
 }

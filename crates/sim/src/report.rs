@@ -75,10 +75,13 @@ pub struct SimReport {
     /// and EDF scheduling classes produce identical counts.
     pub preemptions: usize,
     /// Number of migrations: dispatches where a job resumed on a
-    /// different core than the one it last executed on. Always zero for
-    /// the single-core engine and for partitioned multiprocessor runs
-    /// (jobs are pinned to their core); only global dispatch in
-    /// `acs-multi` moves jobs between cores.
+    /// different core than the one it last executed on, counted on the
+    /// core it arrived on. Always zero on one core and for partitioned
+    /// multiprocessor runs (jobs are pinned to their core); only
+    /// multi-core runs ([`Simulator::with_cores`]) move jobs between
+    /// cores.
+    ///
+    /// [`Simulator::with_cores`]: crate::Simulator::with_cores
     pub migrations: usize,
     /// Workload draws clamped into `[0, WCEC]`.
     pub clamped_draws: usize,

@@ -1,10 +1,11 @@
 #!/usr/bin/env sh
 # Regenerates every golden CSV in tests/golden/ from the scenario of the
 # same name in scenarios/, with `acsched run --threads 1` on a release
-# build, then shows which goldens moved. tests/golden.rs asserts them
-# byte for byte. Takes about 3.5 minutes on a 2-vCPU host, nearly all of
-# it in the paper-scale fig6a_random, fig6a_threeway and
-# ablation_policies grids.
+# build, then shows which goldens moved. tests/golden.rs asserts all
+# eleven byte for byte: eight fast ones in any build, and the
+# paper-scale fig6a_random, fig6a_threeway and ablation_policies in
+# release. Takes about 3.5 minutes on a 2-vCPU host, nearly all of it
+# in those three paper-scale grids.
 #
 # Rule: a change that moves any golden explains why in its CHANGES.md
 # entry. To pin a new scenario, create an empty tests/golden/<name>.csv,

@@ -159,8 +159,8 @@ pub mod prelude {
         ModelError, SchedulingClass, Task, TaskBuilder, TaskGraph, TaskId, TaskSet,
     };
     pub use acs_multi::{
-        partition, CoreAssignment, GlobalOutput, GlobalRun, MachineReport, MachineRun, MultiError,
-        Partition, PartitionHeuristic, Placement,
+        partition, CoreAssignment, MachineReport, MachineRun, MultiError, Partition,
+        PartitionHeuristic, Placement,
     };
     pub use acs_power::{FreqModel, LevelTable, Processor, TransitionOverhead, VoltageLevels};
     pub use acs_preempt::{
@@ -173,8 +173,6 @@ pub mod prelude {
         ScheduleChoice, Tee, WorkloadSpec,
     };
     pub use acs_scenario::{Scenario, ScenarioError};
-    #[allow(deprecated)]
-    pub use acs_sim::DvsPolicy;
     pub use acs_sim::{
         improvement_over, render_gantt, ArrivalJob, ArrivalKind, ArrivalSource, BoundaryEvent,
         CcRm, DispatchContext, EnergyBreakdown, ExecutionTrace, GreedyReclaim, IntoPolicy,
@@ -197,12 +195,5 @@ mod tests {
         let _ = PolicySpec::ccrm();
         let _ = ObjectiveKind::AcecTrace;
         let _ = ScheduleChoice::Acs;
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_enum_still_reachable() {
-        use crate::prelude::*;
-        let _ = DvsPolicy::GreedyReclaim;
     }
 }

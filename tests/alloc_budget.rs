@@ -24,7 +24,7 @@ use std::sync::Mutex;
 
 use acs_core::{synthesize_wcs, SynthesisOptions};
 use acs_model::units::{Cycles, Freq, Ticks, Volt};
-use acs_model::{Task, TaskId, TaskSet};
+use acs_model::{Task, TaskGraph, TaskId, TaskSet};
 use acs_power::{FreqModel, Processor};
 use acs_sim::policy::{DispatchContext, Policy, SolverContext};
 use acs_sim::{NoDvs, SimOptions, Simulator, StaticSpeed};
@@ -225,4 +225,61 @@ fn boundary_snapshots_stay_within_zero_alloc_budget() {
         "boundary snapshot path allocated {allocs} times in steady state"
     );
     run.finish().unwrap();
+}
+
+/// `scenarios/dag_global.txt`'s precedence diamond (src -> {mid_a,
+/// mid_b} -> sink, equal periods, constrained deadlines).
+fn diamond() -> TaskSet {
+    let mk = |n: &str, d: u64, w: f64| {
+        Task::builder(n, Ticks::new(20))
+            .deadline(Ticks::new(d))
+            .wcec(Cycles::from_cycles(w))
+            .acec(Cycles::from_cycles(0.4 * w))
+            .bcec(Cycles::from_cycles(0.1 * w))
+            .build()
+            .unwrap()
+    };
+    let set = TaskSet::new(vec![
+        mk("src", 8, 500.0),
+        mk("mid_a", 14, 400.0),
+        mk("mid_b", 14, 300.0),
+        mk("sink", 20, 600.0),
+    ])
+    .unwrap();
+    let edges = [
+        ("src", "mid_a"),
+        ("src", "mid_b"),
+        ("mid_a", "sink"),
+        ("mid_b", "sink"),
+    ];
+    let graph = TaskGraph::new(&set, edges).unwrap();
+    set.with_graph(graph)
+}
+
+/// Global dispatch shares the arena: selection, sticky placement,
+/// per-core slices and the predecessor gate reuse their buffers, so a
+/// warm 2-core run allocates nothing either.
+#[test]
+fn global_dispatch_allocates_nothing_on_two_cores() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let set = diamond();
+    let cpu = cpu();
+    let hyper = set.hyper_period().get() as f64;
+    let mut workload = |t: TaskId, i: u64| draw(t, i);
+    let mut sim = Simulator::new(&set, &cpu, NoDvs)
+        .with_cores(2)
+        .with_options(SimOptions {
+            hyper_periods: 6,
+            ..Default::default()
+        });
+    let mut run = sim.stepped(&mut workload).unwrap();
+    step_until(&mut run, 2.0 * hyper);
+    let (allocs, ()) = count_allocs(|| step_until(&mut run, 5.0 * hyper));
+    assert_eq!(
+        allocs, 0,
+        "2-core global steady state allocated {allocs} times"
+    );
+    let out = run.finish().unwrap();
+    assert_eq!(out.cores.len(), 2);
+    assert_eq!(out.report.deadline_misses, 0);
 }

@@ -15,6 +15,7 @@
 //! CI's `property-suite` job runs this binary at `PROPTEST_CASES=256`.
 
 use acsched::prelude::*;
+use acsched::sim::RunOutput;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -90,6 +91,14 @@ fn job_spans(traces: &[&ExecutionTrace]) -> HashMap<(usize, u64), (f64, f64)> {
         }
     }
     spans
+}
+
+/// The per-core traces of a multi-core run.
+fn core_traces(out: &RunOutput) -> Vec<&ExecutionTrace> {
+    out.cores
+        .iter()
+        .map(|c| c.trace.as_ref().expect("per-core traces recorded"))
+        .collect()
 }
 
 /// The precedence invariant: for every edge `a -> b` and every instance
@@ -173,16 +182,12 @@ fn precedence_case(
 
     // 2-core global dispatch (the shared-ready-queue path).
     let mut draws = TaskWorkloads::paper(&set, seed);
-    let global = GlobalRun {
-        set: &set,
-        cpu: &cpu,
-        cores: 2,
-        options,
-    }
-    .run(NoDvs, &mut |t, i| draws.draw(t, i))
-    .expect("global dispatch succeeds");
-    let traces = global.traces.as_ref().expect("per-core traces recorded");
-    let refs: Vec<&ExecutionTrace> = traces.iter().collect();
+    let global = Simulator::new(&set, &cpu, NoDvs)
+        .with_cores(2)
+        .with_options(options)
+        .run(&mut |t, i| draws.draw(t, i))
+        .expect("global dispatch succeeds");
+    let refs = core_traces(&global);
     let global_checked = assert_precedence("global 2-core", &refs, &edges);
     if !edges.is_empty() {
         assert!(
@@ -266,13 +271,15 @@ proptest! {
 
         let global = || {
             let mut draws = TaskWorkloads::paper(&set, seed);
-            GlobalRun { set: &set, cpu: &cpu, cores: 2, options: options.clone() }
-                .run(NoDvs, &mut |t, i| draws.draw(t, i))
+            Simulator::new(&set, &cpu, NoDvs)
+                .with_cores(2)
+                .with_options(options.clone())
+                .run(&mut |t, i| draws.draw(t, i))
                 .expect("global dispatch succeeds")
         };
         let (a, b) = (global(), global());
         prop_assert_eq!(a.report, b.report);
-        prop_assert_eq!(a.traces, b.traces);
+        prop_assert_eq!(a.cores, b.cores);
     }
 }
 
@@ -314,17 +321,13 @@ fn diamond_scenario_respects_precedence_everywhere() {
         assert!(checked >= edges.len(), "every edge checked at least once");
 
         let mut draws = TaskWorkloads::paper(&set, 42);
-        let global = GlobalRun {
-            set: &set,
-            cpu: &cpu,
-            cores: 2,
-            options,
-        }
-        .run(NoDvs, &mut |t, i| draws.draw(t, i))
-        .expect("global run succeeds");
+        let global = Simulator::new(&set, &cpu, NoDvs)
+            .with_cores(2)
+            .with_options(options)
+            .run(&mut |t, i| draws.draw(t, i))
+            .expect("global run succeeds");
         assert!(global.report.all_deadlines_met(), "{class:?} global");
-        let traces = global.traces.as_ref().unwrap();
-        let refs: Vec<&ExecutionTrace> = traces.iter().collect();
+        let refs = core_traces(&global);
         let checked = assert_precedence("diamond global", &refs, &edges);
         assert!(checked >= edges.len(), "every edge checked at least once");
     }

@@ -6,12 +6,10 @@
 //!
 //! Three layers of evidence, mirroring `tests/engine_differential.rs`:
 //!
-//! * **Degenerate equivalences** — on one core, `GlobalRun` must
-//!   reproduce the single-core `Simulator` exactly (reports and traces;
-//!   the two event-engine-only stats are normalized, as the global
-//!   dispatcher has no event queue); on edge-free sets with one task
-//!   per core, global and partitioned placement produce the same
-//!   machine energy with zero migrations.
+//! * **Degenerate equivalence** — on edge-free sets with one task per
+//!   core, global placement (the engine on `m` cores) and partitioned
+//!   placement (`m` single-core engines) produce the same machine
+//!   energy with zero migrations.
 //! * **Campaign CSVs** — `scenarios/dag_global.txt` (both placements,
 //!   a precedence diamond, a migration-forcing set) emits byte-identical
 //!   CSVs at 1, 2 and 8 threads (solver-counter columns masked at >1
@@ -84,85 +82,9 @@ fn campaign_csv(campaign: &Campaign, plans: &acs_runtime::CampaignPlans, threads
     String::from_utf8(sink.into_inner()).expect("CSV is UTF-8")
 }
 
-/// Zeroes the two event-engine-only stats so single-core engine reports
-/// compare against the queue-less global dispatcher.
-fn normalized(mut r: SimReport) -> SimReport {
-    r.events_handled = 0;
-    r.event_queue_peak = 0;
-    r
-}
-
 // ---------------------------------------------------------------------
-// Degenerate equivalences.
+// Degenerate equivalence.
 // ---------------------------------------------------------------------
-
-/// On one core, global dispatch *is* the single-core engine: identical
-/// reports (modulo the event-queue stats), identical traces, zero
-/// migrations — for every set of `dag_global.txt` (including the
-/// precedence diamond), both classes, schedule-free policies, both
-/// workload shapes.
-#[test]
-fn global_on_one_core_matches_the_single_core_engine() {
-    let scenario = Scenario::load(scenario_path("dag_global.txt")).expect("scenario parses");
-    let sets = scenario.materialize_task_sets().expect("task sets");
-    let cpus = scenario.materialize_processors().expect("processors");
-    let (_, cpu) = &cpus[0];
-    for (name, set) in &sets {
-        for class in [SchedulingClass::FixedPriorityRm, SchedulingClass::Edf] {
-            for ccrm in [false, true] {
-                for seed in [1u64, 2] {
-                    let options = SimOptions {
-                        hyper_periods: 3,
-                        record_trace: true,
-                        class: Some(class),
-                        ..Default::default()
-                    };
-                    let policy = || -> Box<dyn Policy> {
-                        if ccrm {
-                            Box::new(CcRm::new())
-                        } else {
-                            Box::new(NoDvs)
-                        }
-                    };
-                    let ctx = format!("{name} {class:?} ccrm={ccrm} seed={seed}");
-
-                    let mut draws = TaskWorkloads::paper(set, seed);
-                    let single = Simulator::new(set, cpu, policy())
-                        .with_options(options.clone())
-                        .run(&mut |t, i| draws.draw(t, i))
-                        .expect("single-core run succeeds");
-
-                    let mut draws = TaskWorkloads::paper(set, seed);
-                    let global = GlobalRun {
-                        set,
-                        cpu,
-                        cores: 1,
-                        options,
-                    }
-                    .run(policy(), &mut |t, i| draws.draw(t, i))
-                    .expect("1-core global run succeeds");
-
-                    assert_eq!(global.report.per_core.len(), 1, "{ctx}");
-                    let gr = &global.report.per_core[0];
-                    assert_eq!(gr.migrations, 0, "{ctx}: one core cannot migrate");
-                    assert_eq!(gr.events_handled, 0, "{ctx}: global dispatch has no queue");
-                    assert!(single.report.events_handled > 0, "{ctx}");
-                    assert_eq!(
-                        normalized(single.report.clone()),
-                        normalized(gr.clone()),
-                        "{ctx}: reports diverged"
-                    );
-                    let traces = global.traces.as_ref().expect("traces recorded");
-                    assert_eq!(
-                        single.trace.as_ref().expect("trace recorded"),
-                        &traces[0],
-                        "{ctx}: traces diverged"
-                    );
-                }
-            }
-        }
-    }
-}
 
 /// Edge-free set, one task per core: global and partitioned placement
 /// describe the same machine. Same total energy (≤1e-9 relative), all
@@ -204,36 +126,34 @@ fn one_task_per_core_global_equals_partitioned() {
             schedules: None,
             options: options.clone(),
         }
-        .run(|| Box::new(NoDvs), &mut |core, t, _i| {
-            part.cores[core].set.as_ref().unwrap().tasks()[t.0].wcec()
-        })
+        .run(
+            || Box::new(NoDvs),
+            |_core, core_set| {
+                let core_set = core_set.clone();
+                move |t: TaskId, _i: u64| core_set.tasks()[t.0].wcec()
+            },
+            &mut |_, _| None,
+        )
         .expect("partitioned run succeeds");
 
-        let global = GlobalRun {
-            set: &set,
-            cpu: &cpu,
-            cores: n,
-            options,
-        }
-        .run(NoDvs, &mut |t, _i| set.tasks()[t.0].wcec())
-        .expect("global run succeeds");
+        let global = Simulator::new(&set, &cpu, NoDvs)
+            .with_cores(n)
+            .with_options(options)
+            .run(&mut |t, _i| set.tasks()[t.0].wcec())
+            .expect("global run succeeds");
 
         assert!(machine.all_deadlines_met(), "n={n} partitioned");
         assert!(global.report.all_deadlines_met(), "n={n} global");
         assert_eq!(
-            global.report.to_sim_report().migrations,
-            0,
+            global.report.migrations, 0,
             "n={n}: a dedicated core per job never migrates"
         );
         assert_eq!(
             machine.to_sim_report().jobs_completed,
-            global.report.to_sim_report().jobs_completed,
+            global.report.jobs_completed,
             "n={n}"
         );
-        let (pe, ge) = (
-            machine.energy().as_units(),
-            global.report.energy().as_units(),
-        );
+        let (pe, ge) = (machine.energy().as_units(), global.report.energy.as_units());
         assert!(
             (pe - ge).abs() <= 1e-9 * pe.max(1.0),
             "n={n}: machine energies diverged: partitioned {pe} vs global {ge}"

@@ -71,6 +71,7 @@ golden!(
     edf_vs_rm,
     multicore_sweep,
     dag_global,
+    global_dispatch,
     arrivals_sweep,
     design_space,
     serve_warm,
