@@ -1,8 +1,9 @@
 //! # acs-bench
 //!
 //! Experiment harness for the `acsched` workspace: one binary per table
-//! and figure of the paper (see `src/bin/`), plus Criterion performance
-//! benches (`benches/`), built on the shared helpers in this library.
+//! and figure of the paper (see `src/bin/`), built on the shared helpers
+//! in this library. Performance is measured by the repository benchmark
+//! in `perfbench/`, not here.
 //!
 //! All experiment binaries accept environment variables to trade runtime
 //! for fidelity:

@@ -8,14 +8,20 @@
 //! any golden must explain why in its CHANGES.md entry.
 //!
 //! The paper-scale grids (`fig6a_random`, `fig6a_threeway`,
-//! `ablation_policies`) are `#[ignore]`d, so the debug suite stays fast;
-//! `cargo test --release --test golden -- --include-ignored` runs them.
+//! `ablation_policies`) and the million-job `bursty_trace` replay are
+//! `#[ignore]`d, so the debug suite stays fast; `cargo test --release
+//! --test golden -- --include-ignored` runs them.
 
 use acsched::prelude::*;
+use acsched::trace::{generate, GenConfig, MmppProfile};
 
-fn rerun(name: &str) -> Vec<u8> {
-    let root = env!("CARGO_MANIFEST_DIR");
-    let scenario = Scenario::load(format!("{root}/scenarios/{name}.txt")).expect("scenario parses");
+fn scenario_text(name: &str) -> String {
+    let path = format!("{}/scenarios/{name}.txt", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+fn rerun(scenario_text: &str) -> Vec<u8> {
+    let scenario = Scenario::from_text(scenario_text).expect("scenario parses");
     let campaign = scenario
         .campaign_builder()
         .expect("scenario materializes")
@@ -27,10 +33,10 @@ fn rerun(name: &str) -> Vec<u8> {
     csv.into_inner()
 }
 
-fn assert_golden(name: &str) {
+fn assert_golden(name: &str, scenario_text: &str) {
     let path = format!("{}/tests/golden/{name}.csv", env!("CARGO_MANIFEST_DIR"));
     let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    let fresh = String::from_utf8(rerun(name)).expect("CSV is UTF-8");
+    let fresh = String::from_utf8(rerun(scenario_text)).expect("CSV is UTF-8");
     if fresh == golden {
         return;
     }
@@ -54,14 +60,14 @@ macro_rules! golden {
     ($($name:ident),* $(,)?) => {$(
         #[test]
         fn $name() {
-            assert_golden(stringify!($name));
+            assert_golden(stringify!($name), &scenario_text(stringify!($name)));
         }
     )*};
     (#[ignore = $why:literal] $($name:ident),* $(,)?) => {$(
         #[test]
         #[ignore = $why]
         fn $name() {
-            assert_golden(stringify!($name));
+            assert_golden(stringify!($name), &scenario_text(stringify!($name)));
         }
     )*};
 }
@@ -83,3 +89,26 @@ golden!(
     fig6a_threeway,
     ablation_policies,
 );
+
+/// `bursty_trace` replays a trace that is generated, never checked in:
+/// the same trace as `acsched trace gen --profile bursty --jobs 1000000`
+/// is written to a temporary directory and the scenario points there.
+#[test]
+#[ignore = "a million trace jobs: release only"]
+fn bursty_trace() {
+    let dir = std::env::temp_dir().join(format!("acsched-golden-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("bursty.trace");
+    let cfg = GenConfig {
+        profile: MmppProfile::Bursty,
+        jobs: 1_000_000,
+        seed: 0,
+        tasks: 4,
+    };
+    let file = std::fs::File::create(&trace).unwrap();
+    generate(&cfg, std::io::BufWriter::new(file)).unwrap();
+    let text =
+        scenario_text("bursty_trace").replace("traces/bursty.trace", trace.to_str().unwrap());
+    assert_golden("bursty_trace", &text);
+    let _ = std::fs::remove_dir_all(&dir);
+}

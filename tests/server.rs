@@ -452,3 +452,71 @@ fn client_hangup_mid_campaign_frees_the_admission_slot() {
         }
     }
 }
+
+/// `csv` with the four solver-counter columns blanked on `reopt` rows:
+/// a warm shared solver cache moves only those counters.
+fn mask_solver_counters(csv: &str) -> String {
+    let mut lines = csv.lines();
+    let header: Vec<&str> = lines.next().unwrap_or_default().split(',').collect();
+    let column = |name: &str| header.iter().position(|h| *h == name).unwrap();
+    let policy = column("policy");
+    let counters = [
+        "solver_lookups",
+        "solver_cache_hits",
+        "boundary_resolves",
+        "resolves_adopted",
+    ]
+    .map(column);
+    let mut out = header.join(",") + "\n";
+    for line in lines {
+        let mut fields: Vec<&str> = line.split(',').collect();
+        if fields[policy] == "reopt" {
+            for &c in &counters {
+                fields[c] = "";
+            }
+        }
+        out += &(fields.join(",") + "\n");
+    }
+    out
+}
+
+/// Served warm-cache runs are pinned across commits: the first
+/// submission of `serve_warm.txt` to a fresh server is its golden byte
+/// for byte, and a resubmission, which the server's shared solver cache
+/// serves warm, equals the golden once the solver counters are masked.
+#[test]
+fn served_warm_resubmission_matches_the_golden_with_solver_counters_masked() {
+    let addr = spawn_in_process(ServerConfig {
+        ckpt_dir: temp_dir("warm-golden"),
+        ..ServerConfig::default()
+    });
+    let scenario = std::fs::read_to_string(manifest_path("scenarios/serve_warm.txt")).unwrap();
+    let submit = || {
+        acs_serve::submit(&SubmitOptions {
+            addr: addr.clone(),
+            scenario: scenario.clone(),
+            id: None,
+            resume: false,
+            threads: Some(1),
+            chunk: None,
+            quiet: true,
+        })
+        .unwrap()
+        .csv
+    };
+    let golden = std::fs::read_to_string(manifest_path("tests/golden/serve_warm.csv")).unwrap();
+
+    let cold = submit();
+    assert_eq!(cold, golden, "a cold served run reproduces the golden");
+    let warm = submit();
+    assert_eq!(
+        mask_solver_counters(&warm),
+        mask_solver_counters(&golden),
+        "a warm served run differs from the golden only in solver counters"
+    );
+    let stats = acs_serve::stats(&addr).unwrap();
+    assert!(
+        stats.contains("\"solver_hits\":") && !stats.contains("\"solver_hits\":0,"),
+        "the resubmission never hit the solver cache: {stats}"
+    );
+}
