@@ -7,98 +7,43 @@
 //! support `[BCEC, WCEC]`: the paper's truncated normal, a uniform, and
 //! a bimodal common-case/rare-worst-case mixture — quantifying how much
 //! of the gain comes from the *shape* versus the *spread* of workloads.
+//! The grid is `scenarios/ablation_bimodal.txt`; this binary only
+//! renders its table, and the same file runs through `acsched run
+//! scenarios/ablation_bimodal.txt`.
 //!
 //! ```sh
 //! cargo run --release -p acs-bench --bin ablation_bimodal
 //! ```
 
-use acs_bench::{standard_cpu, Scale};
-use acs_core::{synthesize_acs_best, synthesize_wcs, SynthesisOptions};
-use acs_sim::{improvement_over, GreedyReclaim, SimOptions, Simulator, Summary};
-use acs_workloads::{generate, RandomSetConfig, TaskWorkloads, WorkloadDist};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-type ShapeFn = fn(&acs_model::Task) -> WorkloadDist;
+use acs_bench::{gains_by, row_names};
 
 fn main() {
-    let scale = Scale::from_env();
-    let cpu = standard_cpu();
-    let opts = SynthesisOptions::default();
+    let scenario = acs_bench::load("ablation_bimodal");
     println!(
         "Ablation A4: ACS-over-WCS % improvement by workload shape \
          (6-task sets, ratio 0.1; {} sets x {} hyper-periods)\n",
-        scale.task_sets, scale.hyper_periods
+        row_names(&scenario).len(),
+        scenario.hyper_periods.unwrap_or(1)
     );
-
-    let shapes: [(&str, ShapeFn); 3] = [
-        ("truncated normal (paper)", WorkloadDist::paper_normal),
-        ("uniform [BCEC, WCEC]", |t| WorkloadDist::Uniform {
-            lo: t.bcec().as_cycles(),
-            hi: t.wcec().as_cycles(),
-        }),
-        // 10% worst case, 90% best case: heavy-tailed "occasional large".
-        ("bimodal 90/10", |t| WorkloadDist::Bimodal {
-            lo: t.bcec().as_cycles(),
-            hi: t.wcec().as_cycles(),
-            p_heavy: 0.1,
-        }),
-    ];
-
-    let mut summaries = vec![Summary::new(); shapes.len()];
-    let mut misses = vec![0usize; shapes.len()];
-    for set_idx in 0..scale.task_sets {
-        let seed = scale.seed + set_idx as u64;
-        let cfg = RandomSetConfig::paper(6, 0.1, cpu.f_max());
-        let Ok(set) = generate(&cfg, &mut StdRng::seed_from_u64(seed)) else {
-            continue;
-        };
-        let Ok(wcs) = synthesize_wcs(&set, &cpu, &opts) else {
-            continue;
-        };
-        let Ok(acs) = synthesize_acs_best(&set, &cpu, &opts, &wcs) else {
-            continue;
-        };
-        for (i, (_, make_dist)) in shapes.iter().enumerate() {
-            let dists: Vec<WorkloadDist> = set.tasks().iter().map(make_dist).collect();
-            let mut energies = [0.0f64; 2];
-            for (j, schedule) in [&wcs, &acs].into_iter().enumerate() {
-                let mut draws = TaskWorkloads::from_dists(dists.clone(), seed ^ 0xA4);
-                let out = Simulator::new(&set, &cpu, GreedyReclaim)
-                    .with_schedule(schedule)
-                    .with_options(SimOptions {
-                        hyper_periods: scale.hyper_periods,
-                        deadline_tol_ms: 1e-3,
-                        ..Default::default()
-                    })
-                    .run(&mut |t, k| draws.draw(t, k))
-                    .expect("simulation runs");
-                energies[j] = out.report.energy.as_units();
-                misses[i] += out.report.deadline_misses;
-            }
-            summaries[i].push(
-                100.0
-                    * improvement_over(
-                        acs_model::units::Energy::from_units(energies[0]),
-                        acs_model::units::Energy::from_units(energies[1]),
-                    ),
-            );
-        }
-    }
-
+    let report = acs_bench::run(scenario.campaign_builder().expect("scenario materializes"));
     println!(
         "{:<28} {:>10} {:>8} {:>8}",
         "workload shape", "mean", "std", "misses"
     );
-    for ((name, _), (s, m)) in shapes.iter().zip(summaries.iter().zip(&misses)) {
+    for row in gains_by(&report, |cell| &cell.workload) {
         println!(
             "{:<28} {:>9.1}% {:>8.1} {:>8}",
-            name,
-            s.mean(),
-            s.std_dev(),
-            m
+            row.key,
+            row.gain.mean(),
+            row.gain.std_dev(),
+            row.misses
         );
     }
+    assert_eq!(
+        report.total_deadline_misses(),
+        0,
+        "hard deadlines must hold"
+    );
     println!(
         "\nNote: the schedules are synthesized against the ACEC (normal-shape
 mean); the bimodal row therefore measures robustness to a mis-specified

@@ -3,24 +3,27 @@
 //! The paper's formulation admits several readings of "average energy":
 //! the exact greedy-trace model at ACEC (our default), the idealized
 //! average-speed model (a literal reading of eq. (4)), and the
-//! probability-weighted quantile objective (§3.2's remark). This bench
-//! synthesizes ACS under each and measures actual runtime energy under
-//! identical workloads.
+//! probability-weighted quantile objective (§3.2's remark). This binary
+//! runs the grid of `scenarios/ablation_objective.txt` once per flavor,
+//! overriding only the synthesis objective, and measures actual runtime
+//! energy under identical workloads. `acsched run
+//! scenarios/ablation_objective.txt` runs the default flavor.
 //!
 //! ```sh
 //! cargo run --release -p acs-bench --bin ablation_objective
 //! ```
 
-use acs_bench::{run_greedy, standard_cpu, Scale};
-use acs_core::{synthesize_acs_warm, synthesize_wcs, ObjectiveKind, SynthesisOptions};
+use acs_bench::row_names;
+use acs_core::{ObjectiveKind, SynthesisOptions};
+use acs_scenario::SynthProfile;
 use acs_sim::Summary;
-use acs_workloads::{generate, RandomSetConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn main() {
-    let scale = Scale::from_env();
-    let cpu = standard_cpu();
+    let scenario = acs_bench::load("ablation_objective");
+    let base = match scenario.synthesis {
+        Some(SynthProfile::Default) => SynthesisOptions::default(),
+        Some(SynthProfile::Quick) | None => SynthesisOptions::quick(),
+    };
     let variants = [
         ("AcecTrace (default)", ObjectiveKind::AcecTrace),
         ("PaperIdealSpeed", ObjectiveKind::PaperIdealSpeed),
@@ -29,57 +32,40 @@ fn main() {
     println!(
         "Ablation A1: ACS objective flavor — % runtime improvement over WCS \
          (6-task sets, ratio 0.1; {} sets x {} hyper-periods)\n",
-        scale.task_sets, scale.hyper_periods
+        row_names(&scenario).len(),
+        scenario.hyper_periods.unwrap_or(1)
     );
-
-    let mut summaries = vec![Summary::new(); variants.len()];
-    for set_idx in 0..scale.task_sets {
-        let seed = scale.seed + set_idx as u64;
-        let cfg = RandomSetConfig::paper(6, 0.1, cpu.f_max());
-        let set = match generate(&cfg, &mut StdRng::seed_from_u64(seed)) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("  [set {set_idx}] generation: {e}");
-                continue;
-            }
-        };
-        let base_opts = SynthesisOptions::default();
-        let wcs = match synthesize_wcs(&set, &cpu, &base_opts) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("  [set {set_idx}] wcs: {e}");
-                continue;
-            }
-        };
-        let (ew, _) = run_greedy(&set, &cpu, &wcs, scale.hyper_periods, seed ^ 0xA1).unwrap();
-        for (i, (name, kind)) in variants.iter().enumerate() {
-            let opts = SynthesisOptions {
-                objective: *kind,
-                ..Default::default()
-            };
-            match synthesize_acs_warm(&set, &cpu, &opts, &wcs) {
-                Ok(acs) => {
-                    let (ea, misses) =
-                        run_greedy(&set, &cpu, &acs, scale.hyper_periods, seed ^ 0xA1).unwrap();
-                    assert_eq!(misses, 0);
-                    summaries[i].push(100.0 * (1.0 - ea / ew));
-                }
-                Err(e) => eprintln!("  [set {set_idx}] {name}: {e}"),
-            }
-        }
-    }
     println!(
         "{:<24} {:>10} {:>8} {:>8} {:>8}",
         "objective", "mean", "std", "min", "max"
     );
-    for ((name, _), s) in variants.iter().zip(&summaries) {
+    for (name, objective) in variants {
+        let synthesis = SynthesisOptions {
+            objective,
+            ..base.clone()
+        };
+        let report = acs_bench::run(
+            scenario
+                .campaign_builder()
+                .expect("scenario materializes")
+                .synthesis(synthesis),
+        );
+        assert_eq!(
+            report.total_deadline_misses(),
+            0,
+            "hard deadlines must hold"
+        );
+        let mut gain = Summary::new();
+        for (_, g) in report.gains() {
+            gain.push(100.0 * g);
+        }
         println!(
             "{:<24} {:>9.1}% {:>8.1} {:>7.1}% {:>7.1}%",
             name,
-            s.mean(),
-            s.std_dev(),
-            s.min(),
-            s.max()
+            gain.mean(),
+            gain.std_dev(),
+            gain.min(),
+            gain.max()
         );
     }
     println!(

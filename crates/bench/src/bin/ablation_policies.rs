@@ -11,57 +11,26 @@
 //! renders the normalized table — the same file runs unchanged through
 //! `acsched run scenarios/ablation_policies.txt`. Boundary re-solves are
 //! ~10³× a greedy dispatch, so the checked-in file declares a reduced
-//! scale; edit `count=` / `hyper_periods` there (or point
-//! `ACS_SCENARIO_DIR` at a copy) for bigger runs.
+//! scale; edit `count=` / `hyper_periods` there for bigger runs.
 //!
 //! ```sh
 //! cargo run --release -p acs-bench --bin ablation_policies
 //! ```
 
-use acs_bench::scenario_path;
+use acs_bench::row_names;
 use acs_runtime::ScheduleChoice;
-use acs_scenario::{Scenario, TaskSetDecl};
 use acs_sim::Summary;
 
 fn main() {
-    let path = scenario_path("ablation_policies.txt");
-    let scenario =
-        Scenario::load(&path).unwrap_or_else(|e| panic!("loading {}: {e}", path.display()));
-    // Grid-row names straight from the declarations (materialization
-    // happens once, inside `to_campaign`); a declared set missing from
-    // the report — a generation failure — simply contributes no samples.
-    let set_names: Vec<String> = scenario
-        .task_sets
-        .iter()
-        .flat_map(|decl| match decl {
-            TaskSetDecl::Inline { name, .. }
-            | TaskSetDecl::RealLife { name, .. }
-            | TaskSetDecl::Trace { name, .. } => {
-                vec![name.clone()]
-            }
-            TaskSetDecl::Random {
-                tasks,
-                ratio,
-                count,
-                ..
-            } => (0..*count)
-                .map(|idx| acs_workloads::paper_set_name(*tasks, *ratio, idx))
-                .collect(),
-        })
-        .collect();
+    let scenario = acs_bench::load("ablation_policies");
+    let set_names = row_names(&scenario);
     println!(
         "Ablation A2: runtime energy by (schedule x policy), normalized to \
          no-DVS = 100 (6-task sets, ratio 0.1; {} sets x {} hyper-periods)\n",
         set_names.len(),
         scenario.hyper_periods.unwrap_or(1)
     );
-    let campaign = scenario.to_campaign().expect("non-empty ablation grid");
-    eprintln!(
-        "running {} cells / {} simulations...",
-        campaign.cell_count(),
-        campaign.run_count()
-    );
-    let report = campaign.run();
+    let report = acs_bench::run(scenario.campaign_builder().expect("scenario materializes"));
 
     let rows: [(&str, ScheduleChoice, &str); 8] = [
         (
@@ -115,12 +84,6 @@ fn main() {
             summaries[i].mean(),
             summaries[i].std_dev(),
             misses[i]
-        );
-    }
-    for (cell, err) in report.failures() {
-        eprintln!(
-            "  [{} {} {}] {err}",
-            cell.task_set, cell.schedule, cell.policy
         );
     }
     if let Some(rate) = report.solver_cache_hit_rate() {

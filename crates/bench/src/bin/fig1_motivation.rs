@@ -50,7 +50,7 @@ fn hand_schedule(set: &TaskSet, ends: [Time; 3]) -> StaticSchedule {
 fn main() {
     let (set, cpu) = motivation();
 
-    println!("Table 1 — task parameters (reconstructed; see DESIGN.md §2):");
+    println!("Table 1 — task parameters (reconstructed; see crates/workloads/src/motivation.rs):");
     println!(
         "{:>6} {:>10} {:>8} {:>8} {:>8}",
         "task", "period(ms)", "WCEC", "ACEC", "C_eff"

@@ -13,14 +13,12 @@
 //! `scenarios/fig6a_threeway.txt` (the reduced WCS / greedy / ReOpt
 //! comparison) and only renders the pivot tables — the same files run
 //! unchanged through `acsched run scenarios/fig6a_random.txt`. Scale
-//! lives in the files now; edit `count=` / `hyper_periods` there (or
-//! point `ACS_SCENARIO_DIR` at copies) instead of setting env vars.
+//! lives in the files; edit `count=` / `hyper_periods` there.
 //!
 //! ```sh
 //! cargo run --release -p acs-bench --bin fig6a_random
 //! ```
 
-use acs_bench::scenario_path;
 use acs_runtime::{CampaignReport, ScheduleChoice};
 use acs_scenario::{Scenario, TaskSetDecl};
 use acs_sim::Summary;
@@ -61,16 +59,8 @@ fn sorted_unique<T: PartialOrd + Copy>(values: impl Iterator<Item = T>) -> Vec<T
 }
 
 fn load_and_run(name: &str) -> (Scenario, CampaignReport, usize) {
-    let path = scenario_path(name);
-    let scenario =
-        Scenario::load(&path).unwrap_or_else(|e| panic!("loading {}: {e}", path.display()));
-    let campaign = scenario.to_campaign().expect("non-empty figure grid");
-    eprintln!(
-        "{name}: running {} cells / {} simulations...",
-        campaign.cell_count(),
-        campaign.run_count()
-    );
-    let report = campaign.run();
+    let scenario = acs_bench::load(name);
+    let report = acs_bench::run(scenario.campaign_builder().expect("scenario materializes"));
     // Declared random rows that produced no cells at all were skipped by
     // the generator (sub-instance cap) — the paper protocol's per-set
     // generation failures. Rows with cells that carry errors are counted
@@ -86,7 +76,7 @@ fn load_and_run(name: &str) -> (Scenario, CampaignReport, usize) {
 }
 
 fn main() {
-    let (scenario, report, gen_failures) = load_and_run("fig6a_random.txt");
+    let (scenario, report, gen_failures) = load_and_run("fig6a_random");
     let cells = random_cells(&scenario);
     let counts = sorted_unique(cells.iter().map(|(n, _, _)| *n));
     let ratios = sorted_unique(cells.iter().map(|(_, r, _)| *r));
@@ -127,12 +117,6 @@ fn main() {
         .failures()
         .map(|(cell, _)| cell.task_set.as_str())
         .collect();
-    for (cell, err) in report.failures() {
-        eprintln!(
-            "  [{} {} {}] {err}",
-            cell.task_set, cell.schedule, cell.policy
-        );
-    }
     assert_eq!(
         report.total_deadline_misses(),
         0,
@@ -149,7 +133,7 @@ fn main() {
     // re-optimizer's scenario declares a 2-set subset of the same cells
     // at fewer hyper-periods — paired draws, quick-profile synthesis
     // (the comparison is relative).
-    let (scenario3, report3, _) = load_and_run("fig6a_threeway.txt");
+    let (scenario3, report3, _) = load_and_run("fig6a_threeway");
     let cells3 = random_cells(&scenario3);
     let sub_sets = cells3.first().map_or(0, |(_, _, names)| names.len());
     let sub_hp = scenario3.hyper_periods.unwrap_or(1);
@@ -194,12 +178,6 @@ fn main() {
             acs_greedy.mean(),
             acs_reopt.mean(),
             wcs_reopt.mean()
-        );
-    }
-    for (cell, err) in report3.failures() {
-        eprintln!(
-            "  [{} {} {}] {err}",
-            cell.task_set, cell.schedule, cell.policy
         );
     }
     if let Some(rate) = report3.solver_cache_hit_rate() {

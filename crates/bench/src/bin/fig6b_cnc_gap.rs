@@ -1,71 +1,60 @@
 //! **Figure 6(b)** — energy improvement of ACS over WCS on the two
-//! real-life applications, CNC and GAP, across the BCEC/WCEC sweep —
-//! expressed as one [`Campaign`] grid (10 application instances ×
-//! {WCS, ACS} × greedy).
+//! real-life applications, CNC and GAP, across the BCEC/WCEC sweep.
+//!
+//! The grid is `scenarios/fig6b_cnc_gap.txt` (10 application instances
+//! × {WCS, ACS} × greedy); this binary only renders its table, and the
+//! same file runs unchanged through `acsched run
+//! scenarios/fig6b_cnc_gap.txt`. Edit `hyper_periods` there to change
+//! scale.
 //!
 //! ```sh
 //! cargo run --release -p acs-bench --bin fig6b_cnc_gap
-//! ACS_PAPER_SCALE=1 cargo run --release -p acs-bench --bin fig6b_cnc_gap
 //! ```
 
-use acs_bench::{standard_cpu, Scale};
-use acs_core::SynthesisOptions;
-use acs_runtime::{Campaign, PolicySpec, ScheduleChoice, WorkloadSpec};
-use acs_workloads::{cnc, gap};
+use acs_scenario::TaskSetDecl;
+use std::collections::HashMap;
 
 fn main() {
-    let scale = Scale::from_env();
-    let cpu = standard_cpu();
-    const RATIOS: [f64; 5] = [0.1, 0.3, 0.5, 0.7, 0.9];
-
+    let scenario = acs_bench::load("fig6b_cnc_gap");
     println!(
         "Figure 6(b): % runtime-energy improvement of ACS over WCS \
          ({} hyper-periods per cell)\n",
-        scale.hyper_periods
+        scenario.hyper_periods.unwrap_or(1)
     );
-
-    let mut builder = Campaign::builder()
-        .processor("linear", cpu.clone())
-        .schedules([ScheduleChoice::Wcs, ScheduleChoice::Acs])
-        .policy(PolicySpec::greedy())
-        .workload(WorkloadSpec::Paper)
-        .seeds([scale.seed])
-        .hyper_periods(scale.hyper_periods)
-        .synthesis(SynthesisOptions::default())
-        .acs_multistart(true);
-    for &ratio in &RATIOS {
-        builder = builder
-            .task_set(
-                format!("CNC@{ratio:.1}"),
-                cnc(cpu.f_max(), ratio, 0.7).expect("valid CNC parameters"),
-            )
-            .task_set(
-                format!("GAP@{ratio:.1}"),
-                gap(cpu.f_max(), ratio, 0.7).expect("valid GAP parameters"),
-            );
-    }
-    let report = builder.build().expect("non-empty figure grid").run();
+    let report = acs_bench::run(scenario.campaign_builder().expect("scenario materializes"));
+    let gains: HashMap<&str, f64> = report
+        .gains()
+        .into_iter()
+        .map(|(cell, gain)| (cell.task_set.as_str(), gain))
+        .collect();
+    // (ratio, application, grid row) per declared instance.
+    let rows: Vec<(f64, &str, &str)> = scenario
+        .task_sets
+        .iter()
+        .filter_map(|decl| match decl {
+            TaskSetDecl::RealLife {
+                name, set, ratio, ..
+            } => Some((
+                ratio.expect("every fig6b row declares ratio="),
+                set.as_str(),
+                name.as_str(),
+            )),
+            _ => None,
+        })
+        .collect();
+    let mut ratios: Vec<f64> = rows.iter().map(|(ratio, _, _)| *ratio).collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios.dedup();
 
     println!("{:>10} {:>10} {:>10}", "BCEC/WCEC", "CNC", "GAP");
-    for &ratio in &RATIOS {
+    for ratio in ratios {
         let col = |app: &str| {
-            report
-                .gain(
-                    &format!("{app}@{ratio:.1}"),
-                    "linear",
-                    "greedy",
-                    "paper-normal",
-                )
-                .map(|g| 100.0 * g)
-                .unwrap_or(f64::NAN)
+            rows.iter()
+                .find(|(r, a, _)| *r == ratio && *a == app)
+                .and_then(|(_, _, name)| gains.get(name))
+                .map_or(f64::NAN, |g| 100.0 * g)
         };
-        println!("{ratio:>10.1} {:>9.1}% {:>9.1}%", col("CNC"), col("GAP"));
-    }
-    for (cell, err) in report.failures() {
-        eprintln!(
-            "  [{} {} {}] {err}",
-            cell.task_set, cell.schedule, cell.policy
-        );
+        println!("{ratio:>10.1} {:>9.1}% {:>9.1}%", col("cnc"), col("gap"));
     }
     assert_eq!(
         report.total_deadline_misses(),

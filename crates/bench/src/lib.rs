@@ -1,205 +1,116 @@
 //! # acs-bench
 //!
-//! Experiment harness for the `acsched` workspace: one binary per table
-//! and figure of the paper (see `src/bin/`), built on the shared helpers
-//! in this library. Performance is measured by the repository benchmark
-//! in `perfbench/`, not here.
-//!
-//! All experiment binaries accept environment variables to trade runtime
-//! for fidelity:
-//!
-//! * `ACS_PAPER_SCALE=1` — the paper's full protocol (100 task sets,
-//!   1000 hyper-periods); roughly an hour of compute.
-//! * `ACS_SETS=<n>` / `ACS_HYPER_PERIODS=<n>` — individual overrides.
-//! * `ACS_SEED=<n>` — master seed (default 2005, the publication year).
+//! Table renderers for the paper's figures and ablations, one binary per
+//! artifact (see `src/bin/`). Every experiment is a checked-in scenario,
+//! `scenarios/<name>.txt`: a binary loads its file with [`load`], runs
+//! it as one [`Campaign`](acs_runtime::Campaign) with [`run`] and prints
+//! the table. The same files run through `acsched run
+//! scenarios/<name>.txt`, and `tests/golden.rs` pins their CSVs. Scale
+//! lives in the files: edit `count=` / `hyper_periods` there. The two
+//! worked-example binaries (`fig1_motivation`, `fig34_expansion`) print
+//! the paper's hand schedules and need no grid. Performance is measured
+//! by the repository benchmark in `perfbench/`, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use acs_core::{synthesize_acs_best, synthesize_wcs, StaticSchedule, SynthesisOptions};
-use acs_model::units::{Energy, Freq, Volt};
-use acs_model::TaskSet;
-use acs_power::{FreqModel, Processor};
-use acs_sim::{GreedyReclaim, SimOptions, Simulator};
-use acs_workloads::TaskWorkloads;
+use acs_runtime::{CampaignBuilder, CampaignReport, CellReport};
+use acs_scenario::{Scenario, TaskSetDecl};
+use acs_sim::Summary;
 
-/// Scale knobs for the experiment binaries.
-#[derive(Debug, Clone, Copy)]
-pub struct Scale {
-    /// Random task sets per configuration (paper: 100).
-    pub task_sets: usize,
-    /// Hyper-periods simulated per task set (paper: 1000).
-    pub hyper_periods: u64,
-    /// Master RNG seed.
-    pub seed: u64,
+/// Loads the checked-in scenario `scenarios/<name>.txt`.
+///
+/// # Panics
+///
+/// When the file is missing or does not parse.
+pub fn load(name: &str) -> Scenario {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../scenarios")
+        .join(format!("{name}.txt"));
+    Scenario::load(&path).unwrap_or_else(|e| panic!("loading {}: {e}", path.display()))
 }
 
-impl Scale {
-    /// Reads the scale from the environment (see crate docs).
-    pub fn from_env() -> Self {
-        let paper = std::env::var("ACS_PAPER_SCALE")
-            .map(|v| v == "1")
-            .unwrap_or(false);
-        let mut s = if paper {
-            Scale {
-                task_sets: 100,
-                hyper_periods: 1000,
-                seed: 2005,
-            }
-        } else {
-            Scale {
-                task_sets: 10,
-                hyper_periods: 200,
-                seed: 2005,
-            }
-        };
-        if let Ok(v) = std::env::var("ACS_SETS") {
-            if let Ok(n) = v.parse() {
-                s.task_sets = n;
-            }
-        }
-        if let Ok(v) = std::env::var("ACS_HYPER_PERIODS") {
-            if let Ok(n) = v.parse() {
-                s.hyper_periods = n;
-            }
-        }
-        if let Ok(v) = std::env::var("ACS_SEED") {
-            if let Ok(n) = v.parse() {
-                s.seed = n;
-            }
-        }
-        s
+/// Builds and runs one scenario's campaign, noting its size and every
+/// failed cell on stderr.
+///
+/// # Panics
+///
+/// When the grid does not build (an empty axis).
+pub fn run(builder: CampaignBuilder) -> CampaignReport {
+    let campaign = builder.build().expect("non-empty experiment grid");
+    eprintln!(
+        "running {} cells / {} simulations...",
+        campaign.cell_count(),
+        campaign.run_count()
+    );
+    let report = campaign.run();
+    for (cell, err) in report.failures() {
+        eprintln!(
+            "  [{} {} {} {}] {err}",
+            cell.task_set, cell.processor, cell.schedule, cell.policy
+        );
     }
+    report
 }
 
-/// Resolves a checked-in scenario file under the workspace's
-/// `scenarios/` directory (override the directory with
-/// `ACS_SCENARIO_DIR` to point the figure binaries at your own files).
-pub fn scenario_path(name: &str) -> std::path::PathBuf {
-    match std::env::var_os("ACS_SCENARIO_DIR") {
-        Some(dir) => std::path::Path::new(&dir).join(name),
-        None => std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../../scenarios")
-            .join(name),
-    }
+/// The grid-row names a scenario declares, in declaration order. A
+/// declared random set that the generator skipped (the sub-instance
+/// cap) has no cells in the report and so contributes no samples.
+pub fn row_names(scenario: &Scenario) -> Vec<String> {
+    scenario
+        .task_sets
+        .iter()
+        .flat_map(|decl| match decl {
+            TaskSetDecl::Inline { name, .. }
+            | TaskSetDecl::RealLife { name, .. }
+            | TaskSetDecl::Trace { name, .. } => vec![name.clone()],
+            TaskSetDecl::Random {
+                tasks,
+                ratio,
+                count,
+                ..
+            } => (0..*count)
+                .map(|idx| acs_workloads::paper_set_name(*tasks, *ratio, idx))
+                .collect(),
+        })
+        .collect()
 }
 
-/// The experiments' reference processor: `f = 50·V` cycles/ms,
-/// `V ∈ [0.3, 4] V` (the motivational example's law with a low floor so
-/// slack can actually be converted into voltage reduction).
-pub fn standard_cpu() -> Processor {
-    Processor::builder(FreqModel::linear(50.0).expect("kappa > 0"))
-        .vmin(Volt::from_volts(0.3))
-        .vmax(Volt::from_volts(4.0))
-        .build()
-        .expect("valid processor")
-}
-
-/// Outcome of one ACS-vs-WCS runtime comparison.
-#[derive(Debug, Clone, Copy)]
-pub struct Comparison {
-    /// Runtime energy under the WCS schedule.
-    pub wcs_energy: Energy,
-    /// Runtime energy under the ACS schedule.
-    pub acs_energy: Energy,
-    /// Relative improvement of ACS over WCS (`1 − acs/wcs`).
-    pub improvement: f64,
-    /// Deadline misses across both runs (must be 0).
+/// The ACS-over-WCS gains of one group of cells.
+#[derive(Debug, Clone)]
+pub struct GainRow {
+    /// The grouping coordinate's value (a processor or workload name).
+    pub key: String,
+    /// ACS-over-WCS gain in percent, one sample per task set.
+    pub gain: Summary,
+    /// Deadline misses over every cell of the group, both schedules.
     pub misses: usize,
 }
 
-/// Synthesizes WCS and multi-start ACS for `set`, simulates both under
-/// identical workload draws with the greedy policy, and reports runtime
-/// energies — the paper's Fig. 6 measurement.
-///
-/// # Errors
-///
-/// Propagates synthesis and simulation errors as strings (experiment
-/// binaries just print them).
-pub fn compare_acs_wcs(
-    set: &TaskSet,
-    cpu: &Processor,
-    synth: &SynthesisOptions,
-    hyper_periods: u64,
-    seed: u64,
-) -> Result<Comparison, String> {
-    let wcs = synthesize_wcs(set, cpu, synth).map_err(|e| format!("wcs: {e}"))?;
-    let acs = synthesize_acs_best(set, cpu, synth, &wcs).map_err(|e| format!("acs: {e}"))?;
-    let (ew, m1) = run_greedy(set, cpu, &wcs, hyper_periods, seed)?;
-    let (ea, m2) = run_greedy(set, cpu, &acs, hyper_periods, seed)?;
-    Ok(Comparison {
-        wcs_energy: ew,
-        acs_energy: ea,
-        improvement: acs_sim::improvement_over(ew, ea),
-        misses: m1 + m2,
-    })
-}
-
-/// Runs the greedy policy over sampled workloads, returning total energy
-/// and deadline misses.
-///
-/// # Errors
-///
-/// Stringified simulator errors.
-pub fn run_greedy(
-    set: &TaskSet,
-    cpu: &Processor,
-    schedule: &StaticSchedule,
-    hyper_periods: u64,
-    seed: u64,
-) -> Result<(Energy, usize), String> {
-    let mut draws = TaskWorkloads::paper(set, seed);
-    let out = Simulator::new(set, cpu, GreedyReclaim)
-        .with_schedule(schedule)
-        .with_options(SimOptions {
-            hyper_periods,
-            deadline_tol_ms: 1e-3,
-            ..Default::default()
-        })
-        .run(&mut |t, i| draws.draw(t, i))
-        .map_err(|e| e.to_string())?;
-    Ok((out.report.energy, out.report.deadline_misses))
-}
-
-/// Generates `count` named paper-style random task sets for one
-/// `(num_tasks, ratio)` experiment cell. Thin alias for
-/// [`acs_workloads::paper_set_batch`] (the canonical implementation
-/// moved there so scenario files share the exact same names and seeds).
-pub fn random_paper_sets(
-    num_tasks: usize,
-    ratio: f64,
-    count: usize,
-    master_seed: u64,
-    f_max: Freq,
-) -> Vec<(String, TaskSet)> {
-    acs_workloads::paper_set_batch(num_tasks, ratio, count, master_seed, f_max)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use acs_model::units::{Cycles, Ticks};
-    use acs_model::Task;
-
-    #[test]
-    fn scale_constructor_is_sane() {
-        let s = Scale::from_env();
-        assert!(s.task_sets >= 1);
-        assert!(s.hyper_periods >= 1);
+/// Groups the report's ACS-over-WCS gains (see
+/// [`CampaignReport::gains`]) by one cell coordinate, in the order the
+/// grid first meets each value.
+pub fn gains_by(report: &CampaignReport, key: fn(&CellReport) -> &str) -> Vec<GainRow> {
+    let mut rows: Vec<GainRow> = Vec::new();
+    let row_of = |rows: &mut Vec<GainRow>, cell: &CellReport| {
+        rows.iter()
+            .position(|r| r.key == key(cell))
+            .unwrap_or_else(|| {
+                rows.push(GainRow {
+                    key: key(cell).to_string(),
+                    gain: Summary::new(),
+                    misses: 0,
+                });
+                rows.len() - 1
+            })
+    };
+    for cell in report.cells() {
+        let i = row_of(&mut rows, cell);
+        rows[i].misses += cell.stats().map_or(0, |s| s.deadline_misses);
     }
-
-    #[test]
-    fn comparison_on_tiny_set() {
-        let set = TaskSet::new(vec![Task::builder("t", Ticks::new(10))
-            .wcec(Cycles::from_cycles(300.0))
-            .acec(Cycles::from_cycles(120.0))
-            .bcec(Cycles::from_cycles(30.0))
-            .build()
-            .unwrap()])
-        .unwrap();
-        let cpu = standard_cpu();
-        let c = compare_acs_wcs(&set, &cpu, &acs_core::SynthesisOptions::quick(), 10, 1).unwrap();
-        assert_eq!(c.misses, 0);
-        assert!(c.improvement > -0.05, "improvement = {}", c.improvement);
+    for (cell, gain) in report.gains() {
+        let i = row_of(&mut rows, cell);
+        rows[i].gain.push(100.0 * gain);
     }
+    rows
 }

@@ -12,7 +12,7 @@
 //! 1000-sub-instance cap — periods are drawn from the divisor-friendly
 //! pool `{10, 12, 15, 16, 20, 24, 30}` (hyper-period ≤ 240 ms) and draws
 //! whose expansion would exceed the cap are rejected and redrawn
-//! (substitution documented in `DESIGN.md`).
+//! (substitution listed in `ARCHITECTURE.md`, "§4 Experiments").
 //!
 //! Utilization shares use **UUniFast** (Bini & Buttazzo), the standard
 //! unbiased simplex sampler in the real-time-systems literature.

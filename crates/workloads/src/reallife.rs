@@ -14,7 +14,7 @@
 //! 1000-sub-instance cap; following common practice in DVS studies we
 //! harmonize them to the nearest pool value ({25, 50, 100, 200, 1000}),
 //! which keeps all seventeen tasks and the 25 ms–1 s period span
-//! (substitution documented in `DESIGN.md`).
+//! (substitution listed in `ARCHITECTURE.md`, "§4 Experiments").
 //!
 //! Exact WCET tables are not recoverable from the DATE'05 paper; per its
 //! own protocol for random sets, relative task weights follow the

@@ -63,6 +63,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             100.0 * improvement_over(base_e, e)
         );
     }
-    println!("\n(The paper's Fig. 6(b) reports ACS-vs-WCS improvements; see `cargo run -p acs-bench --bin fig6b_cnc_gap` for that sweep.)");
+    println!("\n(The paper's Fig. 6(b) reports ACS-vs-WCS improvements; see `acsched run scenarios/fig6b_cnc_gap.txt` for that sweep.)");
     Ok(())
 }

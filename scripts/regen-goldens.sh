@@ -2,11 +2,12 @@
 # Regenerates every golden CSV in tests/golden/ from the scenario of the
 # same name in scenarios/, with `acsched run --threads 1` on a release
 # build, then shows which goldens moved. tests/golden.rs asserts all
-# twelve byte for byte: eight fast ones in any build, and in release the
-# paper-scale fig6a_random, fig6a_threeway and ablation_policies plus
-# bursty_trace, which replays the million-job trace generated first
-# below. Takes about 3.5 minutes on a 2-vCPU host, nearly all of it in
-# the three paper-scale grids.
+# sixteen byte for byte: eight fast ones in any build, and in release
+# the seven paper-scale grids (fig6a_random, fig6a_threeway,
+# fig6b_cnc_gap and the ablations ablation_objective, ablation_policies,
+# ablation_discrete, ablation_bimodal) plus bursty_trace, which replays
+# the million-job trace generated first below. Takes about 4.5 minutes
+# on a 2-vCPU host, nearly all of it in the paper-scale grids.
 #
 # Rule: a change that moves any golden explains why in its CHANGES.md
 # entry. To pin a new scenario, create an empty tests/golden/<name>.csv,

@@ -20,8 +20,7 @@ use acsched::trace::{Mmpp, Periodic, Poisson, Sporadic};
 use proptest::prelude::*;
 
 fn scenario_dir() -> String {
-    std::env::var("ACS_SCENARIO_DIR")
-        .unwrap_or_else(|_| format!("{}/scenarios", env!("CARGO_MANIFEST_DIR")))
+    format!("{}/scenarios", env!("CARGO_MANIFEST_DIR"))
 }
 
 /// Period pool with a bounded hyper-period, mixing harmonic and

@@ -288,9 +288,11 @@ proptest! {
 /// instance, in both classes, single-core and global.
 #[test]
 fn diamond_scenario_respects_precedence_everywhere() {
-    let dir = std::env::var("ACS_SCENARIO_DIR")
-        .unwrap_or_else(|_| format!("{}/scenarios", env!("CARGO_MANIFEST_DIR")));
-    let scenario = Scenario::load(format!("{dir}/dag_global.txt")).expect("scenario parses");
+    let scenario = Scenario::load(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/scenarios/dag_global.txt"
+    ))
+    .expect("scenario parses");
     let sets = scenario.materialize_task_sets().expect("task sets");
     let (_, diamond) = sets
         .iter()

@@ -6,10 +6,8 @@
 
 use acsched::prelude::*;
 
-fn scenario_path() -> std::path::PathBuf {
-    let dir = std::env::var("ACS_SCENARIO_DIR")
-        .unwrap_or_else(|_| format!("{}/scenarios", env!("CARGO_MANIFEST_DIR")));
-    std::path::Path::new(&dir).join("edf_vs_rm.txt")
+fn scenario_path() -> &'static str {
+    concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/edf_vs_rm.txt")
 }
 
 /// An equal-period (frame-based) set: every task releases together and

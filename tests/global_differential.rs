@@ -25,9 +25,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 fn scenario_path(name: &str) -> PathBuf {
-    let dir = std::env::var("ACS_SCENARIO_DIR")
-        .unwrap_or_else(|_| format!("{}/scenarios", env!("CARGO_MANIFEST_DIR")));
-    Path::new(&dir).join(name)
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("scenarios")
+        .join(name)
 }
 
 /// Splits one CSV row into fields, honoring RFC-4180 quoting (the sink

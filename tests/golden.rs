@@ -7,8 +7,11 @@
 //! Regenerate them with `scripts/regen-goldens.sh`. A change that moves
 //! any golden must explain why in its CHANGES.md entry.
 //!
-//! The paper-scale grids (`fig6a_random`, `fig6a_threeway`,
-//! `ablation_policies`) and the million-job `bursty_trace` replay are
+//! Every paper artifact is one of these scenarios, so its golden pins
+//! the numbers its `acs-bench` renderer prints. The paper-scale grids
+//! (`fig6a_random`, `fig6a_threeway`, `fig6b_cnc_gap` and the ablations
+//! `ablation_objective`, `ablation_policies`, `ablation_discrete`,
+//! `ablation_bimodal`) and the million-job `bursty_trace` replay are
 //! `#[ignore]`d, so the debug suite stays fast; `cargo test --release
 //! --test golden -- --include-ignored` runs them.
 
@@ -87,7 +90,11 @@ golden!(
     #[ignore = "paper-scale: minutes; release only"]
     fig6a_random,
     fig6a_threeway,
+    fig6b_cnc_gap,
+    ablation_objective,
     ablation_policies,
+    ablation_discrete,
+    ablation_bimodal,
 );
 
 /// `bursty_trace` replays a trace that is generated, never checked in:

@@ -7,9 +7,11 @@
 use acsched::prelude::*;
 
 fn sweep() -> Scenario {
-    let dir = std::env::var("ACS_SCENARIO_DIR")
-        .unwrap_or_else(|_| format!("{}/scenarios", env!("CARGO_MANIFEST_DIR")));
-    Scenario::load(format!("{dir}/multicore_sweep.txt")).expect("checked-in sweep parses")
+    Scenario::load(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/scenarios/multicore_sweep.txt"
+    ))
+    .expect("checked-in sweep parses")
 }
 
 /// The sweep covers ≥2 partitioners × ≥2 core counts × the existing
