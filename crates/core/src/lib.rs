@@ -78,9 +78,8 @@ pub use error::CoreError;
 pub use export::{from_text, to_text};
 pub use formulation::{ObjectiveKind, ScheduleProblem};
 pub use reopt::{
-    synthesize_remaining, synthesize_remaining_best_carry, synthesize_remaining_carry,
-    synthesize_remaining_from, CarrySolve, InstanceProgress, RemainingInstance, ReoptOptions,
-    ReoptOutcome, WarmCarry,
+    synthesize_remaining, synthesize_remaining_carry, synthesize_remaining_from, InstanceProgress,
+    RemainingInstance, ReoptOptions, ReoptOutcome, WarmCarry,
 };
 pub use schedule::{Milestone, ScheduleKind, SolveDiagnostics, StaticSchedule};
 pub use synthesis::{

@@ -631,9 +631,9 @@ impl Default for ReoptOptions {
 
 impl ReoptOptions {
     /// A cold-solve budget: what a boundary solve needs when it *cannot*
-    /// be warm-started (it must first find feasibility). Used as the
-    /// baseline in the `reopt` bench; the warm default beats it by well
-    /// over the 5× the speed mandate asks for.
+    /// be warm-started (it must first find feasibility). Only the test
+    /// `warm_start_beats_cold_start_by_5x` uses it, as the baseline the
+    /// warm default must beat.
     pub fn cold() -> Self {
         let mut o = ReoptOptions::default();
         o.auglag.outer_iters = 18;
@@ -670,9 +670,10 @@ pub struct ReoptOutcome {
 /// sub-instances they were solved for. Successive boundaries shrink the
 /// live set and shift `now`, but the active constraint structure is
 /// nearly identical — so the previous multipliers, remapped by
-/// sub-instance, let a *single* warm solve replace the two-solve
-/// multi-start fan-out most of the time
-/// ([`synthesize_remaining_best_carry`]).
+/// sub-instance, let a *single* warm solve
+/// ([`synthesize_remaining_carry`]) replace the two-solve multi-start
+/// fan-out ([`synthesize_remaining_best_with_carry`]) most of the time.
+/// `acs_sim::ReOpt` gates between the two.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WarmCarry {
     /// Full-length end times of the carrying solve — the next
@@ -685,19 +686,6 @@ pub struct WarmCarry {
     /// constraint build order (lower window, upper window, chain fit,
     /// release fit).
     pub nu: Vec<f64>,
-}
-
-/// Outcome of [`synthesize_remaining_best_carry`].
-#[derive(Debug, Clone)]
-pub struct CarrySolve {
-    /// The winning solve.
-    pub outcome: ReoptOutcome,
-    /// Carry state for the *next* boundary (always from the winning
-    /// solve, whether carried or multi-start).
-    pub carry: WarmCarry,
-    /// `true` when the carried warm solve passed the gate and the
-    /// multi-start fan-out was skipped.
-    pub carried: bool,
 }
 
 /// One boundary solve: owns its starting point, optionally seeds the
@@ -852,43 +840,6 @@ pub fn synthesize_remaining_carry(
         nu,
     };
     (outcome, new_carry)
-}
-
-/// The incremental boundary solve: try the carried warm solve first and
-/// **skip the multi-start fan-out** when it passes the exact
-/// feasibility gate *and* improves on `baseline_energy` by at least
-/// `min_rel_gain` (relative). Otherwise fall back to
-/// [`synthesize_remaining_best_with_carry`], folding the spent carry
-/// evaluations into the reported total. With `carry = None` this *is*
-/// the multi-start fan-out.
-pub fn synthesize_remaining_best_carry(
-    rem: &RemainingInstance,
-    carry: Option<&WarmCarry>,
-    baseline_energy: f64,
-    min_rel_gain: f64,
-    options: &ReoptOptions,
-) -> CarrySolve {
-    let mut spent = 0usize;
-    if let Some(c) = carry {
-        let (outcome, new_carry) = synthesize_remaining_carry(rem, c, options);
-        if outcome.feasible
-            && outcome.predicted_energy.as_units() < baseline_energy * (1.0 - min_rel_gain)
-        {
-            return CarrySolve {
-                outcome,
-                carry: new_carry,
-                carried: true,
-            };
-        }
-        spent = outcome.evaluations;
-    }
-    let (mut outcome, carry) = synthesize_remaining_best_with_carry(rem, options);
-    outcome.evaluations += spent;
-    CarrySolve {
-        outcome,
-        carry,
-        carried: false,
-    }
 }
 
 /// The ALAP starting profile: every in-horizon live end time pushed as
@@ -1264,26 +1215,5 @@ mod tests {
             carried.predicted_energy.as_units(),
             fresh.predicted_energy.as_units()
         );
-
-        // Gated entry point: with a baseline the carried solve beats,
-        // the fan-out is skipped...
-        let base = rem1.energy_of(rem1.static_ends_ms());
-        let hit = synthesize_remaining_best_carry(&rem1, Some(&carry), base, 0.01, &opts);
-        assert!(hit.carried);
-        assert_eq!(hit.outcome.ends_ms, carried.ends_ms);
-        // ...and with an unbeatable baseline it falls back to the exact
-        // fan-out result, folding the spent carry evaluations in.
-        let miss = synthesize_remaining_best_carry(&rem1, Some(&carry), 0.0, 0.01, &opts);
-        assert!(!miss.carried);
-        assert_eq!(miss.outcome.ends_ms, fresh.ends_ms);
-        assert_eq!(
-            miss.outcome.evaluations,
-            fresh.evaluations + carried.evaluations
-        );
-        // No carry at all degenerates to the plain fan-out.
-        let none = synthesize_remaining_best_carry(&rem1, None, base, 0.01, &opts);
-        assert!(!none.carried);
-        assert_eq!(none.outcome.ends_ms, fresh.ends_ms);
-        assert_eq!(none.outcome.evaluations, fresh.evaluations);
     }
 }

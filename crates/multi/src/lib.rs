@@ -13,10 +13,10 @@
 //!    first-fit / best-fit / worst-fit decreasing);
 //! 2. each core runs the unchanged single-core engine and its own fresh
 //!    policy instance ([`MachineRun`]);
-//! 3. per-core [`SimReport`](acs_sim::SimReport)s are aggregated into a
-//!    [`MachineReport`] with a machine-level
-//!    [`EnergyBreakdown`](acs_sim::EnergyBreakdown) (dynamic vs static
-//!    vs idle — leakage modeling lives in `acs-power`).
+//! 3. the per-core reports fold into the same
+//!    [`RunOutput`](acs_sim::RunOutput) a global run returns, whose
+//!    [`breakdown`](acs_sim::SimReport::breakdown) splits dynamic vs
+//!    static vs idle energy (leakage modeling lives in `acs-power`).
 //!
 //! Partitioner choice matters for energy: worst-fit decreasing spreads
 //! load thin, handing every core more slack for DVS to reclaim, while
@@ -57,7 +57,7 @@
 //! let p = partition(&set, cpu.f_max(), 2, PartitionHeuristic::WorstFitDecreasing)?;
 //! assert_eq!(p.busy_cores(), 2);
 //!
-//! let report = MachineRun {
+//! let out = MachineRun {
 //!     partition: &p,
 //!     cpu: &cpu,
 //!     schedules: None,
@@ -68,10 +68,11 @@
 //!     |_core, _set| |_task: TaskId, _abs: u64| Cycles::from_cycles(400.0),
 //!     &mut |_core, _set| None,
 //! )?;
-//! assert!(report.all_deadlines_met());
-//! let split = report.breakdown();
+//! assert_eq!(out.cores.len(), 2);
+//! assert!(out.report.all_deadlines_met());
+//! let split = out.report.breakdown();
 //! assert!(split.static_ > acs_model::units::Energy::ZERO);
-//! assert_eq!(split.total(), report.energy());
+//! assert_eq!(split.total(), out.report.energy);
 //! # Ok(())
 //! # }
 //! ```
@@ -86,5 +87,5 @@ pub mod partition;
 
 pub use error::MultiError;
 pub use global::Placement;
-pub use machine::{CoreSourceFactory, MachineReport, MachineRun};
+pub use machine::{CoreSourceFactory, MachineRun};
 pub use partition::{partition, CoreAssignment, Partition, PartitionHeuristic};

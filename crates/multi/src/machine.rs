@@ -1,6 +1,6 @@
 //! Running a [`Partition`] on N identical cores: one single-core
-//! [`Simulator`] per core, one fresh [`Policy`] per core, aggregated
-//! into a machine-level report.
+//! [`Simulator`] per core, one fresh [`Policy`] per core, folded into
+//! one machine-level [`RunOutput`].
 
 use crate::error::MultiError;
 use crate::partition::Partition;
@@ -9,7 +9,7 @@ use acs_model::units::{Energy, TimeSpan};
 use acs_model::TaskSet;
 use acs_power::Processor;
 use acs_sim::{
-    ArrivalSource, EnergyBreakdown, Policy, SimOptions, SimReport, Simulator, WorkloadSource,
+    ArrivalSource, CoreOutput, Policy, RunOutput, SimOptions, SimReport, Simulator, WorkloadSource,
 };
 
 /// Per-core arrival-source factory passed to [`MachineRun::run`]:
@@ -37,66 +37,15 @@ pub struct MachineRun<'a> {
     pub options: SimOptions,
 }
 
-/// The aggregated outcome of a [`MachineRun`]: every core's own
-/// [`SimReport`] plus machine-level folds.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MachineReport {
-    /// Per-core reports, in core order (empty cores carry an idle-only
-    /// report: no jobs, `idle_energy = P_idle × horizon`).
-    pub per_core: Vec<SimReport>,
-    /// Machine hyper-periods simulated.
-    pub machine_hyper_periods: u64,
-}
-
-impl MachineReport {
-    /// Total machine energy (sum over cores).
-    pub fn energy(&self) -> Energy {
-        self.per_core.iter().map(|r| r.energy).sum()
-    }
-
-    /// Machine-level energy split, folded over the per-core breakdowns.
-    pub fn breakdown(&self) -> EnergyBreakdown {
-        let mut out = EnergyBreakdown::default();
-        for r in &self.per_core {
-            out.absorb(&r.breakdown());
-        }
-        out
-    }
-
-    /// Per-core total energies, in core order.
-    pub fn per_core_energy(&self) -> Vec<Energy> {
-        self.per_core.iter().map(|r| r.energy).collect()
-    }
-
-    /// Deadline misses summed over all cores.
-    pub fn deadline_misses(&self) -> usize {
-        self.per_core.iter().map(|r| r.deadline_misses).sum()
-    }
-
-    /// `true` when no core missed a deadline.
-    pub fn all_deadlines_met(&self) -> bool {
-        self.deadline_misses() == 0
-    }
-
-    /// Folds the per-core reports into one machine-level [`SimReport`]
-    /// (`hyper_periods` is the machine count, not the per-core sum;
-    /// `per_task_energy` is left empty — task identity is per-core).
-    pub fn to_sim_report(&self) -> SimReport {
-        let mut out = SimReport::empty(0);
-        for r in &self.per_core {
-            let mut flat = r.clone();
-            flat.per_task_energy.clear();
-            out.absorb(&flat);
-        }
-        out.hyper_periods = self.machine_hyper_periods;
-        out
-    }
-}
-
 impl MachineRun<'_> {
-    /// Runs every core and aggregates. Each callback is called once per
-    /// **non-empty** core, the last two with the core index and that
-    /// core's task set:
+    /// Runs every core and folds them into one machine output, the same
+    /// [`RunOutput`] a global run returns: `report` sums the cores in
+    /// core order (`hyper_periods` counts machine hyper-periods,
+    /// `per_task_energy` is empty since task identity is per core), and
+    /// `cores` holds one [`CoreOutput`] per core, empty cores included
+    /// (an idle-only report: no jobs, `idle_energy = P_idle × horizon`).
+    /// Each callback is called once per **non-empty** core, the last two
+    /// with the core index and that core's task set:
     ///
     /// * `make_policy` returns the core's fresh policy (policies carry
     ///   state, so each core needs its own instance);
@@ -121,7 +70,7 @@ impl MachineRun<'_> {
         mut make_policy: impl FnMut() -> Box<dyn Policy>,
         mut make_workload: impl FnMut(usize, &TaskSet) -> S,
         make_arrivals: &mut CoreSourceFactory<'_>,
-    ) -> Result<MachineReport, MultiError> {
+    ) -> Result<RunOutput, MultiError> {
         let busy = self.partition.busy_cores();
         if let Some(schedules) = self.schedules {
             if schedules.len() != busy {
@@ -133,18 +82,22 @@ impl MachineRun<'_> {
         }
         let horizon_ms =
             self.options.hyper_periods as f64 * self.partition.machine_hyper_period.get() as f64;
-        let mut per_core = Vec::with_capacity(self.partition.cores.len());
+        let mut cores = Vec::with_capacity(self.partition.cores.len());
         let mut sched_idx = 0usize;
         for (core, assignment) in self.partition.cores.iter().enumerate() {
             let Some(set) = &assignment.set else {
                 // An empty core only draws idle power over the horizon.
-                let mut idle = SimReport::empty(0);
-                idle.hyper_periods = self.options.hyper_periods;
-                idle.idle_time = TimeSpan::from_ms(horizon_ms);
                 let e = Energy::from_units(self.cpu.idle_power() * horizon_ms);
-                idle.idle_energy = e;
-                idle.energy = e;
-                per_core.push(idle);
+                cores.push(CoreOutput {
+                    report: SimReport {
+                        hyper_periods: self.options.hyper_periods,
+                        idle_time: TimeSpan::from_ms(horizon_ms),
+                        idle_energy: e,
+                        energy: e,
+                        ..SimReport::default()
+                    },
+                    trace: None,
+                });
                 continue;
             };
             let mut sim = Simulator::new(set, self.cpu, make_policy()).with_options(SimOptions {
@@ -161,11 +114,20 @@ impl MachineRun<'_> {
             let out = sim
                 .run_source(&mut make_workload(core, set))
                 .map_err(|e| MultiError::Sim(format!("core {core}: {e}")))?;
-            per_core.push(out.report);
+            cores.push(CoreOutput {
+                report: out.report,
+                trace: out.trace,
+            });
         }
-        Ok(MachineReport {
-            per_core,
-            machine_hyper_periods: self.options.hyper_periods,
+        let mut report = SimReport::empty(0);
+        for core in &cores {
+            report.absorb(&core.report);
+        }
+        report.hyper_periods = self.options.hyper_periods;
+        Ok(RunOutput {
+            report,
+            trace: None,
+            cores,
         })
     }
 }
@@ -217,17 +179,17 @@ mod tests {
                 ..Default::default()
             },
         };
-        let report = run
+        let out = run
             .run(
                 || Box::new(NoDvs),
                 |_, _| |_: TaskId, _: u64| Cycles::from_cycles(500.0),
                 &mut |_, _| None,
             )
             .unwrap();
-        assert_eq!(report.per_core.len(), 2);
-        assert!(report.all_deadlines_met());
-        let total: f64 = report.per_core_energy().iter().map(|e| e.as_units()).sum();
-        assert!((report.energy().as_units() - total).abs() < 1e-9);
+        assert_eq!(out.cores.len(), 2);
+        assert!(out.report.all_deadlines_met());
+        let total: f64 = out.cores.iter().map(|c| c.report.energy.as_units()).sum();
+        assert!((out.report.energy.as_units() - total).abs() < 1e-9);
         // NoDvs at fixed per-job cycles: splitting tasks over cores does
         // not change the dynamic energy (same cycles at the same V).
         let mut single = Simulator::new(&set, &cpu, NoDvs).with_options(SimOptions {
@@ -235,8 +197,8 @@ mod tests {
             ..Default::default()
         });
         let mono = single.run(&mut |_, _| Cycles::from_cycles(500.0)).unwrap();
-        assert!((report.energy().as_units() - mono.report.energy.as_units()).abs() < 1e-6);
-        assert_eq!(report.to_sim_report().hyper_periods, 3);
+        assert!((out.report.energy.as_units() - mono.report.energy.as_units()).abs() < 1e-6);
+        assert_eq!(out.report.hyper_periods, 3);
     }
 
     #[test]
@@ -254,7 +216,7 @@ mod tests {
                 ..Default::default()
             },
         };
-        let report = run
+        let out = run
             .run(
                 || Box::new(NoDvs),
                 |_, _| |_: TaskId, _: u64| Cycles::from_cycles(100.0),
@@ -262,7 +224,8 @@ mod tests {
             )
             .unwrap();
         let horizon = 2.0 * set.hyper_period().get() as f64;
-        for (core, r) in report.per_core.iter().enumerate() {
+        assert_eq!(out.cores.len(), 8, "empty cores report too");
+        for (core, r) in out.cores.iter().map(|c| &c.report).enumerate() {
             if p.cores[core].set.is_none() {
                 assert_eq!(r.jobs_completed, 0);
                 assert!((r.idle_energy.as_units() - 2.0 * horizon).abs() < 1e-9);
@@ -273,9 +236,9 @@ mod tests {
                 "core {core}"
             );
         }
-        let b = report.breakdown();
+        let b = out.report.breakdown();
         assert!(b.idle > Energy::ZERO);
-        assert_eq!(b.total(), report.energy());
+        assert_eq!(b.total(), out.report.energy);
     }
 
     #[test]

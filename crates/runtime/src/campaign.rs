@@ -1151,7 +1151,7 @@ impl Campaign {
                     class: Some(cell.class),
                 };
                 let schedules = plans.schedules_of(cell)?;
-                if cell.cores == 1 || cell.placement == Placement::Global {
+                let out = if cell.cores == 1 || cell.placement == Placement::Global {
                     // Single-core and global cells are one engine run on
                     // `cores` cores. Mix only the set index into the draw
                     // seed: cells that differ in schedule/policy/processor
@@ -1186,19 +1186,7 @@ impl Campaign {
                             sim = sim.with_arrivals(kind.source(set, mix_seed(seed, cell.set)));
                         }
                     }
-                    sim.run_source(&mut draws)
-                        .map(|out| {
-                            let per_core = if out.cores.is_empty() {
-                                vec![out.report.energy.as_units()]
-                            } else {
-                                out.cores
-                                    .iter()
-                                    .map(|c| c.report.energy.as_units())
-                                    .collect()
-                            };
-                            (out.report, per_core)
-                        })
-                        .map_err(|e| e.to_string())
+                    sim.run_source(&mut draws).map_err(|e| e.to_string())?
                 } else {
                     let plan = plans.plan_of(cell).expect("multicore cells are planned");
                     let parted = match plan.partition.as_ref().expect("multicore plans partition") {
@@ -1235,13 +1223,13 @@ impl Campaign {
                             })
                         },
                     )
-                    .map(|m| {
-                        let per_core: Vec<f64> =
-                            m.per_core_energy().iter().map(|e| e.as_units()).collect();
-                        (m.to_sim_report(), per_core)
-                    })
-                    .map_err(|e| e.to_string())
-                }
+                    .map_err(|e| e.to_string())?
+                };
+                let per_core = match out.cores.as_slice() {
+                    [] => vec![out.report.energy.as_units()],
+                    cores => cores.iter().map(|c| c.report.energy.as_units()).collect(),
+                };
+                Ok((out.report, per_core))
             },
             |i, result| {
                 seed_buf.push(result);
@@ -1388,27 +1376,7 @@ fn aggregate(per_seed: &[Result<(SimReport, Vec<f64>), String>]) -> Result<CellS
     let mut energies = Vec::with_capacity(per_seed.len());
     let mut stats = CellStats {
         runs: per_seed.len(),
-        mean_energy: Energy::ZERO,
-        std_energy: 0.0,
-        p95_energy: Energy::ZERO,
-        mean_dynamic_energy: Energy::ZERO,
-        mean_static_energy: Energy::ZERO,
-        mean_idle_energy: Energy::ZERO,
-        per_core_mean_energy: Vec::new(),
-        deadline_misses: 0,
-        misses_aperiodic: 0,
-        jobs_completed: 0,
-        saturated_dispatches: 0,
-        voltage_switches: 0,
-        preemptions: 0,
-        migrations: 0,
-        clamped_draws: 0,
-        worst_lateness_ms: 0.0,
-        solver_lookups: 0,
-        solver_cache_hits: 0,
-        warm_carry_hits: 0,
-        boundary_resolves: 0,
-        resolves_adopted: 0,
+        ..CellStats::default()
     };
     let mut static_sum = 0.0f64;
     let mut idle_sum = 0.0f64;
@@ -1423,20 +1391,7 @@ fn aggregate(per_seed: &[Result<(SimReport, Vec<f64>), String>]) -> Result<CellS
         for (acc, e) in stats.per_core_mean_energy.iter_mut().zip(per_core) {
             *acc += e;
         }
-        stats.deadline_misses += report.deadline_misses;
-        stats.misses_aperiodic += report.misses_aperiodic;
-        stats.jobs_completed += report.jobs_completed;
-        stats.saturated_dispatches += report.saturated_dispatches;
-        stats.voltage_switches += report.voltage_switches;
-        stats.preemptions += report.preemptions;
-        stats.migrations += report.migrations;
-        stats.clamped_draws += report.clamped_draws;
-        stats.worst_lateness_ms = stats.worst_lateness_ms.max(report.worst_lateness_ms);
-        stats.solver_lookups += report.solver_lookups;
-        stats.solver_cache_hits += report.solver_cache_hits;
-        stats.warm_carry_hits += report.warm_carry_hits;
-        stats.boundary_resolves += report.boundary_resolves;
-        stats.resolves_adopted += report.resolves_adopted;
+        stats.absorb(report);
     }
     let n = energies.len() as f64;
     let mean = energies.iter().sum::<f64>() / n;

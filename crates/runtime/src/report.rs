@@ -3,85 +3,62 @@
 use crate::campaign::ScheduleChoice;
 use acs_model::units::Energy;
 use acs_model::SchedulingClass;
-use acs_sim::improvement_over;
+use acs_sim::{improvement_over, SimReport};
 
-/// Aggregate statistics of one grid cell over its seeds.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellStats {
-    /// Number of simulation runs aggregated (= seed count).
-    pub runs: usize,
-    /// Mean total energy per run.
-    pub mean_energy: Energy,
-    /// Sample standard deviation of per-run energy (0 for one seed).
-    pub std_energy: f64,
-    /// 95th-percentile per-run energy.
-    pub p95_energy: Energy,
-    /// Mean dynamic (switching) energy per run — `mean_energy` minus
-    /// the static and idle components.
-    pub mean_dynamic_energy: Energy,
-    /// Mean static (leakage) energy per run (0 on lossless processors).
-    pub mean_static_energy: Energy,
-    /// Mean idle energy per run (0 under the paper's shutdown
-    /// assumption).
-    pub mean_idle_energy: Energy,
-    /// Mean total energy per core (in core order; one entry for
-    /// single-core cells). Shows how the partitioner spread the load.
-    pub per_core_mean_energy: Vec<f64>,
-    /// Deadline misses summed over all runs.
-    pub deadline_misses: usize,
-    /// Deadline misses charged to aperiodic jobs (sporadic / Poisson /
-    /// MMPP / trace releases), summed over all runs — a subset of
-    /// `deadline_misses`, always zero on `periodic` cells.
-    pub misses_aperiodic: usize,
-    /// Jobs completed summed over all runs.
-    pub jobs_completed: usize,
-    /// Saturated dispatches summed over all runs.
-    pub saturated_dispatches: usize,
-    /// Voltage switches summed over all runs.
-    pub voltage_switches: usize,
-    /// Preemptions (dispatches displacing an unfinished job) summed
-    /// over all runs.
-    pub preemptions: usize,
-    /// Job migrations between cores summed over all runs — always zero
-    /// on single-core and partitioned cells; only global dispatch can
-    /// move a job.
-    pub migrations: usize,
-    /// Workload draws clamped into `[0, WCEC]`, summed over all runs.
-    pub clamped_draws: usize,
-    /// Worst completion lateness observed across all runs (ms).
-    pub worst_lateness_ms: f64,
-    /// Online-solver boundary lookups summed over all runs (0 unless the
-    /// cell ran a re-optimizing policy such as `reopt`).
-    pub solver_lookups: usize,
-    /// Lookups answered by the shared solver cache. When one cache is
-    /// shared across parallel runs, this count (alone) may vary with
-    /// thread interleaving; energies and deadline statistics never do.
-    pub solver_cache_hits: usize,
-    /// Lookups answered by carrying the previous boundary's solution
-    /// forward as a warm start (no multi-start fan-out ran). Together
-    /// the three mechanisms partition the lookups:
-    /// `solver_lookups == warm_carry_hits + solver_cache_hits +
-    /// boundary_resolves`.
-    pub warm_carry_hits: usize,
-    /// Boundary re-solves actually executed.
-    pub boundary_resolves: usize,
-    /// Re-solved candidates that passed the feasibility/energy gate and
-    /// were adopted — distinguishes "solver ran but found nothing worth
-    /// adopting" from "the policy actively reshaped the schedule".
-    pub resolves_adopted: usize,
-}
-
-impl CellStats {
-    /// Solver-cache hit rate of this cell; `None` when the cell's policy
-    /// never consulted an online solver.
-    pub fn solver_cache_hit_rate(&self) -> Option<f64> {
-        if self.solver_lookups == 0 {
-            None
-        } else {
-            Some(self.solver_cache_hits as f64 / self.solver_lookups as f64)
+macro_rules! cell_stats {
+    (
+        run { $($run:tt)* }
+        cell { $($(#[$doc:meta])* $name:ident: $ty:ty, $fold:ident;)* }
+    ) => {
+        /// Aggregate statistics of one grid cell over its seeds. Every
+        /// field after `per_core_mean_energy` is a `cell` counter of
+        /// `acs_sim::run_counters!`, folded over the cell's runs the way
+        /// that list declares: summed, or the maximum for
+        /// `worst_lateness_ms`.
+        #[derive(Debug, Clone, PartialEq, Default)]
+        pub struct CellStats {
+            /// Number of simulation runs aggregated (= seed count).
+            pub runs: usize,
+            /// Mean total energy per run.
+            pub mean_energy: Energy,
+            /// Sample standard deviation of per-run energy (0 for one seed).
+            pub std_energy: f64,
+            /// 95th-percentile per-run energy.
+            pub p95_energy: Energy,
+            /// Mean dynamic (switching) energy per run — `mean_energy` minus
+            /// the static and idle components.
+            pub mean_dynamic_energy: Energy,
+            /// Mean static (leakage) energy per run (0 on lossless processors).
+            pub mean_static_energy: Energy,
+            /// Mean idle energy per run (0 under the paper's shutdown
+            /// assumption).
+            pub mean_idle_energy: Energy,
+            /// Mean total energy per core (in core order; one entry for
+            /// single-core cells). Shows how the partitioner spread the load.
+            pub per_core_mean_energy: Vec<f64>,
+            $($(#[$doc])* pub $name: $ty,)*
         }
-    }
+
+        impl CellStats {
+            /// Folds one run's counters into the cell's.
+            pub(crate) fn absorb(&mut self, run: &SimReport) {
+                $(acs_sim::fold_counter!($fold, self.$name, run.$name);)*
+            }
+
+            /// Solver-cache hit rate of this cell; `None` when the cell's
+            /// policy never consulted an online solver.
+            pub fn solver_cache_hit_rate(&self) -> Option<f64> {
+                if self.solver_lookups == 0 {
+                    None
+                } else {
+                    Some(self.solver_cache_hits as f64 / self.solver_lookups as f64)
+                }
+            }
+        }
+    };
 }
+
+acs_sim::run_counters!(cell_stats);
 
 /// One grid cell: its coordinates and aggregated outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -439,26 +416,11 @@ mod tests {
         CellStats {
             runs: 2,
             mean_energy: Energy::from_units(mean),
-            std_energy: 0.0,
             p95_energy: Energy::from_units(mean),
             mean_dynamic_energy: Energy::from_units(mean),
-            mean_static_energy: Energy::ZERO,
-            mean_idle_energy: Energy::ZERO,
             per_core_mean_energy: vec![mean],
-            deadline_misses: 0,
-            misses_aperiodic: 0,
             jobs_completed: 10,
-            saturated_dispatches: 0,
-            voltage_switches: 0,
-            preemptions: 0,
-            migrations: 0,
-            clamped_draws: 0,
-            worst_lateness_ms: 0.0,
-            solver_lookups: 0,
-            solver_cache_hits: 0,
-            warm_carry_hits: 0,
-            boundary_resolves: 0,
-            resolves_adopted: 0,
+            ..CellStats::default()
         }
     }
 

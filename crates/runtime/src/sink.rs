@@ -19,6 +19,7 @@
 //!   in memory *and* persist CSV in one pass.
 
 use crate::report::{CampaignReport, CellReport, CellStats};
+use std::fmt::Write as _;
 use std::io;
 use std::io::Write;
 
@@ -109,38 +110,140 @@ impl ResultSink for AggregateSink {
     }
 }
 
-/// The column header emitted by [`CsvSink`] (no trailing newline).
-///
-/// The multicore/leakage columns (`cores` through `per_core_energy`)
-/// are appended after the original layout, so positional consumers of
-/// pre-0.2 CSVs keep working; `per_core_energy` is a `;`-joined list of
-/// per-core mean energies, in core order. The scheduling-class columns
-/// (`class`, `preemptions`) are appended after those for the same
-/// reason — v2 positions are preserved; `class` is `rm` or `edf`. The
-/// arrival-stream columns (`arrivals`, `misses_aperiodic`) are appended
-/// after those, again preserving every earlier position: `arrivals` is
-/// the cell's arrival label (`periodic`/`sporadic`/`poisson`/
-/// `mmpp:light|bursty|heavy`/`trace`), `misses_aperiodic` the subset of
-/// `deadline_misses` charged to aperiodic jobs. The placement columns
-/// (`placement`, `migrations`) come last — v4 positions are preserved:
-/// `placement` is `partitioned`/`global` (`-` on single-core cells),
-/// `migrations` the between-core job migrations (zero everywhere except
-/// global cells).
-pub const CSV_HEADER: &str = "task_set,processor,schedule,policy,workload,status,error,\
-     runs,mean_energy,std_energy,p95_energy,deadline_misses,jobs_completed,\
-     saturated_dispatches,voltage_switches,clamped_draws,worst_lateness_ms,\
-     solver_lookups,solver_cache_hits,boundary_resolves,resolves_adopted,\
-     cores,partition,dynamic_energy,static_energy,idle_energy,per_core_energy,\
-     class,preemptions,arrivals,misses_aperiodic,placement,migrations";
+/// One result value.
+#[derive(Clone, Copy)]
+enum Value<'a> {
+    Str(&'a str),
+    Int(usize),
+    /// Rendered in Rust's shortest round-trip `f64` formatting.
+    Num(f64),
+    /// `;`-joined in CSV, an array in JSON.
+    Nums(&'a [f64]),
+}
 
-/// Quotes a CSV field when it contains a comma, quote or newline
-/// (RFC-4180 style: embedded quotes doubled).
-fn csv_field(s: &str) -> String {
-    if s.contains([',', '"', '\n', '\r']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
+impl Value<'_> {
+    /// Appends the value as a JSON value, or else as a CSV field: quoted
+    /// RFC-4180 style when it contains a comma, quote or newline
+    /// (embedded quotes doubled).
+    fn write(self, out: &mut String, json: bool) {
+        match self {
+            Value::Str(s) if json => {
+                out.push('"');
+                for ch in s.chars() {
+                    match ch {
+                        '"' => out.push_str("\\\""),
+                        '\\' => out.push_str("\\\\"),
+                        '\n' => out.push_str("\\n"),
+                        '\r' => out.push_str("\\r"),
+                        '\t' => out.push_str("\\t"),
+                        c if (c as u32) < 0x20 => push(out, format_args!("\\u{:04x}", c as u32)),
+                        c => out.push(c),
+                    }
+                }
+                out.push('"');
+            }
+            Value::Str(s) if s.contains([',', '"', '\n', '\r']) => {
+                push(out, format_args!("\"{}\"", s.replace('"', "\"\"")));
+            }
+            Value::Str(s) => out.push_str(s),
+            Value::Int(n) => push(out, format_args!("{n}")),
+            Value::Num(x) => push(out, format_args!("{x}")),
+            Value::Nums(xs) => {
+                let (open, sep, close) = if json { ("[", ",", "]") } else { ("", ";", "") };
+                out.push_str(open);
+                for (i, x) in xs.iter().enumerate() {
+                    push(out, format_args!("{}{x}", if i > 0 { sep } else { "" }));
+                }
+                out.push_str(close);
+            }
+        }
     }
+}
+
+fn push(out: &mut String, args: std::fmt::Arguments) {
+    out.write_fmt(args)
+        .expect("formatting into a String cannot fail");
+}
+
+/// Where a result column's value comes from.
+enum Source {
+    /// A cell coordinate, filled on every row.
+    Coord(for<'a> fn(&'a CellReport) -> Value<'a>),
+    /// `ok` or `failed`.
+    Status,
+    /// The failure message, empty on ok rows.
+    Error,
+    /// A statistic, empty on failed rows.
+    Stat(for<'a> fn(&'a CellStats) -> Value<'a>),
+}
+
+/// Declares every result column once, in CSV order: [`CSV_HEADER`],
+/// [`csv_row`] (ok and failed rows) and [`JsonlSink`] records all come
+/// from this list.
+macro_rules! columns {
+    ($first:ident: $first_source:expr, $($name:ident: $source:expr,)*) => {
+        /// The column header emitted by [`CsvSink`] (no trailing newline).
+        ///
+        /// Columns are only ever appended, so positional consumers of
+        /// older CSVs keep working. The multicore/leakage columns
+        /// (`cores` through `per_core_energy`) follow the original
+        /// layout; `per_core_energy` is a `;`-joined list of per-core
+        /// mean energies, in core order. The scheduling-class columns
+        /// (`class`, `preemptions`) come next; `class` is `rm` or `edf`.
+        /// Then the arrival-stream columns (`arrivals`,
+        /// `misses_aperiodic`): `arrivals` is the cell's arrival label
+        /// (`periodic`/`sporadic`/`poisson`/`mmpp:light|bursty|heavy`/
+        /// `trace`), `misses_aperiodic` the subset of `deadline_misses`
+        /// charged to aperiodic jobs. The placement columns (`placement`,
+        /// `migrations`) come last: `placement` is
+        /// `partitioned`/`global` (`-` on single-core cells),
+        /// `migrations` the between-core job migrations (zero everywhere
+        /// except global cells).
+        pub const CSV_HEADER: &str =
+            concat!(stringify!($first), $(",", stringify!($name),)*);
+
+        const COLUMNS: &[(&str, Source)] = {
+            use Source::{Coord, Error, Stat, Status};
+            use Value::{Int, Num, Nums, Str};
+            &[(stringify!($first), $first_source), $((stringify!($name), $source),)*]
+        };
+    };
+}
+
+columns! {
+    task_set: Coord(|c| Str(&c.task_set)),
+    processor: Coord(|c| Str(&c.processor)),
+    schedule: Coord(|c| Str(c.schedule.label())),
+    policy: Coord(|c| Str(&c.policy)),
+    workload: Coord(|c| Str(&c.workload)),
+    status: Status,
+    error: Error,
+    runs: Stat(|s| Int(s.runs)),
+    mean_energy: Stat(|s| Num(s.mean_energy.as_units())),
+    std_energy: Stat(|s| Num(s.std_energy)),
+    p95_energy: Stat(|s| Num(s.p95_energy.as_units())),
+    deadline_misses: Stat(|s| Int(s.deadline_misses)),
+    jobs_completed: Stat(|s| Int(s.jobs_completed)),
+    saturated_dispatches: Stat(|s| Int(s.saturated_dispatches)),
+    voltage_switches: Stat(|s| Int(s.voltage_switches)),
+    clamped_draws: Stat(|s| Int(s.clamped_draws)),
+    worst_lateness_ms: Stat(|s| Num(s.worst_lateness_ms)),
+    solver_lookups: Stat(|s| Int(s.solver_lookups)),
+    solver_cache_hits: Stat(|s| Int(s.solver_cache_hits)),
+    boundary_resolves: Stat(|s| Int(s.boundary_resolves)),
+    resolves_adopted: Stat(|s| Int(s.resolves_adopted)),
+    cores: Coord(|c| Int(c.cores)),
+    partition: Coord(|c| Str(&c.partition)),
+    dynamic_energy: Stat(|s| Num(s.mean_dynamic_energy.as_units())),
+    static_energy: Stat(|s| Num(s.mean_static_energy.as_units())),
+    idle_energy: Stat(|s| Num(s.mean_idle_energy.as_units())),
+    per_core_energy: Stat(|s| Nums(&s.per_core_mean_energy)),
+    class: Coord(|c| Str(c.class.label())),
+    preemptions: Stat(|s| Int(s.preemptions)),
+    arrivals: Coord(|c| Str(&c.arrivals)),
+    misses_aperiodic: Stat(|s| Int(s.misses_aperiodic)),
+    placement: Coord(|c| Str(&c.placement)),
+    migrations: Stat(|s| Int(s.migrations)),
 }
 
 /// Renders one record as its [`CsvSink`] row (no trailing newline) —
@@ -150,55 +253,22 @@ fn csv_field(s: &str) -> String {
 /// locally written CSV.
 pub fn csv_row(record: &CellRecord) -> String {
     let c = &record.cell;
-    let coords = [
-        csv_field(&c.task_set),
-        csv_field(&c.processor),
-        c.schedule.label().to_string(),
-        csv_field(&c.policy),
-        csv_field(&c.workload),
-    ]
-    .join(",");
-    let cores = format!("{},{}", c.cores, csv_field(&c.partition));
-    match &c.outcome {
-        Ok(s) => {
-            let per_core: Vec<String> = s.per_core_mean_energy.iter().map(f64::to_string).collect();
-            format!(
-                "{coords},ok,,{},{},{},{},{},{},{},{},{},{},{},{},{},{},{cores},{},{},{},{},\
-                 {},{},{},{},{},{}",
-                s.runs,
-                s.mean_energy.as_units(),
-                s.std_energy,
-                s.p95_energy.as_units(),
-                s.deadline_misses,
-                s.jobs_completed,
-                s.saturated_dispatches,
-                s.voltage_switches,
-                s.clamped_draws,
-                s.worst_lateness_ms,
-                s.solver_lookups,
-                s.solver_cache_hits,
-                s.boundary_resolves,
-                s.resolves_adopted,
-                s.mean_dynamic_energy.as_units(),
-                s.mean_static_energy.as_units(),
-                s.mean_idle_energy.as_units(),
-                csv_field(&per_core.join(";")),
-                c.class.label(),
-                s.preemptions,
-                csv_field(&c.arrivals),
-                s.misses_aperiodic,
-                csv_field(&c.placement),
-                s.migrations,
-            )
+    let mut row = String::with_capacity(256);
+    for (i, (_, source)) in COLUMNS.iter().enumerate() {
+        if i > 0 {
+            row.push(',');
         }
-        Err(e) => format!(
-            "{coords},failed,{},,,,,,,,,,,,,,,{cores},,,,,{},,{},,{},",
-            csv_field(e),
-            c.class.label(),
-            csv_field(&c.arrivals),
-            csv_field(&c.placement),
-        ),
+        let value = match (source, &c.outcome) {
+            (Source::Coord(get), _) => get(c),
+            (Source::Status, Ok(_)) => Value::Str("ok"),
+            (Source::Status, Err(_)) => Value::Str("failed"),
+            (Source::Error, Err(e)) => Value::Str(e),
+            (Source::Stat(get), Ok(s)) => get(s),
+            (Source::Error, Ok(_)) | (Source::Stat(_), Err(_)) => continue,
+        };
+        value.write(&mut row, false);
     }
+    row
 }
 
 /// Streams one CSV row per cell to any writer.
@@ -237,36 +307,26 @@ impl<W: Write> ResultSink for CsvSink<W> {
     }
 }
 
-/// Escapes a string for a JSON string literal (quotes not included).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Streams one JSON object per line (JSON Lines) to any writer.
 ///
-/// Successful cells carry a `"stats"` object; failed cells carry an
-/// `"error"` string. The writer is flushed at `on_end`.
+/// Each object carries `index`, then the coordinate columns, then
+/// `"ok"`: successful cells add a `"stats"` object of the statistic
+/// columns, failed cells an `"error"` string. Keys follow the
+/// [`CSV_HEADER`] column order. The writer is flushed at `on_end`.
 #[derive(Debug)]
 pub struct JsonlSink<W: Write> {
     writer: W,
+    /// One record's line, reused across records.
+    line: String,
 }
 
 impl<W: Write> JsonlSink<W> {
     /// Wraps a writer.
     pub fn new(writer: W) -> Self {
-        JsonlSink { writer }
+        JsonlSink {
+            writer,
+            line: String::new(),
+        }
     }
 
     /// Unwraps the writer.
@@ -278,35 +338,32 @@ impl<W: Write> JsonlSink<W> {
 impl<W: Write> ResultSink for JsonlSink<W> {
     fn on_record(&mut self, record: &CellRecord) -> io::Result<()> {
         let c = &record.cell;
-        let coords = format!(
-            "\"index\":{},\"task_set\":\"{}\",\"processor\":\"{}\",\"cores\":{},\
-             \"partition\":\"{}\",\"placement\":\"{}\",\"class\":\"{}\",\
-             \"schedule\":\"{}\",\
-             \"policy\":\"{}\",\"workload\":\"{}\",\"arrivals\":\"{}\"",
-            record.index,
-            json_escape(&c.task_set),
-            json_escape(&c.processor),
-            c.cores,
-            json_escape(&c.partition),
-            json_escape(&c.placement),
-            c.class.label(),
-            c.schedule.label(),
-            json_escape(&c.policy),
-            json_escape(&c.workload),
-            json_escape(&c.arrivals),
-        );
-        match &c.outcome {
-            Ok(s) => writeln!(
-                self.writer,
-                "{{{coords},\"ok\":true,\"stats\":{}}}",
-                stats_json(s)
-            ),
-            Err(e) => writeln!(
-                self.writer,
-                "{{{coords},\"ok\":false,\"error\":\"{}\"}}",
-                json_escape(e)
-            ),
+        let line = &mut self.line;
+        line.clear();
+        push(line, format_args!("{{\"index\":{},", record.index));
+        for (name, source) in COLUMNS {
+            if let Source::Coord(get) = source {
+                push_field(line, name, get(c));
+            }
         }
+        match &c.outcome {
+            Ok(s) => {
+                line.push_str("\"ok\":true,\"stats\":{");
+                for (name, source) in COLUMNS {
+                    if let Source::Stat(get) = source {
+                        push_field(line, name, get(s));
+                    }
+                }
+                line.pop(); // the last statistic's comma
+                line.push('}');
+            }
+            Err(e) => {
+                line.push_str("\"ok\":false,\"error\":");
+                Value::Str(e).write(line, true);
+            }
+        }
+        line.push_str("}\n");
+        self.writer.write_all(line.as_bytes())
     }
 
     fn on_end(&mut self) -> io::Result<()> {
@@ -314,39 +371,13 @@ impl<W: Write> ResultSink for JsonlSink<W> {
     }
 }
 
-fn stats_json(s: &CellStats) -> String {
-    let per_core: Vec<String> = s.per_core_mean_energy.iter().map(f64::to_string).collect();
-    format!(
-        "{{\"runs\":{},\"mean_energy\":{},\"std_energy\":{},\"p95_energy\":{},\
-         \"dynamic_energy\":{},\"static_energy\":{},\"idle_energy\":{},\
-         \"per_core_energy\":[{}],\
-         \"deadline_misses\":{},\"jobs_completed\":{},\"saturated_dispatches\":{},\
-         \"voltage_switches\":{},\"preemptions\":{},\"clamped_draws\":{},\
-         \"worst_lateness_ms\":{},\
-         \"solver_lookups\":{},\"solver_cache_hits\":{},\"boundary_resolves\":{},\
-         \"resolves_adopted\":{},\"misses_aperiodic\":{},\"migrations\":{}}}",
-        s.runs,
-        s.mean_energy.as_units(),
-        s.std_energy,
-        s.p95_energy.as_units(),
-        s.mean_dynamic_energy.as_units(),
-        s.mean_static_energy.as_units(),
-        s.mean_idle_energy.as_units(),
-        per_core.join(","),
-        s.deadline_misses,
-        s.jobs_completed,
-        s.saturated_dispatches,
-        s.voltage_switches,
-        s.preemptions,
-        s.clamped_draws,
-        s.worst_lateness_ms,
-        s.solver_lookups,
-        s.solver_cache_hits,
-        s.boundary_resolves,
-        s.resolves_adopted,
-        s.misses_aperiodic,
-        s.migrations,
-    )
+/// Appends `"name":value,` to a JSON object.
+fn push_field(line: &mut String, name: &str, value: Value) {
+    line.push('"');
+    line.push_str(name);
+    line.push_str("\":");
+    value.write(line, true);
+    line.push(',');
 }
 
 /// Fans every callback out to several sinks, in order — e.g. aggregate
@@ -433,13 +464,8 @@ mod tests {
                         voltage_switches: 40,
                         preemptions: 6,
                         migrations: 4,
-                        clamped_draws: 0,
                         worst_lateness_ms: -0.25,
-                        solver_lookups: 0,
-                        solver_cache_hits: 0,
-                        warm_carry_hits: 0,
-                        boundary_resolves: 0,
-                        resolves_adopted: 0,
+                        ..CellStats::default()
                     })
                 } else {
                     Err("synthesis: \"boom\"".into())
@@ -553,7 +579,12 @@ mod tests {
 
     #[test]
     fn json_escape_control_chars() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+        let escaped = |s: &str| {
+            let mut out = String::new();
+            Value::Str(s).write(&mut out, true);
+            out
+        };
+        assert_eq!(escaped("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(escaped("\u{1}"), "\"\\u0001\"");
     }
 }

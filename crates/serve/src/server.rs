@@ -30,7 +30,7 @@ use std::sync::Arc;
 
 use acs_runtime::pool::parallel_for_in_order_bounded;
 use acs_runtime::sink::csv_row;
-use acs_runtime::{CampaignMeta, CellRecord, ResultSink};
+use acs_runtime::{CellRecord, ResultSink};
 use acs_scenario::Scenario;
 
 use crate::checkpoint::{self, CheckpointWriter, ChunkEntry, Header};
@@ -354,15 +354,5 @@ fn run_submission(
             state.counters.campaigns_failed.fetch_add(1, relaxed);
             Err(e)
         }
-    }
-}
-
-/// `CampaignMeta` equivalent for a served campaign — exposed so tests
-/// can reconstruct the meta a local sink would have seen.
-pub fn served_meta(cells: usize, runs: usize) -> CampaignMeta {
-    CampaignMeta {
-        cells,
-        runs,
-        seeds: runs.checked_div(cells).unwrap_or(0),
     }
 }

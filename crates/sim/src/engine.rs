@@ -68,7 +68,7 @@ impl Default for SimOptions {
     }
 }
 
-/// Result of [`Simulator::run`].
+/// Result of [`Simulator::run`] and of `acs_multi::MachineRun::run`.
 #[derive(Debug, Clone)]
 pub struct RunOutput {
     /// Aggregate counters and energy. A multi-core run folds its cores'
@@ -84,11 +84,11 @@ pub struct RunOutput {
     pub cores: Vec<CoreOutput>,
 }
 
-/// One core's results in a multi-core run. Each counter lands on the
-/// core where its event happened: a migration on the core the job
-/// arrived on, a preemption on the core that displaced the job.
-/// Machine-level counters (clamped draws, jobs completed at release,
-/// event statistics, solver counters) land on core 0.
+/// One core's results in a multi-core run. Under global dispatch each
+/// counter lands on the core where its event happened: a migration on
+/// the core the job arrived on, a preemption on the core that displaced
+/// the job. Machine-level counters (clamped draws, jobs completed at
+/// release, event statistics, solver counters) land on core 0.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoreOutput {
     /// The core's counters and energy.

@@ -22,125 +22,164 @@ impl EnergyBreakdown {
     pub fn total(&self) -> Energy {
         self.dynamic + self.static_ + self.idle
     }
-
-    /// Component-wise sum (used when folding per-core breakdowns into a
-    /// machine-level one).
-    pub fn absorb(&mut self, other: &EnergyBreakdown) {
-        self.dynamic += other.dynamic;
-        self.static_ += other.static_;
-        self.idle += other.idle;
-    }
 }
 
-/// Aggregate outcome of a simulation run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimReport {
-    /// Total energy consumed (dynamic + static + idle + transition
-    /// overhead).
-    pub energy: Energy,
-    /// Static (leakage) energy drawn while executing — part of
-    /// [`SimReport::energy`].
-    pub static_energy: Energy,
-    /// Energy drawn while idle (zero under the paper's shutdown
-    /// assumption) — part of [`SimReport::energy`].
-    pub idle_energy: Energy,
-    /// Dynamic energy split per task (indexed by `TaskId`).
-    pub per_task_energy: Vec<Energy>,
-    /// Number of job completions.
-    pub jobs_completed: usize,
-    /// Number of jobs that missed their deadline.
-    pub deadline_misses: usize,
-    /// The subset of [`SimReport::deadline_misses`] from *aperiodic*
-    /// jobs — releases produced by a non-periodic arrival source
-    /// (sporadic/Poisson/MMPP generators or trace replay), which run on
-    /// synthetic per-job plans rather than the static schedule. Always
-    /// zero on periodic cells.
-    pub misses_aperiodic: usize,
-    /// Worst completion lateness past a deadline observed, in ms
-    /// (0 when every job met its deadline; includes sub-tolerance
-    /// lateness not counted in `deadline_misses`).
-    pub worst_lateness_ms: f64,
-    /// Dispatches where the requested speed exceeded `f_max` (the
-    /// processor saturated at `vmax`).
-    pub saturated_dispatches: usize,
-    /// Total time the processor was idle (shut down, zero energy).
-    pub idle_time: TimeSpan,
-    /// Total time the processor executed cycles.
-    pub busy_time: TimeSpan,
-    /// Number of voltage transitions (changes between consecutive
-    /// execution slices).
-    pub voltage_switches: usize,
-    /// Number of preemptions: dispatches that displaced a different,
-    /// still-unfinished job. On per-frame (equal-period) sets the RM
-    /// and EDF scheduling classes produce identical counts.
-    pub preemptions: usize,
-    /// Number of migrations: dispatches where a job resumed on a
-    /// different core than the one it last executed on, counted on the
-    /// core it arrived on. Always zero on one core and for partitioned
-    /// multiprocessor runs (jobs are pinned to their core); only
-    /// multi-core runs ([`Simulator::with_cores`]) move jobs between
-    /// cores.
-    ///
-    /// [`Simulator::with_cores`]: crate::Simulator::with_cores
-    pub migrations: usize,
-    /// Workload draws clamped into `[0, WCEC]`.
-    pub clamped_draws: usize,
-    /// Number of hyper-periods simulated.
-    pub hyper_periods: u64,
-    /// Boundary states for which the policy's online solver was
-    /// consulted (0 unless the policy re-optimizes; see
-    /// [`SolverStats`](crate::SolverStats)).
-    pub solver_lookups: usize,
-    /// Solver lookups answered from the shared solver cache.
-    pub solver_cache_hits: usize,
-    /// Boundary re-solves actually executed (lookups minus hits).
-    pub boundary_resolves: usize,
-    /// Re-solved candidates adopted after the feasibility/energy gate.
-    pub resolves_adopted: usize,
-    /// Solver lookups answered by an incremental carried warm solve
-    /// (previous boundary's multipliers seeded one solve that passed
-    /// the gate), skipping cache and fan-out alike. Invariant:
-    /// `solver_lookups == warm_carry_hits + solver_cache_hits +
-    /// boundary_resolves`.
-    pub warm_carry_hits: usize,
-    /// Events the engine handled: event-queue pops (releases, chunk
-    /// wakeups) plus dispatched execution slices. Deterministic for a
-    /// given cell — the differential suite pins it as an invariant.
-    /// The legacy chunk-scan oracle reports 0.
-    pub events_handled: u64,
-    /// High-water mark of the engine's event queue (max events pending
-    /// at once within any one hyper-period). The legacy chunk-scan
-    /// oracle reports 0.
-    pub event_queue_peak: usize,
+/// The per-run counters, each declared once: its doc, `name: Type`, and
+/// how two runs' values fold into one (`sum` or `max`).
+///
+/// `run` counters exist per simulation run only. `cell` counters are
+/// also folded over a campaign cell's seeds into `acs_runtime`'s
+/// `CellStats`, under the same names. The macro hands both lists to
+/// `$then!`, which generates fields and folds from them: [`SimReport`]
+/// and `CellStats` are its two expansions. Adding a counter is one entry
+/// here, plus one result column in `acs_runtime::sink` if the counter is
+/// exported.
+#[macro_export]
+macro_rules! run_counters {
+    ($then:ident) => {
+        $then! {
+            run {
+                /// Total energy consumed (dynamic + static + idle +
+                /// transition overhead).
+                energy: Energy, sum;
+                /// Static (leakage) energy drawn while executing — part
+                /// of [`SimReport::energy`].
+                static_energy: Energy, sum;
+                /// Energy drawn while idle (zero under the paper's
+                /// shutdown assumption) — part of [`SimReport::energy`].
+                idle_energy: Energy, sum;
+                /// Total time the processor was idle (shut down, zero
+                /// energy).
+                idle_time: TimeSpan, sum;
+                /// Total time the processor executed cycles.
+                busy_time: TimeSpan, sum;
+                /// Number of hyper-periods simulated.
+                hyper_periods: u64, sum;
+                /// Events the engine handled: event-queue pops
+                /// (releases, chunk wakeups) plus dispatched execution
+                /// slices. Deterministic for a given cell — the
+                /// differential suite pins it as an invariant. The
+                /// legacy chunk-scan oracle reports 0.
+                events_handled: u64, sum;
+                /// High-water mark of the engine's event queue (max
+                /// events pending at once within any one hyper-period).
+                /// The legacy chunk-scan oracle reports 0.
+                event_queue_peak: usize, max;
+            }
+            cell {
+                /// Number of job completions.
+                jobs_completed: usize, sum;
+                /// Number of jobs that missed their deadline.
+                deadline_misses: usize, sum;
+                /// The subset of `deadline_misses` from *aperiodic* jobs
+                /// — releases produced by a non-periodic arrival source
+                /// (sporadic/Poisson/MMPP generators or trace replay),
+                /// which run on synthetic per-job plans rather than the
+                /// static schedule. Always zero on periodic cells.
+                misses_aperiodic: usize, sum;
+                /// Worst completion lateness past a deadline observed, in
+                /// ms (0 when every job met its deadline; includes
+                /// sub-tolerance lateness not counted in
+                /// `deadline_misses`).
+                worst_lateness_ms: f64, max;
+                /// Dispatches where the requested speed exceeded `f_max`
+                /// (the processor saturated at `vmax`).
+                saturated_dispatches: usize, sum;
+                /// Number of voltage transitions (changes between
+                /// consecutive execution slices).
+                voltage_switches: usize, sum;
+                /// Number of preemptions: dispatches that displaced a
+                /// different, still-unfinished job. On per-frame
+                /// (equal-period) sets the RM and EDF scheduling classes
+                /// produce identical counts.
+                preemptions: usize, sum;
+                /// Number of migrations: dispatches where a job resumed
+                /// on a different core than the one it last executed on,
+                /// counted on the core it arrived on. Always zero on one
+                /// core and for partitioned multiprocessor runs (jobs are
+                /// pinned to their core); only global dispatch
+                /// (`Simulator::with_cores`) moves jobs between cores.
+                migrations: usize, sum;
+                /// Workload draws clamped into `[0, WCEC]`.
+                clamped_draws: usize, sum;
+                /// Boundary states for which the policy's online solver
+                /// was consulted (0 unless the policy re-optimizes, such
+                /// as `reopt`; see `SolverStats`).
+                solver_lookups: usize, sum;
+                /// Solver lookups answered from the shared solver cache.
+                /// When one cache is shared across parallel runs, this
+                /// count (alone) may vary with thread interleaving;
+                /// energies and deadline statistics never do.
+                solver_cache_hits: usize, sum;
+                /// Boundary re-solves actually executed.
+                boundary_resolves: usize, sum;
+                /// Re-solved candidates that passed the feasibility/energy
+                /// gate and were adopted — distinguishes "solver ran but
+                /// found nothing worth adopting" from "the policy actively
+                /// reshaped the schedule".
+                resolves_adopted: usize, sum;
+                /// Solver lookups answered by an incremental carried warm
+                /// solve (previous boundary's multipliers seeded one
+                /// solve that passed the gate), skipping cache and
+                /// fan-out alike. The three mechanisms partition the
+                /// lookups: `solver_lookups == warm_carry_hits +
+                /// solver_cache_hits + boundary_resolves`.
+                warm_carry_hits: usize, sum;
+            }
+        }
+    };
 }
+
+/// Folds one run's counter into an accumulator, as [`run_counters!`]
+/// declares it: `sum` adds, `max` keeps the larger value.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! fold_counter {
+    (sum, $acc:expr, $other:expr) => {
+        $acc += $other
+    };
+    (max, $acc:expr, $other:expr) => {
+        $acc = $acc.max($other)
+    };
+}
+
+macro_rules! sim_report {
+    (
+        run { $($(#[$run_doc:meta])* $run:ident: $run_ty:ty, $run_fold:ident;)* }
+        cell { $($(#[$cell_doc:meta])* $cell:ident: $cell_ty:ty, $cell_fold:ident;)* }
+    ) => {
+        /// Aggregate outcome of a simulation run. Every field but
+        /// `per_task_energy` is a counter declared in [`run_counters!`].
+        #[derive(Debug, Clone, PartialEq, Default)]
+        pub struct SimReport {
+            /// Dynamic energy split per task (indexed by `TaskId`).
+            pub per_task_energy: Vec<Energy>,
+            $($(#[$run_doc])* pub $run: $run_ty,)*
+            $($(#[$cell_doc])* pub $cell: $cell_ty,)*
+        }
+
+        impl SimReport {
+            /// Accumulates another report (hyper-period into run totals,
+            /// cores into a machine), folding as [`run_counters!`] says.
+            pub fn absorb(&mut self, other: &SimReport) {
+                $(crate::fold_counter!($run_fold, self.$run, other.$run);)*
+                $(crate::fold_counter!($cell_fold, self.$cell, other.$cell);)*
+                for (a, b) in self.per_task_energy.iter_mut().zip(&other.per_task_energy) {
+                    *a += *b;
+                }
+            }
+        }
+    };
+}
+
+run_counters!(sim_report);
 
 impl SimReport {
     /// An empty report (used as the accumulator identity).
     pub fn empty(tasks: usize) -> Self {
         SimReport {
-            energy: Energy::ZERO,
-            static_energy: Energy::ZERO,
-            idle_energy: Energy::ZERO,
             per_task_energy: vec![Energy::ZERO; tasks],
-            jobs_completed: 0,
-            deadline_misses: 0,
-            misses_aperiodic: 0,
-            worst_lateness_ms: 0.0,
-            saturated_dispatches: 0,
-            idle_time: TimeSpan::ZERO,
-            busy_time: TimeSpan::ZERO,
-            voltage_switches: 0,
-            preemptions: 0,
-            migrations: 0,
-            clamped_draws: 0,
-            hyper_periods: 0,
-            solver_lookups: 0,
-            solver_cache_hits: 0,
-            boundary_resolves: 0,
-            resolves_adopted: 0,
-            warm_carry_hits: 0,
-            events_handled: 0,
-            event_queue_peak: 0,
+            ..SimReport::default()
         }
     }
 
@@ -149,41 +188,13 @@ impl SimReport {
     /// engine recycles one report per hyper-period instead of
     /// allocating a fresh one.
     pub fn reset(&mut self, tasks: usize) {
-        let mut per_task = std::mem::take(&mut self.per_task_energy);
-        per_task.clear();
-        per_task.resize(tasks, Energy::ZERO);
-        // `empty(0)`'s vec is zero-length and never allocates.
-        *self = SimReport::empty(0);
-        self.per_task_energy = per_task;
-    }
-
-    /// Folds another report (e.g. one hyper-period) into this one.
-    pub fn absorb(&mut self, other: &SimReport) {
-        self.energy += other.energy;
-        self.static_energy += other.static_energy;
-        self.idle_energy += other.idle_energy;
-        for (a, b) in self.per_task_energy.iter_mut().zip(&other.per_task_energy) {
-            *a += *b;
-        }
-        self.jobs_completed += other.jobs_completed;
-        self.deadline_misses += other.deadline_misses;
-        self.misses_aperiodic += other.misses_aperiodic;
-        self.worst_lateness_ms = self.worst_lateness_ms.max(other.worst_lateness_ms);
-        self.saturated_dispatches += other.saturated_dispatches;
-        self.idle_time += other.idle_time;
-        self.busy_time += other.busy_time;
-        self.voltage_switches += other.voltage_switches;
-        self.preemptions += other.preemptions;
-        self.migrations += other.migrations;
-        self.clamped_draws += other.clamped_draws;
-        self.hyper_periods += other.hyper_periods;
-        self.solver_lookups += other.solver_lookups;
-        self.solver_cache_hits += other.solver_cache_hits;
-        self.boundary_resolves += other.boundary_resolves;
-        self.resolves_adopted += other.resolves_adopted;
-        self.warm_carry_hits += other.warm_carry_hits;
-        self.events_handled += other.events_handled;
-        self.event_queue_peak = self.event_queue_peak.max(other.event_queue_peak);
+        let mut per_task_energy = std::mem::take(&mut self.per_task_energy);
+        per_task_energy.clear();
+        per_task_energy.resize(tasks, Energy::ZERO);
+        *self = SimReport {
+            per_task_energy,
+            ..SimReport::default()
+        };
     }
 
     /// Mean energy per hyper-period.
@@ -235,9 +246,14 @@ mod tests {
         b.jobs_completed = 3;
         b.hyper_periods = 1;
         b.busy_time = TimeSpan::from_ms(5.0);
+        b.worst_lateness_ms = 1.5;
+        b.event_queue_peak = 7;
         a.absorb(&b);
         a.absorb(&b);
         assert_eq!(a.energy, Energy::from_units(20.0));
+        // `max` counters keep the larger value instead of adding up.
+        assert_eq!(a.worst_lateness_ms, 1.5);
+        assert_eq!(a.event_queue_peak, 7);
         assert_eq!(a.per_task_energy[1], Energy::from_units(8.0));
         assert_eq!(a.jobs_completed, 6);
         assert_eq!(a.hyper_periods, 2);

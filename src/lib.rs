@@ -159,8 +159,7 @@ pub mod prelude {
         ModelError, SchedulingClass, Task, TaskBuilder, TaskGraph, TaskId, TaskSet,
     };
     pub use acs_multi::{
-        partition, CoreAssignment, MachineReport, MachineRun, MultiError, Partition,
-        PartitionHeuristic, Placement,
+        partition, CoreAssignment, MachineRun, MultiError, Partition, PartitionHeuristic, Placement,
     };
     pub use acs_power::{FreqModel, LevelTable, Processor, TransitionOverhead, VoltageLevels};
     pub use acs_preempt::{

@@ -35,6 +35,8 @@
 
 #![cfg(feature = "legacy-engine")]
 
+mod common;
+
 use acs_sim::{legacy_engine_enabled, set_legacy_engine};
 use acsched::prelude::*;
 use proptest::prelude::*;
@@ -55,48 +57,10 @@ fn scenario_path(name: &str) -> PathBuf {
         .join(name)
 }
 
-/// Splits one CSV row into fields, honoring RFC-4180 quoting (the sink
-/// quotes fields containing commas; masking by column index must not
-/// split inside them).
-fn split_csv(row: &str) -> Vec<String> {
-    let mut fields = Vec::new();
-    let mut cur = String::new();
-    let mut quoted = false;
-    let mut chars = row.chars().peekable();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' if quoted => {
-                if chars.peek() == Some(&'"') {
-                    cur.push('"');
-                    chars.next();
-                } else {
-                    quoted = false;
-                }
-            }
-            '"' => quoted = true,
-            ',' if !quoted => fields.push(std::mem::take(&mut cur)),
-            _ => cur.push(c),
-        }
-    }
-    fields.push(cur);
-    fields
-}
-
-/// Zero-indexed positions of the solver-counter columns in
-/// [`acs_runtime::CSV_HEADER`] (`solver_lookups`, `solver_cache_hits`,
-/// `boundary_resolves`, `resolves_adopted`).
-const SOLVER_COLUMNS: [usize; 4] = [17, 18, 19, 20];
-
 /// Replaces the solver-counter fields with `*` so multi-thread CSVs
 /// compare on everything the simulation itself produced.
 fn mask_solver_columns(row: &str) -> String {
-    let mut fields = split_csv(row);
-    for &i in &SOLVER_COLUMNS {
-        if i < fields.len() {
-            fields[i] = "*".into();
-        }
-    }
-    fields.join(",")
+    common::mask_columns(row, &common::SOLVER_COUNTERS, "*")
 }
 
 /// Runs `campaign` on the selected engine and returns the CSV body

@@ -20,7 +20,10 @@
 //!   draws meets every deadline while migrating, and the paper's
 //!   ACS-vs-WCS gain is nonzero on the DAG set.
 
+mod common;
+
 use acsched::prelude::*;
+use common::split_csv;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -30,47 +33,9 @@ fn scenario_path(name: &str) -> PathBuf {
         .join(name)
 }
 
-/// Splits one CSV row into fields, honoring RFC-4180 quoting (the sink
-/// quotes fields containing commas; masking by column index must not
-/// split inside them).
-fn split_csv(row: &str) -> Vec<String> {
-    let mut fields = Vec::new();
-    let mut cur = String::new();
-    let mut quoted = false;
-    let mut chars = row.chars().peekable();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' if quoted => {
-                if chars.peek() == Some(&'"') {
-                    cur.push('"');
-                    chars.next();
-                } else {
-                    quoted = false;
-                }
-            }
-            '"' => quoted = true,
-            ',' if !quoted => fields.push(std::mem::take(&mut cur)),
-            _ => cur.push(c),
-        }
-    }
-    fields.push(cur);
-    fields
-}
-
-/// Zero-indexed positions of the solver-counter columns in
-/// [`acs_runtime::CSV_HEADER`] (`solver_lookups`, `solver_cache_hits`,
-/// `boundary_resolves`, `resolves_adopted`) — unchanged by the two
-/// appended v5 columns.
-const SOLVER_COLUMNS: [usize; 4] = [17, 18, 19, 20];
-
+/// Replaces the solver-counter fields with `*`.
 fn mask_solver_columns(row: &str) -> String {
-    let mut fields = split_csv(row);
-    for &i in &SOLVER_COLUMNS {
-        if i < fields.len() {
-            fields[i] = "*".into();
-        }
-    }
-    fields.join(",")
+    common::mask_columns(row, &common::SOLVER_COUNTERS, "*")
 }
 
 /// Runs `campaign` at `threads` workers and returns the CSV body.
@@ -142,18 +107,18 @@ fn one_task_per_core_global_equals_partitioned() {
             .run(&mut |t, _i| set.tasks()[t.0].wcec())
             .expect("global run succeeds");
 
-        assert!(machine.all_deadlines_met(), "n={n} partitioned");
+        assert!(machine.report.all_deadlines_met(), "n={n} partitioned");
         assert!(global.report.all_deadlines_met(), "n={n} global");
         assert_eq!(
             global.report.migrations, 0,
             "n={n}: a dedicated core per job never migrates"
         );
         assert_eq!(
-            machine.to_sim_report().jobs_completed,
-            global.report.jobs_completed,
+            machine.report.jobs_completed, global.report.jobs_completed,
             "n={n}"
         );
-        let (pe, ge) = (machine.energy().as_units(), global.report.energy.as_units());
+        let pe = machine.report.energy.as_units();
+        let ge = global.report.energy.as_units();
         assert!(
             (pe - ge).abs() <= 1e-9 * pe.max(1.0),
             "n={n}: machine energies diverged: partitioned {pe} vs global {ge}"

@@ -1,9 +1,11 @@
 //! Golden results: each checked-in scenario below must reproduce its
 //! CSV in `tests/golden/` byte for byte, pinning results *across
-//! commits* rather than between two engines of one build.
+//! commits* rather than between two engines of one build. `smoke` also
+//! pins its JSONL.
 //!
 //! The goldens are what `acsched run <scenario> --threads 1 --out
-//! <name>.csv` writes; debug and release builds write the same bytes.
+//! <name>.csv` (or `<name>.jsonl`) writes; debug and release builds
+//! write the same bytes.
 //! Regenerate them with `scripts/regen-goldens.sh`. A change that moves
 //! any golden must explain why in its CHANGES.md entry.
 //!
@@ -23,7 +25,8 @@ fn scenario_text(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
 }
 
-fn rerun(scenario_text: &str) -> Vec<u8> {
+/// Reruns a scenario into the sink the golden file's extension names.
+fn rerun(scenario_text: &str, file: &str) -> Vec<u8> {
     let scenario = Scenario::from_text(scenario_text).expect("scenario parses");
     let campaign = scenario
         .campaign_builder()
@@ -31,15 +34,22 @@ fn rerun(scenario_text: &str) -> Vec<u8> {
         .threads(1)
         .build()
         .expect("campaign builds");
-    let mut csv = CsvSink::new(Vec::new());
-    campaign.run_with(&mut csv).expect("in-memory sink");
-    csv.into_inner()
+    let mut out = Vec::new();
+    if file.ends_with(".jsonl") {
+        campaign.run_with(&mut JsonlSink::new(&mut out))
+    } else {
+        campaign.run_with(&mut CsvSink::new(&mut out))
+    }
+    .expect("in-memory sink");
+    out
 }
 
-fn assert_golden(name: &str, scenario_text: &str) {
-    let path = format!("{}/tests/golden/{name}.csv", env!("CARGO_MANIFEST_DIR"));
+/// Asserts that `scenario_text` reproduces `tests/golden/<file>`
+/// (`<name>.csv` or `<name>.jsonl`) byte for byte.
+fn assert_golden(file: &str, scenario_text: &str) {
+    let path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
     let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    let fresh = String::from_utf8(rerun(scenario_text)).expect("CSV is UTF-8");
+    let fresh = String::from_utf8(rerun(scenario_text, file)).expect("output is UTF-8");
     if fresh == golden {
         return;
     }
@@ -51,7 +61,7 @@ fn assert_golden(name: &str, scenario_text: &str) {
         .map(|(i, pair)| (i + 1, pair))
         .unwrap_or((0, ("(line count)", "(line count)")));
     panic!(
-        "{name}: CSV diverges from {path} at line {line} ({} vs {} lines)\n\
+        "{file}: output diverges from {path} at line {line} ({} vs {} lines)\n\
          golden: {want}\n\
          fresh:  {got}",
         golden.lines().count(),
@@ -63,14 +73,14 @@ macro_rules! golden {
     ($($name:ident),* $(,)?) => {$(
         #[test]
         fn $name() {
-            assert_golden(stringify!($name), &scenario_text(stringify!($name)));
+            assert_golden(concat!(stringify!($name), ".csv"), &scenario_text(stringify!($name)));
         }
     )*};
     (#[ignore = $why:literal] $($name:ident),* $(,)?) => {$(
         #[test]
         #[ignore = $why]
         fn $name() {
-            assert_golden(stringify!($name), &scenario_text(stringify!($name)));
+            assert_golden(concat!(stringify!($name), ".csv"), &scenario_text(stringify!($name)));
         }
     )*};
 }
@@ -85,6 +95,13 @@ golden!(
     design_space,
     serve_warm,
 );
+
+/// JSONL is pinned too: `smoke.jsonl` is what `acsched run
+/// scenarios/smoke.txt --threads 1 --out smoke.jsonl` writes.
+#[test]
+fn smoke_jsonl() {
+    assert_golden("smoke.jsonl", &scenario_text("smoke"));
+}
 
 golden!(
     #[ignore = "paper-scale: minutes; release only"]
@@ -116,6 +133,6 @@ fn bursty_trace() {
     generate(&cfg, std::io::BufWriter::new(file)).unwrap();
     let text =
         scenario_text("bursty_trace").replace("traces/bursty.trace", trace.to_str().unwrap());
-    assert_golden("bursty_trace", &text);
+    assert_golden("bursty_trace.csv", &text);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,6 +5,8 @@
 //! restart, resume, and get output byte-identical to an uninterrupted
 //! `acsched run` at any thread count.
 
+mod common;
+
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -456,28 +458,13 @@ fn client_hangup_mid_campaign_frees_the_admission_slot() {
 /// `csv` with the four solver-counter columns blanked on `reopt` rows:
 /// a warm shared solver cache moves only those counters.
 fn mask_solver_counters(csv: &str) -> String {
-    let mut lines = csv.lines();
-    let header: Vec<&str> = lines.next().unwrap_or_default().split(',').collect();
-    let column = |name: &str| header.iter().position(|h| *h == name).unwrap();
-    let policy = column("policy");
-    let counters = [
-        "solver_lookups",
-        "solver_cache_hits",
-        "boundary_resolves",
-        "resolves_adopted",
-    ]
-    .map(column);
-    let mut out = header.join(",") + "\n";
-    for line in lines {
-        let mut fields: Vec<&str> = line.split(',').collect();
-        if fields[policy] == "reopt" {
-            for &c in &counters {
-                fields[c] = "";
-            }
-        }
-        out += &(fields.join(",") + "\n");
-    }
-    out
+    let policy = common::column("policy");
+    csv.lines()
+        .map(|line| match common::split_csv(line)[policy].as_str() {
+            "reopt" => common::mask_columns(line, &common::SOLVER_COUNTERS, "") + "\n",
+            _ => format!("{line}\n"),
+        })
+        .collect()
 }
 
 /// Served warm-cache runs are pinned across commits: the first
