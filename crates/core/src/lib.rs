@@ -12,7 +12,7 @@
 //!   worst-case (WCEC) feasibility. This is the paper's proposal (§3).
 //! * [`synthesize_wcs`] — **WCS**: the classic baseline minimizing energy
 //!   under worst-case workloads only (§4's comparison point).
-//! * [`synthesize_remaining`] (module [`reopt`]) — the **online** ACS
+//! * [`reopt::synthesize_remaining_best_with_carry`] — the **online** ACS
 //!   step: at a job boundary, rebuild the *remaining-instance*
 //!   formulation (executed cycles subtracted, the boundary time as the
 //!   new origin, windows unchanged) and re-synthesize the end times
@@ -78,8 +78,8 @@ pub use error::CoreError;
 pub use export::{from_text, to_text};
 pub use formulation::{ObjectiveKind, ScheduleProblem};
 pub use reopt::{
-    synthesize_remaining, synthesize_remaining_carry, synthesize_remaining_from, InstanceProgress,
-    RemainingInstance, ReoptOptions, ReoptOutcome, WarmCarry,
+    synthesize_remaining_carry, InstanceProgress, RemainingInstance, ReoptOptions, ReoptOutcome,
+    WarmCarry,
 };
 pub use schedule::{Milestone, ScheduleKind, SolveDiagnostics, StaticSchedule};
 pub use synthesis::{

@@ -34,7 +34,7 @@
 //!
 //! ```
 //! use acs_core::{synthesize_wcs, SynthesisOptions};
-//! use acs_core::reopt::{synthesize_remaining, RemainingInstance, ReoptOptions};
+//! use acs_core::reopt::{synthesize_remaining_best_with_carry, RemainingInstance, ReoptOptions};
 //! use acs_model::{Task, TaskSet, units::{Cycles, Ticks, Time, Volt}};
 //! use acs_power::{FreqModel, Processor};
 //!
@@ -54,7 +54,7 @@
 //! // offline ACS-vs-WCS gain.
 //! let rem = RemainingInstance::at_boundary(&wcs, &set, &cpu, Time::from_ms(0.0), &[]);
 //! let before = rem.energy_of(rem.static_ends_ms());
-//! let out = synthesize_remaining(&rem, &ReoptOptions::default());
+//! let (out, _carry) = synthesize_remaining_best_with_carry(&rem, &ReoptOptions::default());
 //! assert!(out.feasible);
 //! assert!(out.predicted_energy.as_units() < before);
 //! # Ok(())
@@ -404,7 +404,7 @@ impl RemainingInstance {
     /// sub-instance's identity, remaining budget and expected share.
     /// Callers combine it with a fingerprint of the (schedule, processor)
     /// pair to key a solver cache; equal keys guarantee bit-identical
-    /// [`synthesize_remaining`] outcomes.
+    /// [`synthesize_remaining_best_with_carry`] outcomes.
     pub fn cache_key(&self) -> Vec<u64> {
         let mut key = Vec::with_capacity(3 * self.live.len() + 2);
         key.push(self.now_ms.to_bits());
@@ -629,22 +629,6 @@ impl Default for ReoptOptions {
     }
 }
 
-impl ReoptOptions {
-    /// A cold-solve budget: what a boundary solve needs when it *cannot*
-    /// be warm-started (it must first find feasibility). Only the test
-    /// `warm_start_beats_cold_start_by_5x` uses it, as the baseline the
-    /// warm default must beat.
-    pub fn cold() -> Self {
-        let mut o = ReoptOptions::default();
-        o.auglag.outer_iters = 18;
-        o.auglag.smoothing_init = 1e-2;
-        o.auglag.smoothing_decay = 0.25;
-        o.auglag.inner.max_iters = 250;
-        o.auglag.inner.grad_tol = 1e-6;
-        o
-    }
-}
-
 /// Outcome of one boundary re-solve.
 #[derive(Debug, Clone)]
 pub struct ReoptOutcome {
@@ -735,50 +719,23 @@ fn solve_live(
     (outcome, result.nu)
 }
 
-/// Re-synthesizes the remaining schedule's end times, warm-started from
-/// the static schedule's ends projected onto the boundary state
-/// ([`RemainingInstance::warm_ends_ms`]).
-///
-/// Deterministic: equal `rem` (compare [`RemainingInstance::cache_key`])
-/// and equal options yield bit-identical outcomes.
-pub fn synthesize_remaining(rem: &RemainingInstance, options: &ReoptOptions) -> ReoptOutcome {
-    let mut ends = Vec::new();
-    rem.warm_ends_into(&mut ends);
-    solve_live(rem, ends, None, options).0
-}
-
-/// [`synthesize_remaining`] from an explicit full-length starting point
-/// (e.g. [`cold_start_ends_ms`] for the cold baseline, or a runtime's
-/// current end times).
-pub fn synthesize_remaining_from(
-    rem: &RemainingInstance,
-    start_ends_ms: &[f64],
-    options: &ReoptOptions,
-) -> ReoptOutcome {
-    solve_live(rem, start_ends_ms.to_vec(), None, options).0
-}
-
 /// Multi-start boundary re-solve: one solve warm-started from the
-/// static schedule's projected ends, one from the ALAP (latest-feasible,
-/// "procrastinating") profile, keeping the lower-energy feasible result.
+/// static schedule's projected ends ([`RemainingInstance::warm_ends_ms`]),
+/// one from the ALAP (latest-feasible, "procrastinating") profile,
+/// keeping the lower-energy feasible result, plus the winner's
+/// [`WarmCarry`] so a runtime (or a solver cache) can seed the next
+/// boundary.
 ///
 /// The greedy chain objective is non-convex — the compressed profile a
 /// worst-case (WCS) schedule warm-starts into and the stretched profile
 /// low *expected* energy wants are distinct basins, and a single local
 /// solve cannot cross between them. Two cheap solves recover the spread
 /// (the online analog of [`crate::synthesize_acs_best`]); the reported
-/// `evaluations` is their sum. Deterministic like
-/// [`synthesize_remaining`].
-pub fn synthesize_remaining_best(rem: &RemainingInstance, options: &ReoptOptions) -> ReoptOutcome {
-    synthesize_remaining_best_with_carry(rem, options).0
-}
-
-/// [`synthesize_remaining_best`], also returning the winner's
-/// [`WarmCarry`] so a runtime (or a solver cache) can seed the next
-/// boundary. The outcome is bit-identical to
-/// [`synthesize_remaining_best`]: the fan-out never *consumes* carry
-/// state, so its result stays a pure function of `(rem, options)` —
-/// the property solver caches key on.
+/// `evaluations` is their sum.
+///
+/// Deterministic: the fan-out never *consumes* carry state, so equal
+/// `rem` (compare [`RemainingInstance::cache_key`]) and equal options
+/// yield bit-identical outcomes — the property solver caches key on.
 pub fn synthesize_remaining_best_with_carry(
     rem: &RemainingInstance,
     options: &ReoptOptions,
@@ -846,7 +803,7 @@ pub fn synthesize_remaining_carry(
 /// late as its window, the worst-case chain and the frozen tail allow
 /// (computed by a reverse sweep). This is the "procrastinate, then
 /// reclaim" basin the expected-energy objective usually prefers.
-pub fn alap_start_ends_ms(rem: &RemainingInstance) -> Vec<f64> {
+fn alap_start_ends_ms(rem: &RemainingInstance) -> Vec<f64> {
     let mut ends = rem.static_ends_ms.clone();
     let n = rem.opt_live.len();
     // The first frozen tail sub pins how late the horizon may run.
@@ -869,23 +826,6 @@ pub fn alap_start_ends_ms(rem: &RemainingInstance) -> Vec<f64> {
     ends
 }
 
-/// A schedule-oblivious starting point for the cold baseline: every live
-/// end time pushed as late as its window (and the worst-case chain
-/// minimum) allows, mimicking a solver that knows nothing about the
-/// static schedule.
-pub fn cold_start_ends_ms(rem: &RemainingInstance) -> Vec<f64> {
-    let mut ends = rem.static_ends_ms.clone();
-    let mut prev = rem.now_ms;
-    for &u in &rem.live {
-        let lo_eff = rem.lo_ms[u].max(prev);
-        let e = (lo_eff + rem.rem_w_ms[u]).max(0.5 * (lo_eff + rem.hi_ms[u]));
-        let e = e.min(rem.hi_ms[u]).max(lo_eff);
-        ends[u] = e;
-        prev = e;
-    }
-    ends
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -893,6 +833,42 @@ mod tests {
     use acs_model::units::{Ticks, Volt};
     use acs_model::{Task, TaskId};
     use acs_power::FreqModel;
+
+    /// One solve warm-started from the static schedule's ends projected
+    /// onto the boundary state.
+    fn warm_solve(rem: &RemainingInstance) -> ReoptOutcome {
+        solve_live(rem, rem.warm_ends_ms(), None, &ReoptOptions::default()).0
+    }
+
+    /// A cold-solve budget: what a boundary solve needs when it *cannot*
+    /// be warm-started (it must first find feasibility) — the baseline
+    /// the warm default must beat.
+    fn cold_options() -> ReoptOptions {
+        let mut o = ReoptOptions::default();
+        o.auglag.outer_iters = 18;
+        o.auglag.smoothing_init = 1e-2;
+        o.auglag.smoothing_decay = 0.25;
+        o.auglag.inner.max_iters = 250;
+        o.auglag.inner.grad_tol = 1e-6;
+        o
+    }
+
+    /// A schedule-oblivious starting point for the cold baseline: every
+    /// live end time pushed as late as its window (and the worst-case
+    /// chain minimum) allows, mimicking a solver that knows nothing
+    /// about the static schedule.
+    fn cold_start_ends_ms(rem: &RemainingInstance) -> Vec<f64> {
+        let mut ends = rem.static_ends_ms.clone();
+        let mut prev = rem.now_ms;
+        for &u in &rem.live {
+            let lo_eff = rem.lo_ms[u].max(prev);
+            let e = (lo_eff + rem.rem_w_ms[u]).max(0.5 * (lo_eff + rem.hi_ms[u]));
+            let e = e.min(rem.hi_ms[u]).max(lo_eff);
+            ends[u] = e;
+            prev = e;
+        }
+        ends
+    }
 
     fn motivation() -> (TaskSet, Processor) {
         let mk = |n: &str| {
@@ -938,7 +914,7 @@ mod tests {
         let wcs = synthesize_wcs(&set, &cpu, &opts).unwrap();
         let rem = RemainingInstance::at_boundary(&wcs, &set, &cpu, Time::from_ms(0.0), &[]);
         let before = rem.energy_of(rem.static_ends_ms());
-        let out = synthesize_remaining(&rem, &ReoptOptions::default());
+        let out = warm_solve(&rem);
         assert!(out.feasible, "candidate must pass the worst-case gate");
         let after = out.predicted_energy.as_units();
         // Paper Fig. 1–2: WCS ends cost ≈7961 on the ACEC trace, the
@@ -980,7 +956,7 @@ mod tests {
             RemainingInstance::at_boundary(&wcs, &set, &cpu, Time::from_ms(10.0 / 3.0), &progress);
         assert_eq!(rem.live_count(), 2);
         let before = rem.energy_of(rem.static_ends_ms());
-        let out = synthesize_remaining(&rem, &ReoptOptions::default());
+        let out = warm_solve(&rem);
         assert!(out.feasible);
         assert!(
             out.predicted_energy.as_units() < before,
@@ -994,8 +970,8 @@ mod tests {
         let (set, cpu) = motivation();
         let wcs = synthesize_wcs(&set, &cpu, &SynthesisOptions::quick()).unwrap();
         let rem = RemainingInstance::at_boundary(&wcs, &set, &cpu, Time::from_ms(0.0), &[]);
-        let a = synthesize_remaining(&rem, &ReoptOptions::default());
-        let b = synthesize_remaining(&rem, &ReoptOptions::default());
+        let a = warm_solve(&rem);
+        let b = warm_solve(&rem);
         assert_eq!(a.ends_ms, b.ends_ms);
         assert_eq!(a.evaluations, b.evaluations);
         assert_eq!(rem.cache_key(), rem.cache_key());
@@ -1007,7 +983,7 @@ mod tests {
         let wcs = synthesize_wcs(&set, &cpu, &SynthesisOptions::quick()).unwrap();
         // A boundary so late that the remaining worst case cannot fit.
         let rem = RemainingInstance::at_boundary(&wcs, &set, &cpu, Time::from_ms(19.0), &[]);
-        let out = synthesize_remaining(&rem, &ReoptOptions::default());
+        let out = warm_solve(&rem);
         assert!(!out.feasible);
     }
 
@@ -1019,7 +995,7 @@ mod tests {
             .with_horizon(1);
         assert_eq!(rem.opt_count(), 1);
         assert_eq!(rem.live_count(), 3);
-        let out = synthesize_remaining(&rem, &ReoptOptions::default());
+        let out = warm_solve(&rem);
         assert!(out.feasible);
         // The untouched tail keeps its warm (static-projected) ends.
         let warm = rem.warm_ends_ms();
@@ -1140,12 +1116,13 @@ mod tests {
         assert!(rem.feasible(&rem.warm_ends_ms(), 1e-6));
         // Warm: the ReOpt policy's production configuration — two
         // warm-started solves over a receding horizon.
-        let warm =
-            synthesize_remaining_best(&rem.clone().with_horizon(16), &ReoptOptions::default());
+        let (warm, _) = synthesize_remaining_best_with_carry(
+            &rem.clone().with_horizon(16),
+            &ReoptOptions::default(),
+        );
         // Cold: schedule-oblivious start, full horizon, the budget needed
         // to reach feasibility from scratch.
-        let cold =
-            synthesize_remaining_from(&rem, &cold_start_ends_ms(&rem), &ReoptOptions::cold());
+        let (cold, _) = solve_live(&rem, cold_start_ends_ms(&rem), None, &cold_options());
         assert!(warm.feasible && cold.feasible);
         // Speed must not come from giving the improvement up: the warm
         // horizon solve has to find a real gain, not return the start.
@@ -1172,9 +1149,9 @@ mod tests {
         let opts = ReoptOptions::default();
         let rem0 = RemainingInstance::at_boundary(&schedule, &set, &cpu, Time::from_ms(0.0), &[])
             .with_horizon(16);
-        // The with-carry fan-out must be bit-identical to the plain one:
-        // it never consumes carry state (cache purity).
-        let plain = synthesize_remaining_best(&rem0, &opts);
+        // The fan-out is bit-identical across calls: it never consumes
+        // carry state (cache purity).
+        let (plain, _) = synthesize_remaining_best_with_carry(&rem0, &opts);
         let (best, carry) = synthesize_remaining_best_with_carry(&rem0, &opts);
         assert_eq!(plain.ends_ms, best.ends_ms);
         assert_eq!(plain.evaluations, best.evaluations);
@@ -1198,7 +1175,7 @@ mod tests {
             RemainingInstance::at_boundary(&schedule, &set, &cpu, Time::from_ms(2.0), &progress)
                 .with_horizon(16);
         let (carried, carry1) = synthesize_remaining_carry(&rem1, &carry, &opts);
-        let fresh = synthesize_remaining_best(&rem1, &opts);
+        let (fresh, _) = synthesize_remaining_best_with_carry(&rem1, &opts);
         assert!(carried.feasible, "carried warm solve must pass the gate");
         assert_eq!(carry1.subs, rem1.opt_live);
         // The whole point: one seeded solve undercuts the two-solve

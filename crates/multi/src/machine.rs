@@ -112,7 +112,7 @@ impl MachineRun<'_> {
                 sim = sim.with_arrivals(arrivals);
             }
             let out = sim
-                .run_source(&mut make_workload(core, set))
+                .run(&mut make_workload(core, set))
                 .map_err(|e| MultiError::Sim(format!("core {core}: {e}")))?;
             cores.push(CoreOutput {
                 report: out.report,
@@ -196,7 +196,9 @@ mod tests {
             hyper_periods: 3,
             ..Default::default()
         });
-        let mono = single.run(&mut |_, _| Cycles::from_cycles(500.0)).unwrap();
+        let mono = single
+            .run(&mut |_: TaskId, _: u64| Cycles::from_cycles(500.0))
+            .unwrap();
         assert!((out.report.energy.as_units() - mono.report.energy.as_units()).abs() < 1e-6);
         assert_eq!(out.report.hyper_periods, 3);
     }

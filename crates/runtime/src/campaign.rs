@@ -1132,6 +1132,9 @@ impl Campaign {
         parallel_for_in_order(
             n_runs,
             threads,
+            // No bound: the sink consumes on this thread as fast as
+            // runs complete.
+            n_runs,
             |i| {
                 let cell = &self.cells[range.start + i / n_seeds];
                 let seed = b.seeds[i % n_seeds];
@@ -1182,11 +1185,11 @@ impl Campaign {
                         // share the (seed, set) key with the workload
                         // draws, so arrival streams pair across
                         // schedule/policy/processor cells too.
-                        if !kind.is_periodic() {
-                            sim = sim.with_arrivals(kind.source(set, mix_seed(seed, cell.set)));
+                        if let Some(source) = kind.source(set, mix_seed(seed, cell.set)) {
+                            sim = sim.with_arrivals(source);
                         }
                     }
-                    sim.run_source(&mut draws).map_err(|e| e.to_string())?
+                    sim.run(&mut draws).map_err(|e| e.to_string())?
                 } else {
                     let plan = plans.plan_of(cell).expect("multicore cells are planned");
                     let parted = match plan.partition.as_ref().expect("multicore plans partition") {
@@ -1215,12 +1218,10 @@ impl Campaign {
                                 mix_seed(mix_seed(seed, cell.set), core),
                             )
                         },
+                        // Per-core sources keyed (seed, set, core),
+                        // mirroring the per-core draw streams.
                         &mut |core, core_set| {
-                            // Per-core sources keyed (seed, set, core),
-                            // mirroring the per-core draw streams.
-                            (!kind.is_periodic()).then(|| {
-                                kind.source(core_set, mix_seed(mix_seed(seed, cell.set), core))
-                            })
+                            kind.source(core_set, mix_seed(mix_seed(seed, cell.set), core))
                         },
                     )
                     .map_err(|e| e.to_string())?

@@ -1,18 +1,29 @@
-//! Minimal scoped thread pool: an atomic work queue over an indexed
-//! result vector. Results land at their input index, so callers see the
-//! same output regardless of thread count or interleaving.
+//! Minimal scoped thread pool: an atomic work queue whose results reach
+//! the calling thread in index order, so callers see the same output
+//! regardless of thread count or interleaving.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
-/// Sets the shared flag when dropped during a panic, so sibling workers
-/// stop pulling new work instead of draining the queue before the panic
-/// resurfaces from the scope join.
-struct PoisonOnPanic<'a>(&'a AtomicBool);
-impl Drop for PoisonOnPanic<'_> {
+/// The workers' stop flag and backpressure gate: indices consumed so
+/// far, and the wakeup for workers parked on the bound.
+type Gate = (Mutex<usize>, Condvar);
+
+/// Sets the stop flag and wakes every worker parked on the gate when
+/// dropped during a panic, so siblings stop pulling new work — instead
+/// of draining the queue, or waiting on a notify that never comes —
+/// before the panic resurfaces from the scope join.
+struct GatePoison<'a> {
+    stop: &'a AtomicBool,
+    gate: &'a Gate,
+}
+
+impl Drop for GatePoison<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            self.0.store(true, Ordering::SeqCst);
+            self.stop.store(true, Ordering::SeqCst);
+            let _held = self.gate.0.lock().unwrap_or_else(|e| e.into_inner());
+            self.gate.1.notify_all();
         }
     }
 }
@@ -27,45 +38,12 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let workers = threads.clamp(1, n.max(1));
-    if workers <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    // Mutex<Option<T>> rather than OnceLock<T>: the slot only needs
-    // T: Send (each index is written once, by one worker), and
-    // Mutex<T>: Sync does not require T: Sync.
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    // Fail fast: a panicking worker poisons the queue so the survivors
-    // stop instead of draining the remaining work before the panic
-    // resurfaces from the scope join.
-    let poisoned = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let _guard = PoisonOnPanic(&poisoned);
-                loop {
-                    if poisoned.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let value = f(i);
-                    *slots[i].lock().expect("slot lock poisoned") = Some(value);
-                }
-            });
-        }
+    let mut out = Vec::with_capacity(n);
+    let Ok(()) = parallel_for_in_order(n, threads, n, f, |_, value| {
+        out.push(value);
+        Ok::<(), std::convert::Infallible>(())
     });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("slot lock poisoned")
-                .expect("worker completed every index")
-        })
-        .collect()
+    out
 }
 
 /// Runs `f(0..n)` across `threads` workers and feeds every result to
@@ -76,97 +54,21 @@ where
 /// interleaving, while the workers keep streaming ahead. This is the
 /// substrate of the campaign's deterministic [`ResultSink`] delivery.
 ///
+/// `max_in_flight` bounds how far the workers may run ahead of the
+/// consumer: index `i` is not *started* until `i < consumed +
+/// max_in_flight`. It is the backpressure for slow consumers — a
+/// stalled sink (e.g. a client that stops reading its socket) stalls
+/// the workers instead of letting completed results pile up in the
+/// pending buffer. `max_in_flight ≥ n` means no bound; the value is
+/// clamped to ≥ 1, and values below `threads` simply idle the surplus
+/// workers.
+///
 /// An `Err` from `consume` stops the workers early and is returned;
 /// results already computed for later indices are discarded. Panics in
 /// `f` propagate to the caller after all workers stop.
 ///
 /// [`ResultSink`]: crate::sink::ResultSink
 pub fn parallel_for_in_order<T, E, F, C>(
-    n: usize,
-    threads: usize,
-    f: F,
-    mut consume: C,
-) -> Result<(), E>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-    C: FnMut(usize, T) -> Result<(), E>,
-{
-    let workers = threads.clamp(1, n.max(1));
-    if workers <= 1 || n <= 1 {
-        for i in 0..n {
-            consume(i, f(i))?;
-        }
-        return Ok(());
-    }
-    let next = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, T)>();
-    let mut outcome = Ok(());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let stop = &stop;
-            let f = &f;
-            scope.spawn(move || {
-                let _guard = PoisonOnPanic(stop);
-                loop {
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    // A closed receiver means the consumer bailed out;
-                    // stop producing.
-                    if tx.send((i, f(i))).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(tx);
-        let mut pending: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        let mut cursor = 0;
-        'deliver: while cursor < n {
-            // A receive error means every sender is gone — either a
-            // worker panicked (the scope join below re-raises it) or all
-            // work is done and delivered.
-            let Ok((i, value)) = rx.recv() else {
-                break;
-            };
-            pending[i] = Some(value);
-            while cursor < n {
-                let Some(value) = pending[cursor].take() else {
-                    break;
-                };
-                if let Err(e) = consume(cursor, value) {
-                    stop.store(true, Ordering::SeqCst);
-                    outcome = Err(e);
-                    break 'deliver;
-                }
-                cursor += 1;
-            }
-        }
-        drop(rx);
-    });
-    outcome
-}
-
-/// [`parallel_for_in_order`] with a bound on how far the workers may run
-/// ahead of the consumer: index `i` is not *started* until fewer than
-/// `max_in_flight` indices separate it from the last consumed one
-/// (`i < consumed + max_in_flight`). This is the backpressure primitive
-/// for slow consumers — a stalled sink (e.g. a client that stops
-/// reading its socket) stalls the workers instead of letting completed
-/// results pile up in the unbounded pending buffer.
-///
-/// Delivery order, error semantics and panic propagation are identical
-/// to [`parallel_for_in_order`]; `max_in_flight` is clamped to ≥ 1, and
-/// values below `threads` simply idle the surplus workers.
-pub fn parallel_for_in_order_bounded<T, E, F, C>(
     n: usize,
     threads: usize,
     max_in_flight: usize,
@@ -188,24 +90,7 @@ where
     }
     let next = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
-    // (indices consumed so far, wakeup for workers gated on the bound).
-    let gate: (Mutex<usize>, Condvar) = (Mutex::new(0), Condvar::new());
-    /// Like [`PoisonOnPanic`], but also wakes workers blocked on the
-    /// backpressure gate — otherwise a panic elsewhere would leave them
-    /// waiting on a notify that never comes.
-    struct GatePoison<'a> {
-        stop: &'a AtomicBool,
-        gate: &'a (Mutex<usize>, Condvar),
-    }
-    impl Drop for GatePoison<'_> {
-        fn drop(&mut self) {
-            if std::thread::panicking() {
-                self.stop.store(true, Ordering::SeqCst);
-                let _held = self.gate.0.lock().unwrap_or_else(|e| e.into_inner());
-                self.gate.1.notify_all();
-            }
-        }
-    }
+    let gate: Gate = (Mutex::new(0), Condvar::new());
     let (tx, rx) = std::sync::mpsc::channel::<(usize, T)>();
     let mut outcome = Ok(());
     std::thread::scope(|scope| {
@@ -234,6 +119,8 @@ where
                     if stop.load(Ordering::SeqCst) {
                         break;
                     }
+                    // A closed receiver means the consumer bailed out;
+                    // stop producing.
                     if tx.send((i, f(i))).is_err() {
                         break;
                     }
@@ -244,6 +131,9 @@ where
         let mut pending: Vec<Option<T>> = (0..n).map(|_| None).collect();
         let mut cursor = 0;
         'deliver: while cursor < n {
+            // A receive error means every sender is gone — either a
+            // worker panicked (the scope join below re-raises it) or all
+            // work is done and delivered.
             let Ok((i, value)) = rx.recv() else {
                 break;
             };
@@ -285,6 +175,18 @@ pub fn default_threads() -> usize {
 mod tests {
     use super::*;
 
+    /// `(threads, max_in_flight)` pairs: serial, tightly bounded, and
+    /// unbounded (a bound of `n` or more).
+    const SHAPES: [(usize, usize); 7] = [
+        (1, 1),
+        (2, 1),
+        (4, 2),
+        (8, 3),
+        (2, 100),
+        (8, 1000),
+        (64, 100),
+    ];
+
     #[test]
     fn maps_all_indices_in_order() {
         for threads in [1, 2, 8, 64] {
@@ -303,79 +205,10 @@ mod tests {
     }
 
     #[test]
-    fn in_order_delivery_at_any_thread_count() {
-        for threads in [1, 2, 8, 64] {
+    fn in_order_delivery_at_any_thread_count_and_bound() {
+        for (threads, bound) in SHAPES {
             let mut seen = Vec::new();
             let ok: Result<(), ()> = parallel_for_in_order(
-                100,
-                threads,
-                |i| i * 3,
-                |i, v| {
-                    seen.push((i, v));
-                    Ok(())
-                },
-            );
-            assert!(ok.is_ok());
-            let expect: Vec<(usize, usize)> = (0..100).map(|i| (i, i * 3)).collect();
-            assert_eq!(seen, expect, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn consumer_error_stops_early() {
-        for threads in [1, 4] {
-            let mut delivered = 0usize;
-            let out = parallel_for_in_order(
-                1000,
-                threads,
-                |i| i,
-                |i, _| {
-                    if i == 5 {
-                        Err("boom")
-                    } else {
-                        delivered += 1;
-                        Ok(())
-                    }
-                },
-            );
-            assert_eq!(out, Err("boom"), "threads={threads}");
-            assert_eq!(delivered, 5, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn in_order_empty_and_tiny() {
-        let mut count = 0;
-        let ok: Result<(), ()> = parallel_for_in_order(
-            0,
-            8,
-            |i| i,
-            |_, _| {
-                count += 1;
-                Ok(())
-            },
-        );
-        assert!(ok.is_ok());
-        assert_eq!(count, 0);
-        let mut got = None;
-        let ok: Result<(), ()> = parallel_for_in_order(
-            1,
-            8,
-            |i| i + 9,
-            |i, v| {
-                got = Some((i, v));
-                Ok(())
-            },
-        );
-        assert!(ok.is_ok());
-        assert_eq!(got, Some((0, 9)));
-    }
-
-    #[test]
-    fn bounded_in_order_delivery_at_any_thread_count() {
-        for (threads, bound) in [(1, 1), (2, 1), (4, 2), (8, 3), (8, 1000)] {
-            let mut seen = Vec::new();
-            let ok: Result<(), ()> = parallel_for_in_order_bounded(
                 100,
                 threads,
                 bound,
@@ -392,6 +225,63 @@ mod tests {
     }
 
     #[test]
+    fn consumer_error_stops_early_at_any_bound() {
+        for threads in [1, 4] {
+            for bound in [2, 1000] {
+                let mut delivered = 0usize;
+                let out = parallel_for_in_order(
+                    1000,
+                    threads,
+                    bound,
+                    |i| i,
+                    |i, _| {
+                        if i == 5 {
+                            Err("boom")
+                        } else {
+                            delivered += 1;
+                            Ok(())
+                        }
+                    },
+                );
+                assert_eq!(out, Err("boom"), "threads={threads} bound={bound}");
+                assert_eq!(delivered, 5, "threads={threads} bound={bound}");
+            }
+        }
+    }
+
+    #[test]
+    fn in_order_empty_and_tiny_at_any_bound() {
+        for bound in [1, 8] {
+            let mut count = 0;
+            let ok: Result<(), ()> = parallel_for_in_order(
+                0,
+                8,
+                bound,
+                |i| i,
+                |_, _| {
+                    count += 1;
+                    Ok(())
+                },
+            );
+            assert!(ok.is_ok());
+            assert_eq!(count, 0, "bound={bound}");
+            let mut got = None;
+            let ok: Result<(), ()> = parallel_for_in_order(
+                1,
+                8,
+                bound,
+                |i| i + 9,
+                |i, v| {
+                    got = Some((i, v));
+                    Ok(())
+                },
+            );
+            assert!(ok.is_ok());
+            assert_eq!(got, Some((0, 9)), "bound={bound}");
+        }
+    }
+
+    #[test]
     fn bounded_pool_never_runs_ahead_of_the_bound() {
         use std::sync::atomic::AtomicUsize;
         // `started - consumed` must never exceed the bound: a worker may
@@ -400,7 +290,7 @@ mod tests {
         let started = AtomicUsize::new(0);
         let consumed = AtomicUsize::new(0);
         let violations = AtomicUsize::new(0);
-        let ok: Result<(), ()> = parallel_for_in_order_bounded(
+        let ok: Result<(), ()> = parallel_for_in_order(
             200,
             8,
             BOUND,
@@ -422,46 +312,6 @@ mod tests {
         );
         assert!(ok.is_ok());
         assert_eq!(violations.load(Ordering::SeqCst), 0);
-    }
-
-    #[test]
-    fn bounded_consumer_error_stops_early() {
-        for threads in [1, 4] {
-            let mut delivered = 0usize;
-            let out = parallel_for_in_order_bounded(
-                1000,
-                threads,
-                2,
-                |i| i,
-                |i, _| {
-                    if i == 5 {
-                        Err("boom")
-                    } else {
-                        delivered += 1;
-                        Ok(())
-                    }
-                },
-            );
-            assert_eq!(out, Err("boom"), "threads={threads}");
-            assert_eq!(delivered, 5, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn bounded_empty_and_tiny() {
-        let mut count = 0;
-        let ok: Result<(), ()> = parallel_for_in_order_bounded(
-            0,
-            8,
-            1,
-            |i| i,
-            |_, _| {
-                count += 1;
-                Ok(())
-            },
-        );
-        assert!(ok.is_ok());
-        assert_eq!(count, 0);
     }
 
     #[test]

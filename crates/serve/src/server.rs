@@ -10,7 +10,7 @@
 //! fingerprint-keyed plan cache, so re-submitting a scenario skips
 //! synthesis entirely. The cell grid is split into contiguous
 //! fixed-size chunks; a bounded in-order worker pool
-//! ([`parallel_for_in_order_bounded`]) runs each chunk through
+//! ([`parallel_for_in_order`]) runs each chunk through
 //! `Campaign::run_range_with` (one thread per chunk — parallelism
 //! comes from running chunks concurrently), while the consumer on the
 //! connection thread streams `record` frames in global cell order,
@@ -28,7 +28,7 @@ use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
-use acs_runtime::pool::parallel_for_in_order_bounded;
+use acs_runtime::pool::parallel_for_in_order;
 use acs_runtime::sink::csv_row;
 use acs_runtime::{CellRecord, ResultSink};
 use acs_scenario::Scenario;
@@ -275,7 +275,7 @@ fn run_submission(
     let mut chunks_replayed = 0usize;
     let relaxed = std::sync::atomic::Ordering::Relaxed;
 
-    let outcome: Result<(), SubmitError> = parallel_for_in_order_bounded(
+    let outcome: Result<(), SubmitError> = parallel_for_in_order(
         n_chunks,
         threads,
         state.cfg.max_inflight_chunks,

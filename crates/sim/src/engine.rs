@@ -31,7 +31,7 @@ use crate::policy::{
     BoundaryEvent, DispatchContext, IntoPolicy, Policy, SolverContext, SolverStats,
 };
 use crate::report::SimReport;
-use crate::workload::{WorkloadRef, WorkloadSource};
+use crate::workload::WorkloadSource;
 use acs_core::reopt::InstanceProgress;
 use acs_core::StaticSchedule;
 use acs_model::units::{Cycles, Energy, Freq, Time, TimeSpan, Volt};
@@ -146,10 +146,10 @@ pub(crate) struct Job {
     pub(crate) chunk: usize,
     pub(crate) chunk_budget_left: f64,
     pub(crate) done: bool,
-    /// Synthetic single-chunk plan of an *aperiodic* job (released by a
-    /// non-periodic arrival source): budget WCEC, window
-    /// release→deadline, static speed sized to just meet the deadline.
-    /// `None` for periodic jobs, which use the per-instance plans.
+    /// Synthetic single-chunk plan of an *aperiodic* job (released by an
+    /// arrival source): budget WCEC, window release→deadline, static
+    /// speed sized to just meet the deadline. `None` for the built-in
+    /// periodic releases, which use the per-instance plans.
     pub(crate) own_plan: Option<ChunkPlan>,
     /// Virtual time this job's chunk state was last maintained at —
     /// the event engine maintains chunks lazily, and boundary
@@ -180,7 +180,7 @@ pub(crate) struct Job {
 /// let cpu = Processor::builder(FreqModel::linear(50.0)?)
 ///     .vmax(Volt::from_volts(4.0)).build()?;
 /// let out = Simulator::new(&set, &cpu, NoDvs)
-///     .run(&mut |_, _| Cycles::from_cycles(100.0))?;
+///     .run(&mut |_: TaskId, _: u64| Cycles::from_cycles(100.0))?;
 /// assert_eq!(out.report.jobs_completed, 1);
 /// assert!(out.report.all_deadlines_met());
 /// # Ok(())
@@ -239,7 +239,7 @@ impl<'a> Simulator<'a> {
     /// source (it runs the built-in periodic releases).
     ///
     /// ```
-    /// use acs_model::{Task, TaskSet, units::{Cycles, Ticks, Volt}};
+    /// use acs_model::{Task, TaskId, TaskSet, units::{Cycles, Ticks, Volt}};
     /// use acs_power::{FreqModel, Processor};
     /// use acs_sim::{NoDvs, Simulator};
     ///
@@ -252,7 +252,7 @@ impl<'a> Simulator<'a> {
     ///     .vmax(Volt::from_volts(4.0)).build()?;
     /// let out = Simulator::new(&set, &cpu, NoDvs)
     ///     .with_cores(2)
-    ///     .run(&mut |_, _| Cycles::from_cycles(800.0))?;
+    ///     .run(&mut |_: TaskId, _: u64| Cycles::from_cycles(800.0))?;
     /// assert_eq!(out.report.jobs_completed, 2);
     /// assert_eq!(out.cores.len(), 2);
     /// assert!(out.report.all_deadlines_met());
@@ -271,10 +271,10 @@ impl<'a> Simulator<'a> {
     /// finite source (trace replay) ends the run early once
     /// [`ArrivalSource::exhausted`].
     ///
-    /// Aperiodic jobs (no `periodic_instance`) run on synthetic
-    /// single-chunk plans — budget WCEC, window release→deadline — so
-    /// they need no static schedule; schedule-boundary callbacks are
-    /// only fired when the source is [`ArrivalSource::periodic`]
+    /// Every sourced job is aperiodic: it runs on a synthetic
+    /// single-chunk plan — budget WCEC, window release→deadline — so it
+    /// needs no static schedule. Schedule-boundary callbacks fire only
+    /// on the built-in periodic releases, never with a source attached
     /// (re-optimizing policies degrade gracefully to their chunk-end
     /// fallback on aperiodic cells). A window whose demand exceeds
     /// capacity overruns the hyper-period until its jobs drain, and
@@ -304,11 +304,14 @@ impl<'a> Simulator<'a> {
         self
     }
 
-    /// Runs the simulation. `workload` is called once per job with the
-    /// task id and the *absolute* instance index across the whole run
-    /// (hyper-period-major), and returns that job's actual execution
-    /// cycles; draws are clamped into `[0, WCEC]` (clamps are counted in
-    /// the report).
+    /// Runs the simulation. `workload` supplies each job's actual
+    /// execution cycles, keyed by task id and the *absolute* instance
+    /// index across the whole run (hyper-period-major); draws are
+    /// clamped into `[0, WCEC]` (clamps are counted in the report).
+    /// Every `FnMut(TaskId, u64) -> Cycles` closure is a
+    /// [`WorkloadSource`] (drawn one job at a time); a batch-capable
+    /// source (e.g. `acs-workloads`' `TaskWorkloads`) is drawn one task
+    /// per hyper-period window at a time, with byte-identical output.
     ///
     /// Takes `&mut self` because the policy may carry state; the policy's
     /// [`Policy::on_start`] runs at every hyper-period boundary, so
@@ -317,48 +320,21 @@ impl<'a> Simulator<'a> {
     /// # Errors
     ///
     /// See [`SimError`].
-    pub fn run(
-        &mut self,
-        workload: &mut dyn FnMut(TaskId, u64) -> Cycles,
-    ) -> Result<RunOutput, SimError> {
+    pub fn run(&mut self, workload: &mut dyn WorkloadSource) -> Result<RunOutput, SimError> {
         #[cfg(feature = "legacy-engine")]
         // The chunk-scan oracle predates arrival sources, precedence
-        // graphs and multi-core runs; it only covers the built-in
-        // periodic, independent, single-core path.
+        // graphs, multi-core runs and batched draws: it only covers the
+        // built-in periodic, independent, single-core path, fed one
+        // draw at a time (it stays allocation-unoptimized by design —
+        // see docs/ENGINE.md).
         if crate::legacy::legacy_engine_enabled()
             && self.cores == 1
             && self.arrivals.is_none()
             && self.set.graph().is_none_or(|g| g.is_empty())
         {
-            return self.run_legacy(workload);
+            return self.run_legacy(&mut |t, i| workload.draw(t, i));
         }
         self.stepped(workload)?.finish()
-    }
-
-    /// [`Simulator::run`] over a [`WorkloadSource`]: identical
-    /// semantics and byte-identical output, but batch-capable sources
-    /// (e.g. `acs-workloads`' `TaskWorkloads`) are drawn one task per
-    /// hyper-period window at a time instead of one call per job. A
-    /// closure passed through `run` reaches the same engine with the
-    /// per-draw fallback.
-    ///
-    /// # Errors
-    ///
-    /// See [`SimError`].
-    pub fn run_source(&mut self, workload: &mut dyn WorkloadSource) -> Result<RunOutput, SimError> {
-        #[cfg(feature = "legacy-engine")]
-        if crate::legacy::legacy_engine_enabled()
-            && self.cores == 1
-            && self.arrivals.is_none()
-            && self.set.graph().is_none_or(|g| g.is_empty())
-        {
-            // The frozen oracle predates the source interface; feed it
-            // one draw at a time (it stays allocation-unoptimized by
-            // design — see docs/ENGINE.md).
-            let mut per_draw = |t: TaskId, i: u64| workload.draw(t, i);
-            return self.run_legacy(&mut per_draw);
-        }
-        self.stepped_source(workload)?.finish()
     }
 
     /// Starts a resumable run: the same simulation `run` performs, but
@@ -372,27 +348,7 @@ impl<'a> Simulator<'a> {
     /// surface from `step`/`finish`).
     pub fn stepped<'s, 'w>(
         &'s mut self,
-        workload: &'w mut dyn FnMut(TaskId, u64) -> Cycles,
-    ) -> Result<SteppedRun<'s, 'a, 'w>, SimError> {
-        self.stepped_ref(WorkloadRef::Closure(workload))
-    }
-
-    /// [`Simulator::stepped`] over a [`WorkloadSource`] — the resumable
-    /// form of [`Simulator::run_source`].
-    ///
-    /// # Errors
-    ///
-    /// See [`SimError`].
-    pub fn stepped_source<'s, 'w>(
-        &'s mut self,
         workload: &'w mut dyn WorkloadSource,
-    ) -> Result<SteppedRun<'s, 'a, 'w>, SimError> {
-        self.stepped_ref(WorkloadRef::Source(workload))
-    }
-
-    fn stepped_ref<'s, 'w>(
-        &'s mut self,
-        workload: WorkloadRef<'w>,
     ) -> Result<SteppedRun<'s, 'a, 'w>, SimError> {
         if self.arrivals.is_some() && self.set.graph().is_some_and(|g| !g.is_empty()) {
             return Err(SimError::GraphWithArrivals);
@@ -831,9 +787,8 @@ impl HpState {
     ///
     /// With no `arrivals` source the built-in periodic pattern applies
     /// (one job per task instance, released on the grid `k·Pᵢ`). With a
-    /// source, window `window` is consumed instead; periodic-instance
-    /// jobs map onto the static plans, aperiodic jobs get synthetic
-    /// single-chunk plans of their own.
+    /// source, window `window` is consumed instead, and every job gets
+    /// a synthetic single-chunk plan of its own.
     ///
     /// `recycle` hands back the previous hyper-period's state: every
     /// container is cleared (keeping its allocation) and every scalar
@@ -875,7 +830,6 @@ impl HpState {
         st.ungated.clear();
 
         // ---- job construction & workload draws ----
-        let source_is_periodic = arrivals.as_ref().is_none_or(|s| s.periodic());
         let built_in_releases = arrivals.is_none();
         match arrivals {
             None => {
@@ -983,81 +937,50 @@ impl HpState {
                         });
                     }
                     let wcec = task.wcec().as_cycles();
-                    let mut actual = if raw > wcec {
+                    let actual = if raw > wcec {
                         st.cores[0].report.clamped_draws += 1;
                         wcec
                     } else {
                         raw
                     };
-                    match aj.periodic_instance {
-                        // A source-attested periodic instance runs on
-                        // the static per-instance plans, exactly like
-                        // the built-in path above.
-                        Some(inst) => {
-                            let budget_sum: f64 = env.plans[aj.task][inst as usize]
-                                .iter()
-                                .map(|c| c.budget)
-                                .sum();
-                            if has_schedule {
-                                actual = actual.min(budget_sum);
-                            }
-                            let plan0 = env.plans[aj.task][inst as usize][0];
-                            st.jobs.push(Job {
-                                task: aj.task,
-                                instance_in_hyper: inst,
-                                release_ms: aj.release_ms,
-                                deadline_ms: aj.deadline_ms,
-                                remaining: actual,
-                                executed: 0.0,
-                                chunk: 0,
-                                chunk_budget_left: plan0.budget,
-                                done: false,
-                                own_plan: None,
-                                maintained_at: f64::NEG_INFINITY,
-                                last_core: None,
-                            });
-                        }
-                        // An aperiodic job carries its own single-chunk
-                        // plan: budget WCEC, window release→deadline,
-                        // static speed sized to just meet the deadline
-                        // at worst case (floored at the leakage-aware
-                        // critical speed, capped at f_max).
-                        None => {
-                            let span = (aj.deadline_ms - aj.release_ms).max(1e-12);
-                            let floor = env.cpu.critical_speed(task.c_eff()).as_cycles_per_ms();
-                            let own = ChunkPlan {
-                                start_ms: aj.release_ms,
-                                end_ms: aj.deadline_ms,
-                                budget: wcec,
-                                static_speed: (wcec / span).min(fmax).max(floor),
-                                sub: None,
-                            };
-                            st.jobs.push(Job {
-                                task: aj.task,
-                                // Never used for plan lookups (own_plan
-                                // is authoritative); labels the job in
-                                // traces by emission order.
-                                instance_in_hyper: emit_idx as u64,
-                                release_ms: aj.release_ms,
-                                deadline_ms: aj.deadline_ms,
-                                remaining: actual,
-                                executed: 0.0,
-                                chunk: 0,
-                                chunk_budget_left: own.budget,
-                                done: false,
-                                own_plan: Some(own),
-                                maintained_at: f64::NEG_INFINITY,
-                                last_core: None,
-                            });
-                        }
-                    }
+                    // Every sourced job is aperiodic and carries its
+                    // own single-chunk plan: budget WCEC, window
+                    // release→deadline, static speed sized to just meet
+                    // the deadline at worst case (floored at the
+                    // leakage-aware critical speed, capped at f_max).
+                    let span = (aj.deadline_ms - aj.release_ms).max(1e-12);
+                    let floor = env.cpu.critical_speed(task.c_eff()).as_cycles_per_ms();
+                    let own = ChunkPlan {
+                        start_ms: aj.release_ms,
+                        end_ms: aj.deadline_ms,
+                        budget: wcec,
+                        static_speed: (wcec / span).min(fmax).max(floor),
+                        sub: None,
+                    };
+                    st.jobs.push(Job {
+                        task: aj.task,
+                        // Never used for plan lookups (own_plan is
+                        // authoritative); labels the job in traces by
+                        // emission order.
+                        instance_in_hyper: emit_idx as u64,
+                        release_ms: aj.release_ms,
+                        deadline_ms: aj.deadline_ms,
+                        remaining: actual,
+                        executed: 0.0,
+                        chunk: 0,
+                        chunk_budget_left: own.budget,
+                        done: false,
+                        own_plan: Some(own),
+                        maintained_at: f64::NEG_INFINITY,
+                        last_core: None,
+                    });
                 }
             }
         }
         // Schedule-boundary snapshots index jobs by periodic instance
-        // ids; aperiodic windows have none, so re-optimizing policies
+        // ids; sourced windows have none, so re-optimizing policies
         // fall back to their chunk-local dispatch rule there.
-        st.wants_boundaries = policy.wants_boundaries() && source_is_periodic;
+        st.wants_boundaries = policy.wants_boundaries() && built_in_releases;
         // The hyper-period starts: schedule-aware policies get the
         // pristine boundary state before anything executes.
         if st.wants_boundaries {
@@ -1620,7 +1543,7 @@ impl HpState {
 /// the full multi-hyper-period run, advanced one event round at a time.
 pub struct SteppedRun<'s, 'a, 'w> {
     sim: &'s mut Simulator<'a>,
-    workload: WorkloadRef<'w>,
+    workload: &'w mut dyn WorkloadSource,
     plans: Vec<Vec<Vec<ChunkPlan>>>,
     /// Per-core totals so far, in core order.
     cores: Vec<CoreOutput>,
@@ -1700,7 +1623,7 @@ impl SteppedRun<'_, '_, '_> {
             let state = match HpState::new(
                 &env,
                 policy,
-                &mut self.workload,
+                &mut *self.workload,
                 self.abs_base,
                 record,
                 sim.arrivals.as_mut(),
@@ -1848,22 +1771,6 @@ pub(crate) fn fire_boundary_with(
     policy.on_boundary(&ctx);
 }
 
-/// Convenience energy helper: total energy of running `schedule` under
-/// the greedy policy with deterministic per-task workloads, expressed per
-/// hyper-period. Thin wrapper used by examples and tests to cross-check
-/// against [`acs_core::trace::evaluate_trace`].
-pub fn simulate_deterministic(
-    set: &TaskSet,
-    cpu: &Processor,
-    schedule: &StaticSchedule,
-    totals: &[Cycles],
-) -> Result<Energy, SimError> {
-    let mut sim = Simulator::new(set, cpu, crate::policy::GreedyReclaim).with_schedule(schedule);
-    let mut draw = |tid: TaskId, _abs: u64| totals[tid.0];
-    let out = sim.run(&mut draw)?;
-    Ok(out.report.energy)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1872,6 +1779,21 @@ mod tests {
     use acs_model::units::{Ticks, Volt};
     use acs_model::Task;
     use acs_power::FreqModel;
+
+    /// Energy of running `schedule` under the greedy policy with
+    /// deterministic per-task workloads, for one hyper-period — the
+    /// simulator's side of the cross-check against
+    /// [`acs_core::trace::evaluate_trace`].
+    fn simulate_deterministic(
+        set: &TaskSet,
+        cpu: &Processor,
+        schedule: &StaticSchedule,
+        totals: &[Cycles],
+    ) -> Result<Energy, SimError> {
+        let mut sim = Simulator::new(set, cpu, GreedyReclaim).with_schedule(schedule);
+        let out = sim.run(&mut |tid: TaskId, _: u64| totals[tid.0])?;
+        Ok(out.report.energy)
+    }
 
     fn motivation() -> (TaskSet, Processor) {
         let mk = |n: &str| {
@@ -1973,7 +1895,7 @@ mod tests {
         let sched = synthesize_acs(&set, &cpu, &SynthesisOptions::default()).unwrap();
         let totals = acs_core::trace::wcec_totals(&set);
         let mut sim = Simulator::new(&set, &cpu, GreedyReclaim).with_schedule(&sched);
-        let out = sim.run(&mut |tid, _| totals[tid.0]).unwrap();
+        let out = sim.run(&mut |tid: TaskId, _: u64| totals[tid.0]).unwrap();
         assert_eq!(out.report.deadline_misses, 0);
         assert_eq!(out.report.jobs_completed, set.total_instances() as usize);
     }
@@ -1986,7 +1908,7 @@ mod tests {
                 record_trace: true,
                 ..Default::default()
             })
-            .run(&mut |_, _| Cycles::from_cycles(1000.0))
+            .run(&mut |_: TaskId, _: u64| Cycles::from_cycles(1000.0))
             .unwrap();
         // 3000 cycles at 200 cyc/ms = 15 ms busy, 5 ms idle.
         assert!((out.report.busy_time.as_ms() - 15.0).abs() < 1e-9);
@@ -2011,7 +1933,7 @@ mod tests {
                 record_trace: true,
                 ..Default::default()
             })
-            .run(&mut |_, _| Cycles::from_cycles(1000.0))
+            .run(&mut |_: TaskId, _: u64| Cycles::from_cycles(1000.0))
             .unwrap();
         assert_eq!(out.report.jobs_completed, 3);
         assert_eq!(out.report.deadline_misses, 0);
@@ -2036,13 +1958,13 @@ mod tests {
         );
         // Same seedless deterministic run twice: byte-identical reports.
         let again = Simulator::new(&set, &cpu, NoDvs)
-            .run(&mut |_, _| Cycles::from_cycles(1000.0))
+            .run(&mut |_: TaskId, _: u64| Cycles::from_cycles(1000.0))
             .unwrap();
         assert_eq!(out.report, again.report);
         // Graphs require the built-in periodic release pattern.
         let err = Simulator::new(&set, &cpu, NoDvs)
             .with_arrivals(Box::new(acs_trace::Sporadic::new(&set, 1)))
-            .run(&mut |_, _| Cycles::from_cycles(1.0))
+            .run(&mut |_: TaskId, _: u64| Cycles::from_cycles(1.0))
             .unwrap_err();
         assert_eq!(err, SimError::GraphWithArrivals);
     }
@@ -2062,7 +1984,7 @@ mod tests {
             let name = policy.name().to_string();
             let out = Simulator::new(&set, &cpu, policy)
                 .with_schedule(&sched)
-                .run(&mut |tid, _| totals[tid.0])
+                .run(&mut |tid: TaskId, _: u64| totals[tid.0])
                 .unwrap();
             assert_eq!(out.report.deadline_misses, 0, "{name}");
             energies.push(out.report.energy.as_units());
@@ -2079,12 +2001,12 @@ mod tests {
         let (set, cpu) = motivation();
         let totals = acs_core::trace::acec_totals(&set);
         let out = Simulator::new(&set, &cpu, CcRm::new())
-            .run(&mut |tid, _| totals[tid.0])
+            .run(&mut |tid: TaskId, _: u64| totals[tid.0])
             .unwrap();
         assert_eq!(out.report.deadline_misses, 0);
         // Better than no-DVS on average workloads.
         let no_dvs = Simulator::new(&set, &cpu, NoDvs)
-            .run(&mut |tid, _| totals[tid.0])
+            .run(&mut |tid: TaskId, _: u64| totals[tid.0])
             .unwrap();
         assert!(out.report.energy < no_dvs.report.energy);
     }
@@ -2100,7 +2022,7 @@ mod tests {
                 hyper_periods: 10,
                 ..Default::default()
             })
-            .run(&mut |tid, _| totals[tid.0])
+            .run(&mut |tid: TaskId, _: u64| totals[tid.0])
             .unwrap();
         assert_eq!(out.report.hyper_periods, 10);
         assert_eq!(
@@ -2115,7 +2037,7 @@ mod tests {
     fn schedule_required_error() {
         let (set, cpu) = motivation();
         let err = Simulator::new(&set, &cpu, GreedyReclaim)
-            .run(&mut |_, _| Cycles::from_cycles(1.0))
+            .run(&mut |_: TaskId, _: u64| Cycles::from_cycles(1.0))
             .unwrap_err();
         assert!(matches!(err, SimError::ScheduleRequired { .. }));
     }
@@ -2127,7 +2049,7 @@ mod tests {
         let sched = synthesize_wcs(&other_set, &other_cpu, &SynthesisOptions::default()).unwrap();
         let err = Simulator::new(&set, &cpu, GreedyReclaim)
             .with_schedule(&sched)
-            .run(&mut |_, _| Cycles::from_cycles(1.0))
+            .run(&mut |_: TaskId, _: u64| Cycles::from_cycles(1.0))
             .unwrap_err();
         assert!(matches!(err, SimError::ScheduleMismatch { .. }));
     }
@@ -2136,11 +2058,11 @@ mod tests {
     fn invalid_workload_rejected_and_clamped() {
         let (set, cpu) = motivation();
         let err = Simulator::new(&set, &cpu, NoDvs)
-            .run(&mut |_, _| Cycles::from_cycles(-5.0))
+            .run(&mut |_: TaskId, _: u64| Cycles::from_cycles(-5.0))
             .unwrap_err();
         assert!(matches!(err, SimError::InvalidWorkload { .. }));
         let out = Simulator::new(&set, &cpu, NoDvs)
-            .run(&mut |_, _| Cycles::from_cycles(9999.0))
+            .run(&mut |_: TaskId, _: u64| Cycles::from_cycles(9999.0))
             .unwrap();
         assert_eq!(out.report.clamped_draws, 3);
     }
@@ -2149,7 +2071,7 @@ mod tests {
     fn zero_workload_jobs_complete_without_energy() {
         let (set, cpu) = motivation();
         let out = Simulator::new(&set, &cpu, NoDvs)
-            .run(&mut |_, _| Cycles::from_cycles(0.0))
+            .run(&mut |_: TaskId, _: u64| Cycles::from_cycles(0.0))
             .unwrap();
         assert_eq!(out.report.jobs_completed, 3);
         assert_eq!(out.report.energy, Energy::ZERO);
@@ -2167,7 +2089,7 @@ mod tests {
                 record_trace: true,
                 ..Default::default()
             })
-            .run(&mut |tid, _| totals[tid.0])
+            .run(&mut |tid: TaskId, _: u64| totals[tid.0])
             .unwrap();
         let trace = out.trace.unwrap();
         // In the worst case `lo` must be split around `hi`'s release at 4.
@@ -2210,7 +2132,7 @@ mod tests {
         let totals = acs_core::trace::acec_totals(&set);
         let out = Simulator::new(&set, &cpu, GreedyReclaim)
             .with_schedule(&sched)
-            .run(&mut |tid, _| totals[tid.0])
+            .run(&mut |tid: TaskId, _: u64| totals[tid.0])
             .unwrap();
         assert!(out.report.voltage_switches > 0);
         // Energy strictly above the zero-overhead run.
@@ -2241,12 +2163,12 @@ mod tests {
         }
         let (set, cpu) = motivation();
         let out = Simulator::new(&set, &cpu, Rogue { calls: 0 })
-            .run(&mut |_, _| Cycles::from_cycles(1000.0))
+            .run(&mut |_: TaskId, _: u64| Cycles::from_cycles(1000.0))
             .unwrap();
         assert_eq!(out.report.deadline_misses, 0);
         assert!(out.report.saturated_dispatches > 0);
         let flat = Simulator::new(&set, &cpu, NoDvs)
-            .run(&mut |_, _| Cycles::from_cycles(1000.0))
+            .run(&mut |_: TaskId, _: u64| Cycles::from_cycles(1000.0))
             .unwrap();
         assert!((out.report.energy.as_units() - flat.report.energy.as_units()).abs() < 1e-9);
     }
@@ -2275,7 +2197,7 @@ mod tests {
         // NoDvs requests exactly f_max (needs 4 V; the table tops out at
         // 3 V): every dispatch saturates via the table fallback.
         let flat = Simulator::new(&set, &cpu, NoDvs)
-            .run(&mut |_, _| Cycles::from_cycles(1000.0))
+            .run(&mut |_: TaskId, _: u64| Cycles::from_cycles(1000.0))
             .unwrap();
         assert!(flat.report.saturated_dispatches > 0);
         // A policy over-requesting past f_max is clamped AND unservable
@@ -2290,7 +2212,7 @@ mod tests {
             }
         }
         let over = Simulator::new(&set, &cpu, Over)
-            .run(&mut |_, _| Cycles::from_cycles(1000.0))
+            .run(&mut |_: TaskId, _: u64| Cycles::from_cycles(1000.0))
             .unwrap();
         assert_eq!(
             over.report.saturated_dispatches,
@@ -2313,7 +2235,7 @@ mod tests {
             .build()
             .unwrap();
         let out = Simulator::new(&set, &cpu, NoDvs)
-            .run(&mut |_, _| Cycles::from_cycles(1000.0))
+            .run(&mut |_: TaskId, _: u64| Cycles::from_cycles(1000.0))
             .unwrap();
         // 3000 cycles at 200 cyc/ms = 15 ms busy, 5 ms idle.
         assert!((out.report.static_energy.as_units() - 2.0 * 15.0).abs() < 1e-9);
@@ -2325,7 +2247,7 @@ mod tests {
         assert!((b.dynamic.as_units() - 48000.0).abs() < 1e-6);
         // The lossless processor reports zero static/idle energy.
         let lossless = Simulator::new(&set, &cpu0, NoDvs)
-            .run(&mut |_, _| Cycles::from_cycles(1000.0))
+            .run(&mut |_: TaskId, _: u64| Cycles::from_cycles(1000.0))
             .unwrap();
         assert_eq!(lossless.report.static_energy, Energy::ZERO);
         assert_eq!(lossless.report.idle_energy, Energy::ZERO);
@@ -2359,7 +2281,7 @@ mod tests {
                 record_trace: true,
                 ..Default::default()
             })
-            .run(&mut |_, _| Cycles::from_cycles(100.0))
+            .run(&mut |_: TaskId, _: u64| Cycles::from_cycles(100.0))
             .unwrap();
         assert_eq!(
             out.report.saturated_dispatches, 0,
@@ -2409,7 +2331,7 @@ mod tests {
                 record_trace: true,
                 ..Default::default()
             })
-            .run(&mut |_, _| Cycles::from_cycles(100.0))
+            .run(&mut |_: TaskId, _: u64| Cycles::from_cycles(100.0))
             .unwrap();
         assert_eq!(
             out.report.saturated_dispatches, 0,
@@ -2447,19 +2369,19 @@ mod tests {
         assert!(!acs_preempt::rm_feasible(&set, cpu.f_max()));
         let totals = acs_core::trace::wcec_totals(&set);
         let rm = Simulator::new(&set, &cpu, NoDvs)
-            .run(&mut |tid, _| totals[tid.0])
+            .run(&mut |tid: TaskId, _: u64| totals[tid.0])
             .unwrap();
         assert!(rm.report.deadline_misses > 0, "RM must miss at U = 1");
         let edf = Simulator::new(&set, &cpu, NoDvs)
             .with_class(acs_model::SchedulingClass::Edf)
-            .run(&mut |tid, _| totals[tid.0])
+            .run(&mut |tid: TaskId, _: u64| totals[tid.0])
             .unwrap();
         assert_eq!(edf.report.deadline_misses, 0, "EDF is exact at U = 1");
         // The set-level default class works the same way as the
         // explicit override.
         let tagged = set.clone().with_class(acs_model::SchedulingClass::Edf);
         let inherited = Simulator::new(&tagged, &cpu, NoDvs)
-            .run(&mut |tid, _| totals[tid.0])
+            .run(&mut |tid: TaskId, _: u64| totals[tid.0])
             .unwrap();
         assert_eq!(inherited.report, edf.report);
     }
@@ -2496,7 +2418,7 @@ mod tests {
                 if make().needs_schedule() {
                     sim = sim.with_schedule(sched);
                 }
-                sim.run(&mut |tid, _| totals[tid.0]).unwrap()
+                sim.run(&mut |tid: TaskId, _: u64| totals[tid.0]).unwrap()
             };
             let rm = run(acs_model::SchedulingClass::FixedPriorityRm, &sched_rm);
             let edf = run(acs_model::SchedulingClass::Edf, &sched_edf);
@@ -2511,7 +2433,7 @@ mod tests {
         // silently voiding the worst-case guarantee.
         let err = Simulator::new(&set, &cpu, GreedyReclaim)
             .with_schedule(&sched_edf)
-            .run(&mut |tid, _| totals[tid.0])
+            .run(&mut |tid: TaskId, _: u64| totals[tid.0])
             .unwrap_err();
         assert!(
             matches!(&err, SimError::ScheduleMismatch { reason } if reason.contains("edf")),
@@ -2529,7 +2451,7 @@ mod tests {
         let totals = acs_core::trace::wcec_totals(&set);
         let out = Simulator::new(&set, &cpu, GreedyReclaim)
             .with_schedule(&sched)
-            .run(&mut |tid, _| totals[tid.0])
+            .run(&mut |tid: TaskId, _: u64| totals[tid.0])
             .unwrap();
         assert!(out.report.preemptions >= 1, "{:?}", out.report);
         // A single-task set can never preempt.
@@ -2543,7 +2465,7 @@ mod tests {
                 hyper_periods: 5,
                 ..Default::default()
             })
-            .run(&mut |_, _| Cycles::from_cycles(100.0))
+            .run(&mut |_: TaskId, _: u64| Cycles::from_cycles(100.0))
             .unwrap();
         assert_eq!(out.report.preemptions, 0);
     }
@@ -2563,7 +2485,7 @@ mod tests {
         }
         let (set, cpu) = motivation();
         let out = Simulator::new(&set, &cpu, Crawler)
-            .run(&mut |_, _| Cycles::from_cycles(100.0)) // light load: vmin is safe
+            .run(&mut |_: TaskId, _: u64| Cycles::from_cycles(100.0)) // light load: vmin is safe
             .unwrap();
         assert_eq!(out.report.saturated_dispatches, 0);
         // Everything ran at vmin: E = c_eff · vmin² · cycles.
@@ -2591,7 +2513,7 @@ mod tests {
         let baseline = Simulator::new(&set, &cpu, GreedyReclaim)
             .with_schedule(&sched)
             .with_options(options.clone())
-            .run(&mut |tid, _| totals[tid.0])
+            .run(&mut |tid: TaskId, _: u64| totals[tid.0])
             .unwrap();
         let mut sim = Simulator::new(&set, &cpu, GreedyReclaim)
             .with_schedule(&sched)
@@ -2626,7 +2548,7 @@ mod tests {
                     hyper_periods: hps,
                     ..Default::default()
                 })
-                .run(&mut |_, _| Cycles::from_cycles(50.0))
+                .run(&mut |_: TaskId, _: u64| Cycles::from_cycles(50.0))
                 .unwrap()
                 .report
         };
@@ -2659,7 +2581,7 @@ mod tests {
         let run = |cores| {
             Simulator::new(&set, &cpu, NoDvs)
                 .with_cores(cores)
-                .run(&mut |tid: TaskId, _| set.tasks()[tid.0].wcec())
+                .run(&mut |tid: TaskId, _: u64| set.tasks()[tid.0].wcec())
                 .unwrap()
         };
         assert!(!run(1).report.all_deadlines_met());
@@ -2696,7 +2618,7 @@ mod tests {
                 record_trace: true,
                 ..SimOptions::default()
             })
-            .run(&mut |tid: TaskId, _| set.tasks()[tid.0].wcec())
+            .run(&mut |tid: TaskId, _: u64| set.tasks()[tid.0].wcec())
             .unwrap();
         assert!(out.report.all_deadlines_met());
         assert!(out.trace.is_none(), "multi-core traces are per core");
@@ -2748,7 +2670,7 @@ mod tests {
         let (_, cpu) = motivation();
         let out = Simulator::new(&set, &cpu, NoDvs)
             .with_cores(2)
-            .run(&mut |tid: TaskId, _| set.tasks()[tid.0].wcec())
+            .run(&mut |tid: TaskId, _: u64| set.tasks()[tid.0].wcec())
             .unwrap();
         let r = &out.report;
         assert_eq!(r.jobs_completed as u64, set.total_instances());
@@ -2831,7 +2753,7 @@ mod tests {
                 hyper_periods: 3,
                 ..SimOptions::default()
             })
-            .run(&mut |tid: TaskId, _| {
+            .run(&mut |tid: TaskId, _: u64| {
                 Cycles::from_cycles(set.tasks()[tid.0].wcec().as_cycles() * 0.5)
             })
             .unwrap();

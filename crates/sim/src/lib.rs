@@ -42,7 +42,7 @@
 //!
 //! ```
 //! use acs_core::{synthesize_acs, SynthesisOptions};
-//! use acs_model::{Task, TaskSet, units::{Cycles, Ticks, Volt}};
+//! use acs_model::{Task, TaskId, TaskSet, units::{Cycles, Ticks, Volt}};
 //! use acs_power::{FreqModel, Processor};
 //! use acs_sim::{GreedyReclaim, Simulator};
 //!
@@ -60,7 +60,7 @@
 //!
 //! let out = Simulator::new(&set, &cpu, GreedyReclaim)
 //!     .with_schedule(&schedule)
-//!     .run(&mut |_task, _instance| Cycles::from_cycles(80.0))?;
+//!     .run(&mut |_task: TaskId, _instance: u64| Cycles::from_cycles(80.0))?;
 //! assert!(out.report.all_deadlines_met());
 //! # Ok(())
 //! # }
@@ -92,9 +92,7 @@ pub use acs_model::SchedulingClass;
 // Arrival-source surface (re-exported so `Simulator::with_arrivals`
 // callers need no direct `acs-trace` dependency).
 pub use acs_trace::{ArrivalJob, ArrivalKind, ArrivalSource, MmppProfile};
-pub use engine::{
-    simulate_deterministic, CoreOutput, RunOutput, SimOptions, Simulator, SteppedRun,
-};
+pub use engine::{CoreOutput, RunOutput, SimOptions, Simulator, SteppedRun};
 pub use error::SimError;
 pub use event::{Event, EventKind, EventQueue, ReadyKey, ReadyQueue};
 pub use exec_trace::{ExecutionTrace, Slice};

@@ -19,7 +19,7 @@
 //!    runs two cheap solves — one from the static schedule's end times
 //!    projected onto the boundary state, one from the latest-feasible
 //!    (ALAP) profile — and keeps the better feasible result
-//!    ([`acs_core::reopt::synthesize_remaining_best`]).
+//!    ([`acs_core::reopt::synthesize_remaining_best_with_carry`]).
 //!    Both starts are feasible and structured, so the small default
 //!    iteration budget suffices.
 //! 2. **Incremental carry.** Successive boundaries are nearly the same
@@ -679,7 +679,7 @@ mod tests {
                 hyper_periods,
                 ..Default::default()
             })
-            .run(&mut |t: TaskId, _| totals[t.0])
+            .run(&mut |t: TaskId, _: u64| totals[t.0])
             .unwrap()
             .report
     }
@@ -874,7 +874,7 @@ mod tests {
     fn reopt_without_schedule_is_rejected() {
         let (set, cpu) = motivation();
         let err = Simulator::new(&set, &cpu, ReOpt::new())
-            .run(&mut |_, _| Cycles::from_cycles(1.0))
+            .run(&mut |_: TaskId, _: u64| Cycles::from_cycles(1.0))
             .unwrap_err();
         assert!(matches!(err, crate::SimError::ScheduleRequired { .. }));
     }

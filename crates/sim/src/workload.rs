@@ -1,12 +1,11 @@
 //! Workload sources: where per-job cycle demands come from.
 //!
-//! The engine historically took a plain `FnMut(TaskId, u64) -> Cycles`
-//! closure, called once per job in **task-major order** within each
-//! hyper-period (task 0's instances, then task 1's, …). That per-job
-//! call is one of the engine's hot paths, so [`WorkloadSource`] extends
-//! the closure contract with a *batched* draw: the engine requests one
-//! task's whole hyper-period window in a single call and the source may
-//! sample its RNG in a tight loop.
+//! The engine draws each job's cycles in **task-major order** within
+//! each hyper-period (task 0's instances, then task 1's, …). That
+//! per-job draw is one of the engine's hot paths, so [`WorkloadSource`]
+//! offers a *batched* draw besides the per-job one: the engine requests
+//! one task's whole hyper-period window in a single call and the source
+//! may sample its RNG in a tight loop.
 //!
 //! ## Purity contract
 //!
@@ -24,11 +23,13 @@
 //! reports for randomized batch windows.
 //!
 //! Every `FnMut(TaskId, u64) -> Cycles` closure is a `WorkloadSource`
-//! (per-draw only), so the closure-based [`Simulator::run`] API is a
-//! thin wrapper over the source-based [`Simulator::run_source`].
+//! (per-draw only), so [`Simulator::run`] — the engine's one entry
+//! point — takes closures and batch-capable sources alike. A closure
+//! passed straight to `run` needs its argument types spelled out
+//! (`|t: TaskId, i: u64| …`): nothing else tells the compiler which
+//! trait the closure is meant to satisfy.
 //!
 //! [`Simulator::run`]: crate::Simulator::run
-//! [`Simulator::run_source`]: crate::Simulator::run_source
 
 use acs_model::units::Cycles;
 use acs_model::TaskId;
@@ -74,41 +75,5 @@ impl WorkloadSource for acs_workloads::TaskWorkloads {
     /// per-job draws, so the stream is unchanged.
     fn draw_batch(&mut self, task: TaskId, _start: u64, count: u64, out: &mut Vec<Cycles>) {
         acs_workloads::TaskWorkloads::draw_batch(self, task, count, out);
-    }
-}
-
-/// The engine's internal view of a workload argument: either the
-/// closure-based legacy shape or a genuine [`WorkloadSource`]. Wrapping
-/// (rather than trait-object upcasting, which Rust does not offer for
-/// sibling traits) lets [`Simulator::run`] keep its closure signature —
-/// and closure argument inference — while the engine itself only speaks
-/// `WorkloadSource`.
-///
-/// [`Simulator::run`]: crate::Simulator::run
-pub(crate) enum WorkloadRef<'w> {
-    /// A plain closure: per-draw only.
-    Closure(&'w mut dyn FnMut(TaskId, u64) -> Cycles),
-    /// A full source: batched draws reach the implementation.
-    Source(&'w mut dyn WorkloadSource),
-}
-
-impl WorkloadSource for WorkloadRef<'_> {
-    fn draw(&mut self, task: TaskId, instance: u64) -> Cycles {
-        match self {
-            WorkloadRef::Closure(f) => f(task, instance),
-            WorkloadRef::Source(s) => s.draw(task, instance),
-        }
-    }
-
-    fn draw_batch(&mut self, task: TaskId, start: u64, count: u64, out: &mut Vec<Cycles>) {
-        match self {
-            WorkloadRef::Closure(f) => {
-                out.reserve(count as usize);
-                for k in 0..count {
-                    out.push(f(task, start + k));
-                }
-            }
-            WorkloadRef::Source(s) => s.draw_batch(task, start, count, out),
-        }
     }
 }

@@ -50,7 +50,7 @@ proptest! {
         let out = Simulator::new(&set, &cpu, GreedyReclaim)
             .with_schedule(&sched)
             .with_options(SimOptions { hyper_periods: hp, deadline_tol_ms: 1e-3, ..Default::default() })
-            .run(&mut |t: TaskId, _| totals[t.0])
+            .run(&mut |t: TaskId, _: u64| totals[t.0])
             .unwrap();
         let r = &out.report;
         prop_assert_eq!(r.deadline_misses, 0);
@@ -74,7 +74,7 @@ proptest! {
             Simulator::new(&set, &cpu, GreedyReclaim)
                 .with_schedule(&sched)
                 .with_options(SimOptions { hyper_periods: 2, deadline_tol_ms: 1e-3, ..Default::default() })
-                .run(&mut |t, i| draws.draw(t, i))
+                .run(&mut draws)
                 .unwrap()
         };
         let (a, b) = (run().report, run().report);
@@ -88,7 +88,7 @@ proptest! {
         let cpu = cpu();
         let totals: Vec<Cycles> = set.tasks().iter().map(|t| t.wcec() * frac).collect();
         let out = Simulator::new(&set, &cpu, NoDvs)
-            .run(&mut |t: TaskId, _| totals[t.0])
+            .run(&mut |t: TaskId, _: u64| totals[t.0])
             .unwrap();
         let vmax = cpu.vmax().as_volts();
         let expected: f64 = set
@@ -116,10 +116,10 @@ proptest! {
         let greedy = Simulator::new(&set, &cpu, GreedyReclaim)
             .with_schedule(&sched)
             .with_options(SimOptions { deadline_tol_ms: 1e-3, ..Default::default() })
-            .run(&mut |t: TaskId, _| totals[t.0])
+            .run(&mut |t: TaskId, _: u64| totals[t.0])
             .unwrap();
         let flat = Simulator::new(&set, &cpu, NoDvs)
-            .run(&mut |t: TaskId, _| totals[t.0])
+            .run(&mut |t: TaskId, _: u64| totals[t.0])
             .unwrap();
         prop_assert!(greedy.report.energy.as_units() <= flat.report.energy.as_units() * (1.0 + 1e-9));
     }

@@ -475,7 +475,6 @@ impl<R: BufRead + Send> ArrivalSource for TraceSource<R> {
                 deadline_ms: release + self.deadlines_ms[rec.task],
                 draw_index: self.emitted,
                 cycles: Some(rec.cycles),
-                periodic_instance: None,
             });
             self.emitted += 1;
         }
@@ -633,7 +632,6 @@ mod tests {
         ]);
         let mut src = TraceSource::new(TraceReader::new(Cursor::new(text)).unwrap());
         assert_eq!(src.name(), "trace");
-        assert!(!src.periodic());
 
         let mut out = Vec::new();
         src.fill_window(0, &mut out).unwrap();

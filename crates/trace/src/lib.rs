@@ -7,11 +7,11 @@
 //! Everything the engine ran before this crate existed was released on
 //! the periodic grid `k·Pᵢ`. An [`ArrivalSource`] instead *produces*
 //! job releases, one hyper-period window at a time, and `acs-sim`
-//! feeds them to its event queue as native `Release` events. Four
-//! sources ship here:
+//! feeds them to its event queue as native `Release` events. The
+//! periodic grid itself is not a source: a cell with no source attached
+//! runs the engine's built-in releases. Three generated sources ship
+//! here:
 //!
-//! * [`Periodic`] — reproduces the legacy periodic release pattern
-//!   bit-for-bit (proven by the workspace's differential tests);
 //! * [`Sporadic`] — minimum inter-arrival `Pᵢ` plus bounded uniform
 //!   jitter, the classic sporadic task model;
 //! * [`Poisson`] — memoryless arrivals with mean inter-arrival `Pᵢ`;
@@ -45,6 +45,4 @@ mod source;
 pub use error::TraceError;
 pub use format::{TraceReader, TraceRecord, TraceSource, TraceWriter, TRACE_HEADER};
 pub use gen::{builtin_task_set, generate, GenConfig, GenSummary};
-pub use source::{
-    ArrivalJob, ArrivalKind, ArrivalSource, Mmpp, MmppProfile, Periodic, Poisson, Sporadic,
-};
+pub use source::{ArrivalJob, ArrivalKind, ArrivalSource, Mmpp, MmppProfile, Poisson, Sporadic};

@@ -30,22 +30,18 @@ pub struct ArrivalJob {
     /// Absolute deadline, ms, window-local (may exceed `H`).
     pub deadline_ms: f64,
     /// Index handed to the workload draw function when
-    /// [`ArrivalJob::cycles`] is `None`. The periodic source emits the
-    /// legacy hyper-period-major absolute instance index; generated
-    /// sources emit a per-task sequence number (pure in
-    /// `(seed, task)`).
+    /// [`ArrivalJob::cycles`] is `None`: generated sources emit a
+    /// per-task sequence number (pure in `(seed, task)`).
     pub draw_index: u64,
     /// Execution cycles when the source carries them (trace-driven
     /// jobs); `None` lets the cell's workload model draw.
     pub cycles: Option<f64>,
-    /// For periodic sources: the in-hyper-period instance index, which
-    /// maps the job onto the static schedule's chunk plan. Aperiodic
-    /// jobs (`None`) run on a synthetic single-chunk plan instead.
-    pub periodic_instance: Option<u64>,
 }
 
-/// A deterministic producer of job releases, consumed one hyper-period
-/// window at a time (windows must be filled in order, `0, 1, 2, …`).
+/// A deterministic producer of aperiodic job releases, consumed one
+/// hyper-period window at a time (windows must be filled in order,
+/// `0, 1, 2, …`). The strictly periodic grid `k·Pᵢ` is not a source:
+/// the engine releases it itself whenever no source is attached.
 ///
 /// `Send` so campaign runners can build a source on one thread and
 /// consume it on a worker.
@@ -69,77 +65,10 @@ pub trait ArrivalSource: Send {
     /// window requests.
     fn fill_window(&mut self, window: u64, out: &mut Vec<ArrivalJob>) -> Result<(), TraceError>;
 
-    /// `true` when the source reproduces the strictly periodic release
-    /// pattern (enables schedule-boundary callbacks and the legacy
-    /// byte-identity guarantees).
-    fn periodic(&self) -> bool {
-        false
-    }
-
     /// `true` once the source can produce no further job in any later
     /// window (finite traces; generators never exhaust).
     fn exhausted(&self) -> bool {
         false
-    }
-}
-
-/// The legacy periodic release pattern: task-major instances on the
-/// grid `k·Pᵢ`, absolute draw indices in hyper-period-major order —
-/// bit-identical to the engine's built-in periodic path.
-#[derive(Debug, Clone)]
-pub struct Periodic {
-    periods: Vec<u64>,
-    deadlines: Vec<u64>,
-    instances: Vec<u64>,
-    total: u64,
-}
-
-impl Periodic {
-    /// A periodic source over `set`'s release grid.
-    pub fn new(set: &TaskSet) -> Self {
-        let periods: Vec<u64> = set.tasks().iter().map(|t| t.period().get()).collect();
-        let deadlines: Vec<u64> = set.tasks().iter().map(|t| t.deadline().get()).collect();
-        let instances: Vec<u64> = set.iter().map(|(tid, _)| set.instances_of(tid)).collect();
-        Periodic {
-            periods,
-            deadlines,
-            instances,
-            total: set.total_instances(),
-        }
-    }
-}
-
-impl ArrivalSource for Periodic {
-    fn name(&self) -> &'static str {
-        "periodic"
-    }
-
-    fn fill_window(&mut self, window: u64, out: &mut Vec<ArrivalJob>) -> Result<(), TraceError> {
-        // Every window releases exactly one hyper-period of jobs; size
-        // the (engine-reused) buffer once instead of growing it.
-        out.reserve(self.total as usize);
-        let mut draw_index = window * self.total;
-        for task in 0..self.periods.len() {
-            for inst in 0..self.instances[task] {
-                // Integer-to-float exactly as the legacy path computes
-                // releases — bit-identity depends on it.
-                let release = (inst * self.periods[task]) as f64;
-                out.push(ArrivalJob {
-                    task,
-                    release_ms: release,
-                    deadline_ms: release + self.deadlines[task] as f64,
-                    draw_index,
-                    cycles: None,
-                    periodic_instance: Some(inst),
-                });
-                draw_index += 1;
-            }
-        }
-        Ok(())
-    }
-
-    fn periodic(&self) -> bool {
-        true
     }
 }
 
@@ -330,7 +259,6 @@ impl Generated {
                     deadline_ms: release + s.deadline_ms,
                     draw_index: s.seq,
                     cycles: None,
-                    periodic_instance: None,
                 });
                 s.seq += 1;
                 s.pending = s.next_after(s.pending);
@@ -439,7 +367,8 @@ impl ArrivalSource for Mmpp {
 /// a cell's releases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArrivalKind {
-    /// Strictly periodic releases (the legacy behavior; the default).
+    /// Strictly periodic releases: the engine's built-in grid, no source
+    /// attached (the default).
     Periodic,
     /// Minimum inter-arrival plus bounded jitter.
     Sporadic,
@@ -463,20 +392,22 @@ impl ArrivalKind {
         }
     }
 
-    /// `true` for the periodic kind (cells run the legacy release path
-    /// with no source attached, guaranteeing byte-identity with v3).
+    /// `true` for the periodic kind (cells run the engine's built-in
+    /// release grid with no source attached, byte-identical with v3).
     pub fn is_periodic(&self) -> bool {
         matches!(self, ArrivalKind::Periodic)
     }
 
     /// Instantiates the source for one cell, keyed by `seed` (callers
-    /// mix set and core indices into the seed first).
-    pub fn source(&self, set: &TaskSet, seed: u64) -> Box<dyn ArrivalSource> {
+    /// mix set and core indices into the seed first); `None` for
+    /// [`ArrivalKind::Periodic`], whose cells attach no source and run
+    /// the engine's built-in release grid.
+    pub fn source(&self, set: &TaskSet, seed: u64) -> Option<Box<dyn ArrivalSource>> {
         match self {
-            ArrivalKind::Periodic => Box::new(Periodic::new(set)),
-            ArrivalKind::Sporadic => Box::new(Sporadic::new(set, seed)),
-            ArrivalKind::Poisson => Box::new(Poisson::new(set, seed)),
-            ArrivalKind::Mmpp(profile) => Box::new(Mmpp::new(set, seed, *profile)),
+            ArrivalKind::Periodic => None,
+            ArrivalKind::Sporadic => Some(Box::new(Sporadic::new(set, seed))),
+            ArrivalKind::Poisson => Some(Box::new(Poisson::new(set, seed))),
+            ArrivalKind::Mmpp(profile) => Some(Box::new(Mmpp::new(set, seed, *profile))),
         }
     }
 }
@@ -535,31 +466,6 @@ mod tests {
             src.fill_window(w, &mut out).unwrap();
         }
         out
-    }
-
-    #[test]
-    fn periodic_reproduces_the_release_grid() {
-        let set = set();
-        let mut src = Periodic::new(&set);
-        let jobs = drain(&mut src, 2);
-        // 2 + 1 instances per window, task-major, draw indices
-        // hyper-period-major.
-        assert_eq!(jobs.len(), 6);
-        let expected: Vec<(usize, f64, u64)> = vec![
-            (0, 0.0, 0),
-            (0, 10.0, 1),
-            (1, 0.0, 2),
-            (0, 0.0, 3),
-            (0, 10.0, 4),
-            (1, 0.0, 5),
-        ];
-        let got: Vec<(usize, f64, u64)> = jobs
-            .iter()
-            .map(|j| (j.task, j.release_ms, j.draw_index))
-            .collect();
-        assert_eq!(got, expected);
-        assert!(jobs.iter().all(|j| j.periodic_instance.is_some()));
-        assert!(src.periodic());
     }
 
     #[test]
@@ -677,10 +583,14 @@ mod tests {
             ArrivalKind::Mmpp(MmppProfile::Bursty)
         );
         assert!("warp".parse::<ArrivalKind>().unwrap_err().contains("known"));
-        // Source names agree with axis labels.
+        // Source names agree with axis labels; the periodic kind has no
+        // source.
         let set = set();
         for k in kinds {
-            assert_eq!(k.source(&set, 0).name(), k.label());
+            match k.source(&set, 0) {
+                Some(src) => assert_eq!(src.name(), k.label()),
+                None => assert_eq!(k, ArrivalKind::Periodic),
+            }
         }
     }
 
@@ -693,7 +603,9 @@ mod tests {
             ArrivalKind::Poisson,
             ArrivalKind::Mmpp(MmppProfile::Bursty),
         ] {
-            let mut src = kind.source(&set, 11);
+            let mut src = kind
+                .source(&set, 11)
+                .expect("aperiodic kinds have a source");
             let mut out = Vec::new();
             for w in 0..30u64 {
                 out.clear();
@@ -705,7 +617,7 @@ mod tests {
                         j.release_ms
                     );
                     assert!(j.deadline_ms > j.release_ms);
-                    assert!(j.cycles.is_none() && j.periodic_instance.is_none());
+                    assert!(j.cycles.is_none());
                 }
             }
             assert!(!src.exhausted(), "{kind}: generators never exhaust");

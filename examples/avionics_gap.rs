@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if let Some(s) = schedule {
             sim = sim.with_schedule(s);
         }
-        let out = sim.run(&mut |t, i| draws.draw(t, i))?;
+        let out = sim.run(&mut draws)?;
         let e = out.report.energy;
         let base_e = *base.get_or_insert(e);
         println!(

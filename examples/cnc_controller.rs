@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let out = Simulator::new(&set, &cpu, GreedyReclaim)
                 .with_schedule(schedule)
                 .with_options(sim_opts.clone())
-                .run(&mut |t, i| draws.draw(t, i))?;
+                .run(&mut draws)?;
             assert_eq!(out.report.deadline_misses, 0);
             energy.push(out.report.energy);
         }
@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             deadline_tol_ms: 1e-3,
             ..Default::default()
         })
-        .run(&mut |t, i| draws.draw(t, i))?;
+        .run(&mut draws)?;
     println!("\nOne sampled hyper-period under ACS (ratio 0.1):");
     if let Some(trace) = out.trace {
         print!(

@@ -77,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             deadline_tol_ms: 1e-3,
             ..Default::default()
         })
-        .run(&mut |t, i| draws.draw(t, i))?;
+        .run(&mut draws)?;
     println!(
         "Simulator: ewma-boost on CNC — energy {:.0}, misses {}\n",
         out.report.energy.as_units(),

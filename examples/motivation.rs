@@ -57,7 +57,7 @@ fn replay(
             deadline_tol_ms: 1e-3,
             ..Default::default()
         })
-        .run(&mut |t, _| fixed[t.0])?;
+        .run(&mut |t: TaskId, _: u64| fixed[t.0])?;
     println!("--- {name}: energy {:.0}·C", out.report.energy.as_units());
     if let Some(trace) = out.trace {
         print!("{}", render_gantt(&trace, set, 20.0, 60));

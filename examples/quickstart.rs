@@ -59,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let out = Simulator::new(&set, &cpu, GreedyReclaim)
             .with_schedule(schedule)
             .with_options(sim_opts.clone())
-            .run(&mut |t, i| draws.draw(t, i))?;
+            .run(&mut draws)?;
         assert!(out.report.all_deadlines_met(), "hard deadlines are hard");
         println!(
             "{} runtime: {:.0} energy units over {} hyper-periods ({} jobs, 0 misses)",

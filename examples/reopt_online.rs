@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for (name, policy) in policies {
             let out = Simulator::new(&set, &cpu, policy)
                 .with_schedule(schedule)
-                .run(&mut |t, _| set.tasks()[t.0].acec())?;
+                .run(&mut |t: TaskId, _: u64| set.tasks()[t.0].acec())?;
             let e = out.report.energy.as_units();
             let base = *baseline.get_or_insert(e);
             println!(

@@ -392,11 +392,32 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
             );
         }
     }
-    let aperiodic = report.total_misses_aperiodic();
-    if aperiodic > 0 {
+    // Aperiodic misses, split by cause. Poisson, MMPP and trace
+    // releases can outpace the periods the schedule was built for;
+    // sporadic releases never do, so their misses come from the per-job
+    // plan each aperiodic job runs on.
+    let (mut sporadic, mut overload) = (0, 0);
+    for cell in report.cells() {
+        if let Some(stats) = cell.stats() {
+            match cell.arrivals.as_str() {
+                "sporadic" => sporadic += stats.misses_aperiodic,
+                _ => overload += stats.misses_aperiodic,
+            }
+        }
+    }
+    if overload > 0 {
         eprintln!(
-            "warning: {aperiodic} deadline misses on aperiodic jobs — the arrival \
-             stream overloads the schedule (profiles and feasibility: docs/TRACE_FORMAT.md)"
+            "warning: {overload} deadline misses on aperiodic jobs of poisson, mmpp or trace \
+             cells — the arrival stream overloads the schedule (profiles and feasibility: \
+             docs/TRACE_FORMAT.md)"
+        );
+    }
+    if sporadic > 0 {
+        eprintln!(
+            "warning: {sporadic} deadline misses on aperiodic jobs of sporadic cells — \
+             sporadic releases never outpace the period; each aperiodic job runs at \
+             wcec / (deadline - release), a speed that ignores the rest of the set \
+             (ROADMAP.md item 1; docs/TRACE_FORMAT.md)"
         );
     }
     let failures = report.failures().count();

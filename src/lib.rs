@@ -70,7 +70,7 @@
 //! let mut draws = TaskWorkloads::paper(&set, 7);
 //! let run = Simulator::new(&set, &cpu, GreedyReclaim)
 //!     .with_schedule(&acs)
-//!     .run(&mut |t, i| draws.draw(t, i))?;
+//!     .run(&mut draws)?;
 //! assert!(run.report.all_deadlines_met());
 //!
 //! // 4. Or sweep a whole grid in parallel: schedules × policies ×
@@ -121,7 +121,7 @@
 //! let schedule = synthesize_wcs(&set, &cpu, &SynthesisOptions::quick())?;
 //! let out = Simulator::new(&set, &cpu, Boosted)
 //!     .with_schedule(&schedule)
-//!     .run(&mut |_, _| Cycles::from_cycles(500.0))?;
+//!     .run(&mut |_: TaskId, _: u64| Cycles::from_cycles(500.0))?;
 //! assert!(out.report.all_deadlines_met());
 //! # Ok(())
 //! # }
@@ -149,10 +149,10 @@ pub use acs_workloads as workloads;
 /// Everything needed for typical use, importable with one line.
 pub mod prelude {
     pub use acs_core::{
-        evaluate_trace, synthesize_acs, synthesize_acs_best, synthesize_acs_warm,
-        synthesize_remaining, synthesize_wcs, synthesize_wcs_warm, verify_worst_case,
-        InstanceProgress, Milestone, ObjectiveKind, RemainingInstance, ReoptOptions, ScheduleKind,
-        SpeedBasis, StaticSchedule, SynthesisOptions,
+        evaluate_trace, synthesize_acs, synthesize_acs_best, synthesize_acs_warm, synthesize_wcs,
+        synthesize_wcs_warm, verify_worst_case, InstanceProgress, Milestone, ObjectiveKind,
+        RemainingInstance, ReoptOptions, ScheduleKind, SpeedBasis, StaticSchedule,
+        SynthesisOptions,
     };
     pub use acs_model::units::{Cycles, Energy, Freq, Ticks, Time, TimeSpan, Volt};
     pub use acs_model::{

@@ -11,12 +11,15 @@
 //! * the checked-in `scenarios/arrivals_sweep.txt` (plus an inline v4
 //!   grid covering Poisson and all MMPP profiles) streams
 //!   byte-identical CSV at 1, 2 and 8 worker threads;
-//! * attaching an explicit `Periodic` source reproduces the legacy
-//!   built-in periodic path bit-for-bit on the checked-in scenarios'
-//!   task sets (same `SimReport`, including event-engine stats).
+//! * the sweep's `arrivals periodic` rows are byte-identical to the
+//!   same grid under a v3 header with no `arrivals` line
+//!   (`periodic_cells_of_the_sweep_match_the_v3_grid`): periodic cells
+//!   attach no source and run the engine's built-in release grid.
+
+mod common;
 
 use acsched::prelude::*;
-use acsched::trace::{Mmpp, Periodic, Poisson, Sporadic};
+use acsched::trace::{Mmpp, Poisson, Sporadic};
 use proptest::prelude::*;
 
 fn scenario_dir() -> String {
@@ -236,46 +239,40 @@ fn sporadic_cells_of_the_sweep_miss_nothing() {
     assert_eq!(report.total_misses_aperiodic(), 0, "{}", report.to_table());
 }
 
-/// An explicit `Periodic` arrival source is bit-identical to the
-/// engine's built-in periodic path — same `SimReport`, down to the
-/// event-engine counters — on every task set of the checked-in
-/// single-core scenarios.
+/// The sweep's `arrivals periodic` cells are byte-identical to the same
+/// grid under a v3 header: a periodic cell attaches no source and runs
+/// the engine's built-in release grid, exactly as a grid without an
+/// arrivals axis does.
 #[test]
-fn periodic_source_matches_legacy_path_on_checked_in_scenarios() {
-    let dir = scenario_dir();
-    let cpu = Processor::builder(FreqModel::linear(50.0).unwrap())
-        .vmin(Volt::from_volts(0.3))
-        .vmax(Volt::from_volts(4.0))
-        .build()
-        .unwrap();
-    let mut compared = 0;
-    for file in ["smoke.txt", "edf_vs_rm.txt", "arrivals_sweep.txt"] {
-        let scenario = Scenario::load(format!("{dir}/{file}")).expect("scenario parses");
-        for (name, set) in scenario.materialize_task_sets().unwrap() {
-            let wcs = synthesize_wcs(&set, &cpu, &SynthesisOptions::quick()).unwrap();
-            let run = |arrivals: Option<Box<dyn ArrivalSource>>| {
-                let mut draws = TaskWorkloads::paper(&set, 7);
-                let mut sim = Simulator::new(&set, &cpu, GreedyReclaim)
-                    .with_schedule(&wcs)
-                    .with_options(SimOptions {
-                        hyper_periods: 4,
-                        ..SimOptions::default()
-                    });
-                if let Some(src) = arrivals {
-                    sim = sim.with_arrivals(src);
-                }
-                sim.run(&mut |t, i| draws.draw(t, i)).unwrap().report
-            };
-            let legacy = run(None);
-            let sourced = run(Some(Box::new(Periodic::new(&set))));
-            assert_eq!(legacy, sourced, "{file}/{name}: reports diverged");
-            assert_eq!(
-                format!("{legacy:?}"),
-                format!("{sourced:?}"),
-                "{file}/{name}: debug renderings diverged"
-            );
-            compared += 1;
-        }
-    }
-    assert!(compared >= 3, "expected ≥3 task sets, compared {compared}");
+fn periodic_cells_of_the_sweep_match_the_v3_grid() {
+    let sweep = std::fs::read_to_string(format!("{}/arrivals_sweep.txt", scenario_dir()))
+        .expect("checked-in arrivals sweep reads");
+    assert!(
+        sweep.contains("\nacsched-scenario v4\n"),
+        "the sweep is a v4 scenario"
+    );
+    let v3: String = sweep
+        .replace("\nacsched-scenario v4\n", "\nacsched-scenario v3\n")
+        .lines()
+        .filter(|line| !line.starts_with("arrivals "))
+        .map(|line| format!("{line}\n"))
+        .collect();
+    let csv_of = |text: &str| {
+        let scenario = Scenario::from_text(text).expect("scenario parses");
+        campaign_csv(&scenario.to_campaign().expect("non-empty grid"), 1)
+    };
+    let sweep_csv = csv_of(&sweep);
+    let v3_csv = csv_of(&v3);
+    let arrivals = common::column("arrivals");
+    let periodic: Vec<&str> = sweep_csv
+        .lines()
+        .filter(|row| common::split_csv(row)[arrivals] == "periodic")
+        .collect();
+    let v3_rows: Vec<&str> = v3_csv.lines().collect();
+    assert!(!periodic.is_empty(), "the sweep has periodic cells");
+    assert!(
+        sweep_csv.lines().count() > periodic.len(),
+        "the sweep has aperiodic cells too"
+    );
+    assert_eq!(periodic, v3_rows, "periodic rows diverged from the v3 grid");
 }

@@ -90,7 +90,7 @@ fn user_defined_policy_runs_through_simulator() {
         if with_schedule {
             sim = sim.with_schedule(&schedule);
         }
-        let out = sim.run(&mut |t, i| draws.draw(t, i)).unwrap();
+        let out = sim.run(&mut draws).unwrap();
         assert_eq!(out.report.deadline_misses, 0);
         out.report.energy.as_units()
     };

@@ -159,7 +159,7 @@ fn precedence_case(
     let run = |policy: Box<dyn Policy>, draws: &mut TaskWorkloads| {
         Simulator::new(&set, &cpu, policy)
             .with_options(options.clone())
-            .run(&mut |t, i| draws.draw(t, i))
+            .run(draws)
             .expect("schedule-free simulation succeeds")
     };
     let policy: Box<dyn Policy> = if ccrm {
@@ -185,7 +185,7 @@ fn precedence_case(
     let global = Simulator::new(&set, &cpu, NoDvs)
         .with_cores(2)
         .with_options(options)
-        .run(&mut |t, i| draws.draw(t, i))
+        .run(&mut draws)
         .expect("global dispatch succeeds");
     let refs = core_traces(&global);
     let global_checked = assert_precedence("global 2-core", &refs, &edges);
@@ -262,7 +262,7 @@ proptest! {
             let mut draws = TaskWorkloads::paper(&set, seed);
             Simulator::new(&set, &cpu, CcRm::new())
                 .with_options(options.clone())
-                .run(&mut |t, i| draws.draw(t, i))
+                .run(&mut draws)
                 .expect("simulation succeeds")
         };
         let (a, b) = (single(), single());
@@ -274,7 +274,7 @@ proptest! {
             Simulator::new(&set, &cpu, NoDvs)
                 .with_cores(2)
                 .with_options(options.clone())
-                .run(&mut |t, i| draws.draw(t, i))
+                .run(&mut draws)
                 .expect("global dispatch succeeds")
         };
         let (a, b) = (global(), global());
@@ -312,7 +312,7 @@ fn diamond_scenario_respects_precedence_everywhere() {
         let mut draws = TaskWorkloads::paper(&set, 42);
         let single = Simulator::new(&set, &cpu, NoDvs)
             .with_options(options.clone())
-            .run(&mut |t, i| draws.draw(t, i))
+            .run(&mut draws)
             .expect("single-core run succeeds");
         assert!(single.report.all_deadlines_met(), "{class:?} single-core");
         let checked = assert_precedence(
@@ -326,7 +326,7 @@ fn diamond_scenario_respects_precedence_everywhere() {
         let global = Simulator::new(&set, &cpu, NoDvs)
             .with_cores(2)
             .with_options(options)
-            .run(&mut |t, i| draws.draw(t, i))
+            .run(&mut draws)
             .expect("global run succeeds");
         assert!(global.report.all_deadlines_met(), "{class:?} global");
         let refs = core_traces(&global);

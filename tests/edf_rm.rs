@@ -62,7 +62,7 @@ fn equal_period_sets_make_edf_equal_rm_for_every_policy() {
             if make().needs_schedule() {
                 sim = sim.with_schedule(sched);
             }
-            sim.run(&mut |tid, i| draws.draw(tid, i)).unwrap()
+            sim.run(&mut draws).unwrap()
         };
         let rm = run(&set, &wcs_rm);
         let edf = run(&edf_set, &wcs_edf);

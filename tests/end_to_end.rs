@@ -165,7 +165,7 @@ fn cnc_and_gap_end_to_end() {
                 deadline_tol_ms: 1e-3,
                 ..Default::default()
             })
-            .run(&mut |t, i| draws.draw(t, i))
+            .run(&mut draws)
             .unwrap();
         assert_eq!(out.report.deadline_misses, 0);
     }

@@ -442,10 +442,10 @@ fn batched_draw_differential_case(
             Some(s) => Simulator::new(&set, &cpu, GreedyReclaim)
                 .with_schedule(s)
                 .with_options(options.clone())
-                .run_source(source),
+                .run(source),
             None => Simulator::new(&set, &cpu, NoDvs)
                 .with_options(options.clone())
-                .run_source(source),
+                .run(source),
         };
         out.expect("simulation succeeds").report
     };

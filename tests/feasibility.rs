@@ -53,7 +53,7 @@ proptest! {
         let out = Simulator::new(&set, &cpu, GreedyReclaim)
             .with_schedule(&schedule)
             .with_options(SimOptions { hyper_periods: 5, deadline_tol_ms: 1e-3, ..Default::default() })
-            .run(&mut |t, i| draws.draw(t, i))
+            .run(&mut draws)
             .expect("simulation runs");
         prop_assert_eq!(out.report.deadline_misses, 0);
         prop_assert_eq!(out.report.jobs_completed as u64, 5 * set.total_instances());
@@ -127,7 +127,7 @@ fn fixed_seeds_many_hyper_periods() {
                     deadline_tol_ms: 1e-3,
                     ..Default::default()
                 })
-                .run(&mut |t, i| draws.draw(t, i))
+                .run(&mut draws)
                 .unwrap();
             assert_eq!(out.report.deadline_misses, 0, "seed {seed}");
         }
@@ -168,7 +168,7 @@ fn bimodal_draws_never_miss() {
                     deadline_tol_ms: 1e-3,
                     ..Default::default()
                 })
-                .run(&mut |t, k| draws.draw(t, k))
+                .run(&mut draws)
                 .unwrap();
             assert_eq!(out.report.deadline_misses, 0, "seed {seed}");
             assert!(

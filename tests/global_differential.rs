@@ -104,7 +104,7 @@ fn one_task_per_core_global_equals_partitioned() {
         let global = Simulator::new(&set, &cpu, NoDvs)
             .with_cores(n)
             .with_options(options)
-            .run(&mut |t, _i| set.tasks()[t.0].wcec())
+            .run(&mut |t: TaskId, _i: u64| set.tasks()[t.0].wcec())
             .expect("global run succeeds");
 
         assert!(machine.report.all_deadlines_met(), "n={n} partitioned");

@@ -105,7 +105,7 @@ fn no_policy_runs_below_critical_speed() {
         if needs_schedule {
             sim = sim.with_schedule(&schedule);
         }
-        let out = sim.run(&mut |t, i| draws.draw(t, i)).unwrap();
+        let out = sim.run(&mut draws).unwrap();
         assert!(out.report.all_deadlines_met(), "{name}");
         let trace = out.trace.expect("trace recorded");
         assert!(!trace.is_empty(), "{name}");

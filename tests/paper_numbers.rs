@@ -103,7 +103,7 @@ fn fig2_infeasible_on_3v_part() {
     let totals = wcec(&set);
     let out = Simulator::new(&set, &cpu, GreedyReclaim)
         .with_schedule(&acs)
-        .run(&mut |t, _| totals[t.0])
+        .run(&mut |t: TaskId, _: u64| totals[t.0])
         .unwrap();
     assert!(out.report.deadline_misses > 0);
 }

@@ -34,7 +34,7 @@ fn energy_of(
     if let Some(s) = schedule {
         sim = sim.with_schedule(s);
     }
-    let out = sim.run(&mut |t, i| draws.draw(t, i)).unwrap();
+    let out = sim.run(&mut draws).unwrap();
     (out.report.energy.as_units(), out.report.deadline_misses)
 }
 

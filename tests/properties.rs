@@ -128,7 +128,7 @@ fn edf_no_misses_case(picks: &[(usize, f64)], total_util: f64) -> Result<(), Str
     }
     let totals: Vec<Cycles> = set.tasks().iter().map(|t| t.wcec()).collect();
     let out = Simulator::new(&set, &cpu, NoDvs)
-        .run(&mut |tid, _| totals[tid.0])
+        .run(&mut |tid: TaskId, _: u64| totals[tid.0])
         .map_err(|e| e.to_string())?;
     if out.report.deadline_misses != 0 {
         return Err(format!(
@@ -160,7 +160,7 @@ fn energy_reconciles_case(
             hyper_periods: 3,
             ..Default::default()
         })
-        .run(&mut |tid, i| draws.draw(tid, i))
+        .run(&mut draws)
         .map_err(|e| e.to_string())?;
     let r = &out.report;
     let b = r.breakdown();
@@ -230,7 +230,7 @@ fn determinism_case(
                 hyper_periods: 2,
                 ..Default::default()
             })
-            .run(&mut |tid, i| draws.draw(tid, i))
+            .run(&mut draws)
             .map_err(|e| e.to_string())?;
         Ok(out.report)
     };
