@@ -172,8 +172,9 @@ impl CheckpointWriter {
     }
 
     /// Durably record one finished chunk: the line is written, flushed
-    /// and `fsync`'d before this returns, so a kill after the matching
-    /// `record` frames were streamed can never lose the chunk.
+    /// and `fsync`'d before this returns. The server sends the chunk's
+    /// `record` frames only after that, so a kill after the client
+    /// received them can never lose the chunk.
     ///
     /// # Errors
     ///

@@ -13,11 +13,17 @@
 //! ([`parallel_for_in_order`]) runs each chunk through
 //! `Campaign::run_range_with` (one thread per chunk — parallelism
 //! comes from running chunks concurrently), while the consumer on the
-//! connection thread streams `record` frames in global cell order,
-//! appends the finished chunk to the campaign's checkpoint (fsync'd),
-//! and emits a `progress` frame. The in-flight bound is the
-//! backpressure knob: a slow client socket or a slow disk stalls the
-//! workers instead of buffering the whole campaign in memory.
+//! connection thread takes chunks in global cell order, appends each
+//! finished chunk to the campaign's checkpoint (fsync'd), and only
+//! then sends the chunk's `record` frames and its `progress` frame,
+//! all in one write. A client therefore never holds a record whose
+//! chunk is not on disk. The in-flight bound is the backpressure knob:
+//! a slow client socket or a slow disk stalls the workers instead of
+//! buffering the whole campaign in memory.
+//!
+//! Sockets run with `TCP_NODELAY`: every write is a whole frame or a
+//! whole chunk, so Nagle's algorithm has nothing to coalesce and would
+//! only hold each write for the client's delayed ACK (40 ms on Linux).
 //!
 //! Because per-run draw streams are keyed by `(seed, task-set, core)`
 //! — not by thread or chunk placement — the concatenated `record` rows
@@ -76,25 +82,46 @@ pub fn serve_on(listener: TcpListener, state: Arc<ServerState>) -> io::Result<()
 
 /// Drive one connection's request loop.
 ///
-/// Malformed lines produce an `error` frame carrying the 1-based line
-/// number and leave the connection open; only transport errors (or a
-/// client hangup) end the loop.
+/// Malformed lines, including lines that are not UTF-8, produce an
+/// `error` frame carrying the 1-based line number and leave the
+/// connection open; only transport errors (or a client hangup) end the
+/// loop.
 ///
 /// # Errors
 ///
 /// Returns the transport error that ended the connection.
 pub fn handle_connection(stream: TcpStream, state: Arc<ServerState>) -> io::Result<()> {
-    let reader = BufReader::new(stream.try_clone()?);
+    stream.set_nodelay(true)?;
+    let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
     let mut line_no = 0u64;
     let mut greeted = false;
-    for line in reader.lines() {
-        let line = line?;
+    let mut bytes = Vec::new();
+    loop {
+        bytes.clear();
+        if reader.read_until(b'\n', &mut bytes)? == 0 {
+            break;
+        }
         line_no += 1;
+        // Strip `\n` or `\r\n`, as `BufRead::lines` does.
+        let raw = bytes
+            .strip_suffix(b"\n")
+            .map_or(&bytes[..], |l| l.strip_suffix(b"\r").unwrap_or(l));
+        let line = match std::str::from_utf8(raw) {
+            Ok(line) => line,
+            Err(e) => {
+                let message = format!(
+                    "line is not valid UTF-8 (first invalid byte at offset {})",
+                    e.valid_up_to()
+                );
+                send(&mut writer, &error_frame(line_no, &message))?;
+                continue;
+            }
+        };
         if line.trim().is_empty() {
             continue;
         }
-        match parse_request(&line) {
+        match parse_request(line) {
             Err(message) => send(&mut writer, &error_frame(line_no, &message))?,
             Ok(Request::Hello { proto }) => {
                 if proto == PROTO_VERSION {
@@ -263,9 +290,10 @@ fn run_submission(
     send(writer, &accepted.finish())?;
 
     // 7. Execute. Workers produce chunks (or replay them); the consumer
-    //    streams records in global order, checkpoints, and reports
-    //    progress. `max_inflight_chunks` bounds how far workers run
-    //    ahead of this connection's socket + disk.
+    //    takes them in global order, checkpoints each fresh chunk, and
+    //    only then sends its records and progress as one write.
+    //    `max_inflight_chunks` bounds how far workers run ahead of this
+    //    connection's socket + disk.
     let resumed = &resumed;
     let campaign = &campaign;
     let plans_ref: &acs_runtime::CampaignPlans = &plans;
@@ -273,6 +301,7 @@ fn run_submission(
     let mut failed_total = 0usize;
     let mut chunks_run = 0usize;
     let mut chunks_replayed = 0usize;
+    let mut frames = String::new();
     let relaxed = std::sync::atomic::Ordering::Relaxed;
 
     let outcome: Result<(), SubmitError> = parallel_for_in_order(
@@ -305,13 +334,8 @@ fn run_submission(
                 let _ = send(writer, &error_frame(line_no, &message));
                 SubmitError::Transport(io::Error::other(message))
             })?;
-            for (offset, row) in entry.rows.iter().enumerate() {
-                send(writer, &record_frame(entry.lo + offset, row))?;
-            }
-            state
-                .counters
-                .records_streamed
-                .fetch_add(entry.rows.len() as u64, relaxed);
+            // The chunk is on disk before any of its records leaves, so
+            // every record a client has received survives a crash.
             if replayed {
                 chunks_replayed += 1;
                 state.counters.chunks_replayed.fetch_add(1, relaxed);
@@ -326,10 +350,19 @@ fn run_submission(
             }
             cells_done += entry.hi - entry.lo;
             failed_total += entry.failed;
-            send(
-                writer,
-                &progress_frame(k, n_chunks, cells_done, cells, replayed),
-            )?;
+            frames.clear();
+            for (offset, row) in entry.rows.iter().enumerate() {
+                frames.push_str(&record_frame(entry.lo + offset, row));
+                frames.push('\n');
+            }
+            frames.push_str(&progress_frame(k, n_chunks, cells_done, cells, replayed));
+            frames.push('\n');
+            writer.write_all(frames.as_bytes())?;
+            writer.flush()?;
+            state
+                .counters
+                .records_streamed
+                .fetch_add(entry.rows.len() as u64, relaxed);
             Ok(())
         },
     );

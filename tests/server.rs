@@ -15,6 +15,7 @@ use std::sync::Arc;
 
 use acs_runtime::CsvSink;
 use acs_scenario::Scenario;
+use acs_serve::protocol::{parse_server_frame, submit_frame, SubmitRequest};
 use acs_serve::{serve_on, ServerConfig, ServerState, SubmitOptions};
 
 fn manifest_path(rel: &str) -> PathBuf {
@@ -69,7 +70,12 @@ impl Wire {
     }
 
     fn send(&mut self, line: &str) {
-        self.writer.write_all(line.as_bytes()).unwrap();
+        self.send_raw(line.as_bytes());
+    }
+
+    /// Send one line of arbitrary bytes, not necessarily UTF-8.
+    fn send_raw(&mut self, line: &[u8]) {
+        self.writer.write_all(line).unwrap();
         self.writer.write_all(b"\n").unwrap();
         self.writer.flush().unwrap();
     }
@@ -181,6 +187,14 @@ fn malformed_frames_get_line_numbered_errors_without_killing_the_connection() {
             && e9.contains("cannot read trace")
             && e9.contains("\"line\":"),
         "{e9}"
+    );
+
+    // Line 10: not UTF-8. The error names the first invalid byte.
+    wire.send_raw(b"{\"type\":\"stats\"\xff}");
+    let e10 = wire.recv();
+    assert!(
+        e10.contains("\"line\":10") && e10.contains("not valid UTF-8") && e10.contains("offset 15"),
+        "{e10}"
     );
 
     wire.send(r#"{"type":"stats"}"#);
@@ -304,7 +318,8 @@ fn sigkill_mid_campaign_then_resume_is_byte_identical() {
     let addr = server.addr.clone();
 
     // Drive the protocol by hand so we can kill after the third
-    // record frame.
+    // record frame. The server fsyncs a chunk before it sends the
+    // chunk's records, so those three chunks are on disk by then.
     let mut wire = Wire::connect(&addr);
     wire.hello();
     let escaped = scenario
@@ -343,7 +358,7 @@ fn sigkill_mid_campaign_then_resume_is_byte_identical() {
     assert_eq!(outcome.cells, 15, "multicore_sweep.txt is a 15-cell grid");
     assert!(
         outcome.resumed_chunks >= 3,
-        "the {} streamed-and-checkpointed chunks must replay (got {})",
+        "the {} streamed chunks were checkpointed before they were sent, so they must replay (got {})",
         records,
         outcome.resumed_chunks
     );
@@ -365,6 +380,111 @@ fn sigkill_mid_campaign_then_resume_is_byte_identical() {
             "served+resumed CSV must be byte-identical to a local run at {threads} threads"
         );
     }
+}
+
+/// The server fsyncs a chunk's checkpoint line before it sends the
+/// chunk's `record` frames, so a resume replays every record a client
+/// holds. This pins the order the SIGKILL test above samples: with
+/// 1-cell chunks and two workers, chunk `index` must be on disk each
+/// time record `index` arrives.
+#[test]
+fn records_never_reach_the_client_before_their_checkpoint_line() {
+    let ckpt_dir = temp_dir("ckpt-order");
+    let addr = spawn_in_process(ServerConfig {
+        ckpt_dir: ckpt_dir.clone(),
+        ..ServerConfig::default()
+    });
+    let mut wire = Wire::connect(&addr);
+    wire.hello();
+    wire.send(&submit_frame(&SubmitRequest {
+        scenario: std::fs::read_to_string(manifest_path("scenarios/multicore_sweep.txt")).unwrap(),
+        id: Some("order".into()),
+        resume: false,
+        threads: Some(2),
+        chunk: Some(1),
+    }));
+    let accepted = wire.recv();
+    assert!(accepted.contains("\"type\":\"accepted\""), "{accepted}");
+
+    let ckpt_path = ckpt_dir.join("order.ckpt");
+    let mut records = 0;
+    loop {
+        let frame = parse_server_frame(&wire.recv()).unwrap();
+        match frame.frame_type.as_str() {
+            "record" => {
+                let index = frame.body.u64_field("index").unwrap() as usize;
+                let on_disk = acs_serve::checkpoint::load(&ckpt_path)
+                    .unwrap()
+                    .expect("the checkpoint header is written before `accepted`");
+                assert!(
+                    on_disk.chunks.contains_key(&index),
+                    "record {index} reached the client before its checkpoint line"
+                );
+                records += 1;
+            }
+            "progress" => {}
+            "done" => break,
+            other => panic!("unexpected `{other}` frame"),
+        }
+    }
+    assert_eq!(records, 15, "multicore_sweep.txt is a 15-cell grid");
+}
+
+/// With Nagle's algorithm on, a frame written while the previous one is
+/// unacknowledged waits for the client's delayed ACK (40 ms on Linux),
+/// which holds every warm submission past 40 ms for about a millisecond
+/// of work. The server disables Nagle, so a warm one-cell submission
+/// must take well under half that floor.
+#[test]
+fn warm_submissions_are_not_held_by_delayed_acks() {
+    let addr = spawn_in_process(ServerConfig {
+        ckpt_dir: temp_dir("nodelay"),
+        ..ServerConfig::default()
+    });
+    let scenario = "acsched-scenario v1
+taskset pair
+task ctrl period=10 wcec=300 acec=120 bcec=30
+task telemetry period=20 wcec=600 acec=200 bcec=60
+end
+processor linear50 linear kappa=50 vmin=0.3 vmax=4
+schedules wcs
+policy greedy
+workload paper
+seeds 1
+hyper_periods 1
+synthesis quick
+";
+    let submit = || {
+        acs_serve::submit(&SubmitOptions {
+            addr: addr.clone(),
+            scenario: scenario.into(),
+            id: None,
+            resume: false,
+            threads: None,
+            chunk: None,
+            quiet: true,
+        })
+        .unwrap()
+    };
+    assert_eq!(
+        submit().cells,
+        1,
+        "the cold submission fills the plan cache"
+    );
+
+    let mut warm_ms: Vec<f64> = (0..9)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            submit();
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    warm_ms.sort_by(f64::total_cmp);
+    assert!(
+        warm_ms[4] < 20.0,
+        "median warm submission took {:.1} ms (sorted: {warm_ms:.1?}); frames are waiting for delayed ACKs",
+        warm_ms[4]
+    );
 }
 
 struct Server {
