@@ -19,6 +19,16 @@
 //! evaluated in plain `f64`: the objective through
 //! [`ConstrainedProblem::objective`] and the penalties from the sparse
 //! rows. Any other problem is built on the AD tape at every evaluation.
+//!
+//! On the linear path an inactive inequality row (`t = max(μ g_i + ν_i,
+//! 0)` is zero) adds `(0.0 − ν_i·ν_i) / (2μ)` and nothing to the
+//! gradient. That term depends on ν and μ alone, which change only
+//! between outer iterations, so it is computed once per outer iteration
+//! into an `idle` vector and each evaluation adds `idle[i]` without a
+//! division. It is the formula's own value: `t` is never NaN (`max`
+//! returns the non-NaN operand) and `t·t` is `+0.0` for either zero, so
+//! the merit and every gradient entry keep their bits. Writing it as
+//! `−ν²/(2μ)` would not: at ν = 0 that is `−0.0`.
 
 use crate::lbfgs::{self, LbfgsConfig, LbfgsStop};
 use crate::problem::{ConstrainedProblem, LinearConstraints};
@@ -129,8 +139,8 @@ fn measure<'g>(
     eq.clear();
     if let Some(lc) = lc {
         obj = problem.objective(x, 0.0, None);
-        ineq.extend((0..lc.ineq.rows()).map(|i| lc.ineq.value(i, x)));
-        eq.extend((0..lc.eq.rows()).map(|j| lc.eq.value(j, x)));
+        ineq.extend(lc.ineq.iter().map(|row| row.value(x)));
+        eq.extend(lc.eq.iter().map(|row| row.value(x)));
     } else {
         g.reset();
         xs.clear();
@@ -146,6 +156,61 @@ fn measure<'g>(
         .chain(eq.iter().map(|&v| v.abs()))
         .fold(0.0f64, f64::max);
     (obj, viol)
+}
+
+/// The PHR multipliers and penalty weight of one inner solve, with the
+/// inactive-row terms `idle[i] = (0.0 − ν_i·ν_i) / (2μ)` of that ν and
+/// μ (filled by [`Phr::new`]).
+struct Phr<'a> {
+    lambda: &'a [f64],
+    nu: &'a [f64],
+    idle: &'a [f64],
+    mu: f64,
+}
+
+impl<'a> Phr<'a> {
+    /// Fills `idle` (one slot per inequality row) for `nu` and `mu`.
+    fn new(lambda: &'a [f64], nu: &'a [f64], mu: f64, idle: &'a mut [f64]) -> Self {
+        for (term, &nui) in idle.iter_mut().zip(nu) {
+            *term = (0.0 - nui * nui) / (2.0 * mu);
+        }
+        Phr {
+            lambda,
+            nu,
+            idle,
+            mu,
+        }
+    }
+
+    /// Adds the penalty terms of the rows of `lc` at `x` onto `merit`
+    /// (the objective's value) and returns the sum; the penalty
+    /// gradients go into `grad` (the objective's gradient). Each row is
+    /// read once; an inactive inequality row adds its `idle` term and
+    /// touches no gradient entry.
+    //
+    // Out of line on purpose: inlined into the merit closure, which also
+    // holds the tape path, `merit` lives in a stack slot and every row
+    // waits on a store-to-load round trip; out of line the sum stays in
+    // a register and the pass takes about half the time.
+    #[inline(never)]
+    fn add_linear(&self, lc: &LinearConstraints, x: &[f64], grad: &mut [f64], merit: f64) -> f64 {
+        let (mu, mut merit) = (self.mu, merit);
+        for (row, &lam) in lc.eq.iter().zip(self.lambda) {
+            let h = row.value(x);
+            merit += lam * h + (mu / 2.0) * h * h;
+            row.add_scaled_to(lam + mu * h, grad);
+        }
+        for ((row, &nui), &idle) in lc.ineq.iter().zip(self.nu).zip(self.idle) {
+            let t = (row.value(x) * mu + nui).max(0.0);
+            if t > 0.0 {
+                merit += (t * t - nui * nui) / (2.0 * mu);
+                row.add_scaled_to(t, grad);
+            } else {
+                merit += idle;
+            }
+        }
+        merit
+    }
 }
 
 /// Solves a constrained problem with the PHR augmented Lagrangian.
@@ -211,6 +276,10 @@ pub fn solve_seeded(
         }
     }
     let mut lambda = vec![0.0f64; num_eq]; // equality multipliers
+
+    // Inactive-row penalty terms of the linear path, refilled once per
+    // outer iteration.
+    let mut idle = vec![0.0f64; if lc.is_some() { num_ineq } else { 0 }];
     let mut mu = config.mu_init;
     let mut smoothing = config.smoothing_init;
     let mut evaluations = 0usize;
@@ -225,23 +294,12 @@ pub fn solve_seeded(
     for _outer in 0..config.outer_iters {
         outer_done += 1;
         // ---- inner minimization of the merit function ----
+        let phr = Phr::new(&lambda, &nu, mu, &mut idle);
         let merit = |xv: &[f64], grad: &mut [f64]| -> f64 {
             if let Some(lc) = &lc {
                 // Fast path: the problem's objective, linear penalties in f64.
-                let mut merit = problem.objective(xv, smoothing, Some(grad));
-                for (j, &lam) in lambda.iter().enumerate().take(lc.eq.rows()) {
-                    let h = lc.eq.value(j, xv);
-                    merit += lam * h + (mu / 2.0) * h * h;
-                    lc.eq.add_scaled_gradient(j, lam + mu * h, grad);
-                }
-                for (i, &nui) in nu.iter().enumerate().take(lc.ineq.rows()) {
-                    let t = (lc.ineq.value(i, xv) * mu + nui).max(0.0);
-                    merit += (t * t - nui * nui) / (2.0 * mu);
-                    if t > 0.0 {
-                        lc.ineq.add_scaled_gradient(i, t, grad);
-                    }
-                }
-                return merit;
+                let objective = problem.objective(xv, smoothing, Some(grad));
+                return phr.add_linear(lc, xv, grad, objective);
             }
             g.reset();
             xs.clear();
@@ -327,8 +385,9 @@ pub fn solve_seeded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::ProblemExprs;
+    use crate::problem::{ProblemExprs, SparseLinear};
     use crate::tape::Expr;
+    use proptest::prelude::*;
 
     /// min x² + y²  s.t.  x + y = 1  →  (0.5, 0.5).
     struct EqualityQp;
@@ -603,5 +662,152 @@ mod tests {
         assert!(!r.history.is_empty());
         assert!(r.history.last().unwrap().violation <= 1e-6);
         assert!(r.evaluations > 0);
+    }
+
+    /// The penalty pass as it was before the idle terms and the row view:
+    /// one division per inequality row, CSR arrays indexed term by term.
+    /// [`Phr::add_linear`] must match it bit for bit.
+    fn add_linear_reference(
+        lc: &LinearConstraints,
+        lambda: &[f64],
+        nu: &[f64],
+        mu: f64,
+        xv: &[f64],
+        grad: &mut [f64],
+        mut merit: f64,
+    ) -> f64 {
+        for (j, &lam) in lambda.iter().enumerate().take(lc.eq.rows()) {
+            let h = lc.eq.value(j, xv);
+            merit += lam * h + (mu / 2.0) * h * h;
+            lc.eq.add_scaled_gradient(j, lam + mu * h, grad);
+        }
+        for (i, &nui) in nu.iter().enumerate().take(lc.ineq.rows()) {
+            let t = (lc.ineq.value(i, xv) * mu + nui).max(0.0);
+            merit += (t * t - nui * nui) / (2.0 * mu);
+            if t > 0.0 {
+                lc.ineq.add_scaled_gradient(i, t, grad);
+            }
+        }
+        merit
+    }
+
+    /// [`Phr::add_linear`] with `idle` filled the way `solve_seeded`
+    /// fills it.
+    fn add_linear_fast(
+        lc: &LinearConstraints,
+        lambda: &[f64],
+        nu: &[f64],
+        mu: f64,
+        xv: &[f64],
+        grad: &mut [f64],
+        merit: f64,
+    ) -> f64 {
+        let mut idle = vec![f64::NAN; nu.len()];
+        Phr::new(lambda, nu, mu, &mut idle).add_linear(lc, xv, grad, merit)
+    }
+
+    /// Equal bits, or both NaN: Rust leaves the sign and payload of a NaN
+    /// result unspecified.
+    fn same_bits(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    fn finite() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            -4.0f64..4.0,
+            -4.0f64..4.0,
+            Just(0.0),
+            Just(-0.0),
+            Just(1.0),
+            Just(-1.0),
+        ]
+    }
+
+    fn maybe_nan() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            finite(),
+            finite(),
+            finite(),
+            finite(),
+            finite(),
+            finite(),
+            finite(),
+            Just(f64::NAN),
+        ]
+    }
+
+    /// Up to 9 rows of up to 3 terms over 6 columns; empty rows included.
+    fn rows() -> impl Strategy<Value = Vec<(Vec<(usize, f64)>, f64)>> {
+        prop::collection::vec(
+            (
+                prop::collection::vec((0usize..6, finite()), 0..4),
+                maybe_nan(),
+            ),
+            0..10,
+        )
+    }
+
+    fn sparse(rows: &[(Vec<(usize, f64)>, f64)]) -> SparseLinear {
+        let mut m = SparseLinear::new();
+        for (terms, bias) in rows {
+            m.push_row(terms, *bias);
+        }
+        m
+    }
+
+    proptest! {
+        #[test]
+        fn idle_terms_and_row_views_keep_the_penalty_bits(
+            eq_rows in rows(),
+            ineq_rows in rows(),
+            x in prop::collection::vec(maybe_nan(), 6),
+            lambda in prop::collection::vec(finite(), 9),
+            nu in prop::collection::vec(
+                prop_oneof![Just(0.0), Just(-0.0), 0.0f64..4.0, 0.0f64..1e3],
+                9,
+            ),
+            mu in prop_oneof![Just(10.0), Just(100.0), 0.5f64..1e6],
+            merit in finite(),
+            grad in prop::collection::vec(finite(), 6),
+        ) {
+            let lc = LinearConstraints {
+                ineq: sparse(&ineq_rows),
+                eq: sparse(&eq_rows),
+            };
+            for m in [&lc.ineq, &lc.eq] {
+                for (i, row) in m.iter().enumerate() {
+                    prop_assert!(same_bits(row.value(&x), m.value(i, &x)), "row {i}");
+                }
+            }
+            let (lambda, nu) = (&lambda[..lc.eq.rows()], &nu[..lc.ineq.rows()]);
+            let (mut want_grad, mut got_grad) = (grad.clone(), grad);
+            let want = add_linear_reference(&lc, lambda, nu, mu, &x, &mut want_grad, merit);
+            let got = add_linear_fast(&lc, lambda, nu, mu, &x, &mut got_grad, merit);
+            prop_assert!(same_bits(got, want), "merit {got:?}, reference {want:?}");
+            for (j, (g, w)) in got_grad.iter().zip(&want_grad).enumerate() {
+                prop_assert!(same_bits(*g, *w), "grad[{j}] {g:?}, reference {w:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_inactive_row_with_zero_multiplier_adds_positive_zero() {
+        // The formula adds (0.0 − 0·0)/(2μ) = +0.0, which turns a merit of
+        // −0.0 into +0.0; the algebraically equal −ν²/(2μ) is −0.0 and
+        // would leave −0.0.
+        let mut ineq = SparseLinear::new();
+        ineq.push_row(&[(0, 1.0)], -1.0); // x − 1 ≤ 0, inactive at x = 0
+        let lc = LinearConstraints {
+            ineq,
+            eq: SparseLinear::new(),
+        };
+        for nu in [0.0, -0.0] {
+            let (mut want_grad, mut got_grad) = ([0.5], [0.5]);
+            let want = add_linear_reference(&lc, &[], &[nu], 10.0, &[0.0], &mut want_grad, -0.0);
+            let got = add_linear_fast(&lc, &[], &[nu], 10.0, &[0.0], &mut got_grad, -0.0);
+            assert_eq!(want.to_bits(), 0.0f64.to_bits());
+            assert_eq!(got.to_bits(), want.to_bits(), "nu = {nu:?}");
+            assert_eq!(got_grad.map(f64::to_bits), want_grad.map(f64::to_bits));
+        }
     }
 }

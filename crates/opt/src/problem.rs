@@ -58,9 +58,26 @@ impl SparseLinear {
         self.bias.len()
     }
 
-    /// Value of row `i` at `x`.
+    /// The rows in order, each as a view of its own terms.
     #[inline]
-    pub fn value(&self, i: usize, x: &[f64]) -> f64 {
+    pub fn iter(&self) -> impl Iterator<Item = SparseRow<'_>> {
+        self.offsets
+            .windows(2)
+            .zip(&self.bias)
+            .map(|(span, &bias)| {
+                let (lo, hi) = (span[0] as usize, span[1] as usize);
+                SparseRow {
+                    cols: &self.cols[lo..hi],
+                    coeffs: &self.coeffs[lo..hi],
+                    bias,
+                }
+            })
+    }
+
+    /// Value of row `i` at `x`, indexing the CSR arrays term by term: the
+    /// reference [`SparseRow::value`] is tested against.
+    #[cfg(test)]
+    pub(crate) fn value(&self, i: usize, x: &[f64]) -> f64 {
         let (lo, hi) = (self.offsets[i] as usize, self.offsets[i + 1] as usize);
         let mut v = self.bias[i];
         for k in lo..hi {
@@ -69,13 +86,43 @@ impl SparseLinear {
         v
     }
 
-    /// Adds `scale · ∇g_i` into `grad` (the gradient of a linear row is
-    /// its constant coefficient pattern).
-    #[inline]
-    pub fn add_scaled_gradient(&self, i: usize, scale: f64, grad: &mut [f64]) {
+    /// Adds `scale · ∇g_i` into `grad`, indexing the CSR arrays term by
+    /// term: the reference [`SparseRow::add_scaled_to`] is tested against.
+    #[cfg(test)]
+    pub(crate) fn add_scaled_gradient(&self, i: usize, scale: f64, grad: &mut [f64]) {
         let (lo, hi) = (self.offsets[i] as usize, self.offsets[i + 1] as usize);
         for k in lo..hi {
             grad[self.cols[k] as usize] += scale * self.coeffs[k];
+        }
+    }
+}
+
+/// One row `Σ_k c_k · x[col_k] + b` of a [`SparseLinear`], borrowed as
+/// slices of its columns and coefficients (see [`SparseLinear::iter`]).
+#[derive(Debug, Clone, Copy)]
+pub struct SparseRow<'a> {
+    cols: &'a [u32],
+    coeffs: &'a [f64],
+    bias: f64,
+}
+
+impl SparseRow<'_> {
+    /// Value of the row at `x`: the bias, then each term in column order.
+    #[inline]
+    pub fn value(&self, x: &[f64]) -> f64 {
+        let mut v = self.bias;
+        for (&col, &coeff) in self.cols.iter().zip(self.coeffs) {
+            v += coeff * x[col as usize];
+        }
+        v
+    }
+
+    /// Adds `scale · ∇g` into `grad` (the gradient of a linear row is its
+    /// constant coefficient pattern).
+    #[inline]
+    pub fn add_scaled_to(&self, scale: f64, grad: &mut [f64]) {
+        for (&col, &coeff) in self.cols.iter().zip(self.coeffs) {
+            grad[col as usize] += scale * coeff;
         }
     }
 }

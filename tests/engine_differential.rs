@@ -401,7 +401,7 @@ impl<S: WorkloadSource> WorkloadSource for ChunkedSource<S> {
             let size = self.sizes[self.cursor % self.sizes.len()].max(1);
             self.cursor += 1;
             let n = size.min(count - done);
-            if self.cursor % 2 == 0 {
+            if self.cursor.is_multiple_of(2) {
                 self.inner.draw_batch(task, start + done, n, out);
             } else {
                 for k in 0..n {
