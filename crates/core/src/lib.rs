@@ -84,7 +84,7 @@ pub use reopt::{
 pub use schedule::{Milestone, ScheduleKind, SolveDiagnostics, StaticSchedule};
 pub use synthesis::{
     synthesize_acs, synthesize_acs_best, synthesize_acs_warm, synthesize_wcs, synthesize_wcs_warm,
-    SynthesisOptions,
+    warm_start_wins, SynthesisOptions,
 };
 pub use trace::{evaluate_trace, SpeedBasis, TraceOutcome};
 pub use verify::{verify_worst_case, Violation, ViolationKind, WorstCaseReport};

@@ -248,17 +248,29 @@ pub fn synthesize_acs_best(
 ) -> Result<StaticSchedule, CoreError> {
     let from_warm = synthesize_acs_warm(set, cpu, options, warm);
     let from_cold = synthesize_acs(set, cpu, options);
-    match (from_warm, from_cold) {
-        (Ok(a), Ok(b)) => Ok(
-            if a.diagnostics().predicted_avg_energy <= b.diagnostics().predicted_avg_energy {
-                a
-            } else {
-                b
-            },
-        ),
-        (Ok(a), Err(_)) => Ok(a),
-        (Err(_), Ok(b)) => Ok(b),
-        (Err(e), Err(_)) => Err(e),
+    if warm_start_wins(&from_warm, &from_cold) {
+        from_warm
+    } else {
+        from_cold
+    }
+}
+
+/// The pick [`synthesize_acs_best`] makes between its two solves of one
+/// task set: `true` when the warm-start result is kept. Of two feasible
+/// schedules the one predicting less average-case energy wins, and the
+/// warm start wins a tie; a lone success wins; when both fail, the warm
+/// start's error is kept. Callers that run the two solves apart pick
+/// with this, so they keep the same schedule bit for bit.
+pub fn warm_start_wins<E>(
+    warm: &Result<StaticSchedule, E>,
+    cold: &Result<StaticSchedule, E>,
+) -> bool {
+    match (warm, cold) {
+        (Ok(a), Ok(b)) => {
+            a.diagnostics().predicted_avg_energy <= b.diagnostics().predicted_avg_energy
+        }
+        (Err(_), Ok(_)) => false,
+        (_, Err(_)) => true,
     }
 }
 

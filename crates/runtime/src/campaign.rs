@@ -1,10 +1,11 @@
 //! The [`Campaign`] experiment grid: axes, builder, parallel execution.
 
-use crate::pool::{default_threads, parallel_for_in_order, parallel_map};
+use crate::pool::{default_threads, parallel_for_in_order, OnceTasks};
 use crate::report::{CampaignReport, CellReport, CellStats};
 use crate::sink::{AggregateSink, CampaignMeta, CellRecord, ResultSink};
 use acs_core::{
-    synthesize_acs_best, synthesize_acs_warm, synthesize_wcs, StaticSchedule, SynthesisOptions,
+    synthesize_acs, synthesize_acs_warm, synthesize_wcs, warm_start_wins, StaticSchedule,
+    SynthesisOptions,
 };
 use acs_model::units::Energy;
 use acs_model::{SchedulingClass, TaskSet};
@@ -17,7 +18,7 @@ use acs_sim::{
 use acs_trace::TraceSource;
 use acs_workloads::{TaskWorkloads, WorkloadDist};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Which offline schedule a grid cell runs under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -616,8 +617,10 @@ impl CampaignBuilder {
         self
     }
 
-    /// Uses multi-start ACS synthesis (`synthesize_acs_best`) instead of
-    /// a single warm-started solve.
+    /// Uses multi-start ACS synthesis — a cold-started solve besides the
+    /// warm-started one, keeping the schedule `synthesize_acs_best` would
+    /// pick ([`warm_start_wins`]) — instead of a single warm-started
+    /// solve.
     pub fn acs_multistart(mut self, on: bool) -> Self {
         self.acs_multistart = on;
         self
@@ -922,14 +925,10 @@ impl Campaign {
     /// simulation failures are recorded per cell (see
     /// [`CellReport::outcome`]); they never abort the rest of the grid.
     ///
-    /// Execution is two parallel phases with a barrier between them:
-    /// all schedule synthesis first ([`Campaign::plan`]), then all
-    /// simulation runs (streamed via [`Campaign::run_range_with`] over
-    /// the whole grid). The barrier costs wall-clock on lopsided grids
-    /// (one slow solve holds back even unscheduled cells) — acceptable
-    /// today because synthesis jobs are deduplicated and typically
-    /// dominate; a dependency-aware queue can replace it without
-    /// changing the deterministic record order.
+    /// [`Campaign::plan`] only lays out the deduplicated solve slots,
+    /// and each WCS/ACS solve runs on a worker of
+    /// [`Campaign::run_range_with`] when the first run needs it, so the
+    /// first record waits only for the solves its own cell needs.
     ///
     /// # Errors
     ///
@@ -948,17 +947,24 @@ impl Campaign {
         sink.on_end()
     }
 
-    /// Phase 1 — synthesizes every schedule and partition the grid
-    /// needs, in parallel, deduplicated per
-    /// `(set, cpu, cores, partitioner, class)` and across
-    /// synthesis-equivalent processors.
+    /// Lays out every partition and schedule solve the grid needs, one
+    /// slot per `(set, cpu, cores, partitioner, class)`, with
+    /// synthesis-equivalent processors sharing a slot. It partitions
+    /// multicore slots (a cheap bin packing) but solves nothing: each
+    /// slot's WCS solve, its ACS solve from the WCS warm start and,
+    /// under [`CampaignBuilder::acs_multistart`], its cold-start ACS
+    /// solve are tasks that [`Campaign::run_range_with`] runs when a
+    /// run first needs them, in first-need (grid) order.
     ///
-    /// The result owns all of its data and is independent of `self`'s
-    /// lifetime, so callers can cache it (e.g. behind an [`Arc`]) and
-    /// replay it against *any* campaign built from the same axes — the
-    /// campaign server keys plans by scenario content hash for exactly
-    /// this. [`Campaign::run_range_with`] checks a structural signature
-    /// and rejects plans from a different grid.
+    /// The result owns all of its data — class-tagged task sets,
+    /// processors, synthesis options and the multistart flag — and is
+    /// independent of `self`'s lifetime, so callers can cache it (e.g.
+    /// behind an [`Arc`]) and replay it against *any* campaign built
+    /// from the same axes; the campaign server keys plans by scenario
+    /// content hash for exactly this. Every campaign sharing one plan
+    /// shares its solves, and a slot's bits never depend on which
+    /// campaign asks first. [`Campaign::run_range_with`] checks a
+    /// structural signature and rejects plans from a different grid.
     pub fn plan(&self) -> CampaignPlans {
         let b = &self.builder;
         // A plan is the partition (multicore cells only) plus the
@@ -966,116 +972,111 @@ impl Campaign {
         // synthesized on the class-tagged set: the fully preemptive
         // expansion orders segments by the scheduling class, so EDF
         // cells get EDF-consistent milestones. Single-core unscheduled
-        // cells need no plan at all.
-        let mut needs: std::collections::BTreeMap<PlanKey, PlanNeeds> =
-            std::collections::BTreeMap::new();
-        for cell in &self.cells {
-            let scheduled = cell.schedule != ScheduleChoice::Unscheduled;
-            // Global cells are always unscheduled (the grid skips
-            // schedule-backed policies there) and never partition, so
-            // they need no plan at all — like single-core unscheduled
-            // cells.
-            if !scheduled && (cell.cores == 1 || cell.placement == Placement::Global) {
+        // and global cells need no plan at all.
+        let keys: Vec<PlanKey> = self
+            .cells
+            .iter()
+            .filter_map(plan_key)
+            .collect::<std::collections::BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        // Synthesis-equivalent processors share one slot per (set,
+        // cores, partitioner, class): same frequency law and voltage
+        // range ⇒ same f_max ⇒ same partition and same solves. The
+        // first key of each group (in key order) owns the slot.
+        let mut slot_at: Vec<usize> = Vec::with_capacity(keys.len());
+        let mut slots: Vec<Slot> = Vec::new();
+        for (i, &(set_idx, cpu_idx, cores, part, class)) in keys.iter().enumerate() {
+            let shared = (0..i).find(|&j| {
+                let (set_j, cpu_j, cores_j, part_j, class_j) = keys[j];
+                set_j == set_idx
+                    && cores_j == cores
+                    && part_j == part
+                    && class_j == class
+                    && synthesis_equivalent(&b.processors[cpu_j].1, &b.processors[cpu_idx].1)
+            });
+            if let Some(j) = shared {
+                slot_at.push(slot_at[j]);
                 continue;
             }
-            let e = needs
-                .entry((cell.set, cell.cpu, cell.cores, cell.part, cell.class))
-                .or_insert((false, false));
-            e.0 |= scheduled;
-            e.1 |= cell.schedule == ScheduleChoice::Acs;
-        }
-        let mut keys: Vec<(PlanKey, PlanNeeds)> = needs.into_iter().collect();
-        // Synthesis-equivalent processors share one plan per (set,
-        // cores, partitioner, class): same frequency law and voltage
-        // range ⇒ same f_max ⇒ same partition and same solves.
-        // `canon[i]` points at the representative; merged needs land on
-        // it.
-        let mut canon: Vec<usize> = (0..keys.len()).collect();
-        for i in 0..keys.len() {
-            let ((set_i, cpu_i, cores_i, part_i, class_i), _) = keys[i];
-            if let Some(j) = (0..i).find(|&j| {
-                let ((set_j, cpu_j, cores_j, part_j, class_j), _) = keys[j];
-                canon[j] == j
-                    && set_j == set_i
-                    && cores_j == cores_i
-                    && part_j == part_i
-                    && class_j == class_i
-                    && synthesis_equivalent(&b.processors[cpu_j].1, &b.processors[cpu_i].1)
-            }) {
-                canon[i] = j;
-                let (w, a) = keys[i].1;
-                keys[j].1 .0 |= w;
-                keys[j].1 .1 |= a;
-            }
-        }
-        let jobs: Vec<usize> = (0..keys.len()).filter(|&i| canon[i] == i).collect();
-        let slot_of: HashMap<usize, usize> = jobs
-            .iter()
-            .enumerate()
-            .map(|(slot, &i)| (i, slot))
-            .collect();
-        let plans: Vec<CellPlan> = parallel_map(jobs.len(), b.threads, |slot| {
-            let ((set_idx, cpu_idx, cores, part, class), (needs_wcs, needs_acs)) = keys[jobs[slot]];
             let set = b.task_sets[set_idx].1.clone().with_class(class);
-            let cpu = &b.processors[cpu_idx].1;
-            let parted = (cores > 1).then(|| {
+            let cpu = b.processors[cpu_idx].1.clone();
+            let partition = (cores > 1).then(|| {
                 partition(&set, cpu.f_max(), cores, b.partitioners[part]).map_err(|e| e.to_string())
             });
-            // The task sets schedules are synthesized on: the whole set
-            // on one core, each non-empty core's set otherwise (core
-            // sets inherit the class from the partitioned set).
-            let mut core_sets: Vec<&TaskSet> = Vec::new();
-            match &parted {
-                None => core_sets.push(&set),
-                Some(Ok(p)) => core_sets.extend(p.cores.iter().filter_map(|c| c.set.as_ref())),
-                Some(Err(_)) => {}
-            }
-            let wcs: Option<Result<Vec<StaticSchedule>, String>> = needs_wcs.then(|| {
-                if let Some(Err(e)) = &parted {
-                    return Err(format!("partition: {e}"));
-                }
-                core_sets
-                    .iter()
-                    .map(|s| synthesize_wcs(s, cpu, &b.synthesis).map_err(|e| e.to_string()))
-                    .collect()
+            slot_at.push(slots.len());
+            slots.push(Slot {
+                set,
+                cpu,
+                partition,
+                tasks: [None; 3],
+                wcs: OnceLock::new(),
+                cold: Mutex::new(Vec::new()),
+                acs: OnceLock::new(),
             });
-            let acs = match (&wcs, needs_acs) {
-                (Some(Ok(wcs_all)), true) => Some(
-                    core_sets
-                        .iter()
-                        .zip(wcs_all)
-                        .map(|(s, w)| {
-                            let solved = if b.acs_multistart {
-                                synthesize_acs_best(s, cpu, &b.synthesis, w)
-                            } else {
-                                synthesize_acs_warm(s, cpu, &b.synthesis, w)
-                            };
-                            solved.map_err(|e| e.to_string())
-                        })
-                        .collect::<Result<Vec<_>, String>>(),
-                ),
-                (Some(Err(e)), true) => Some(Err(e.clone())),
-                _ => None,
+        }
+        // Solve tasks in first-need order: walking the grid, each cell
+        // adds the solves its schedule needs that no earlier cell did.
+        let mut task_of: Vec<(usize, Solve)> = Vec::new();
+        let mut deps: Vec<Vec<usize>> = Vec::new();
+        for cell in &self.cells {
+            let needs: &[Solve] = match cell.schedule {
+                ScheduleChoice::Unscheduled => continue,
+                ScheduleChoice::Wcs => &[Solve::Wcs],
+                ScheduleChoice::Acs if b.acs_multistart => {
+                    &[Solve::Wcs, Solve::AcsCold, Solve::AcsWarm]
+                }
+                ScheduleChoice::Acs => &[Solve::Wcs, Solve::AcsWarm],
             };
-            CellPlan {
-                partition: parted,
-                wcs,
-                acs,
+            let key = plan_key(cell).expect("scheduled cells are planned");
+            let slot = slot_at[keys
+                .binary_search(&key)
+                .expect("every planned cell has a key")];
+            for &solve in needs {
+                if slots[slot].tasks[solve as usize].is_some() {
+                    continue;
+                }
+                slots[slot].tasks[solve as usize] = Some(task_of.len());
+                task_of.push((slot, solve));
+                deps.push(match solve {
+                    Solve::Wcs | Solve::AcsCold => Vec::new(),
+                    // The warm start picks from the cold results, when
+                    // there are any; both come earlier in `needs`.
+                    Solve::AcsWarm => [Solve::Wcs, Solve::AcsCold]
+                        .iter()
+                        .filter_map(|&d| slots[slot].tasks[d as usize])
+                        .collect(),
+                });
             }
-        });
+        }
         CampaignPlans {
             keys,
-            canon,
-            slot_of,
-            plans,
+            slot_at,
+            slots,
+            task_of,
+            tasks: OnceTasks::new(deps),
+            synthesis: b.synthesis.clone(),
+            multistart: b.acs_multistart,
             cells: self.cells.len(),
             runs: self.cells.len() * b.seeds.len(),
         }
     }
 
-    /// Phase 2 for a contiguous sub-range of grid cells: runs every seed
-    /// of cells `range.start..range.end` and streams their records —
-    /// `index` still the *global* grid index — into `sink`, in order.
+    /// Runs every seed of cells `range.start..range.end` and streams
+    /// their records — `index` still the *global* grid index — into
+    /// `sink`, in order.
+    ///
+    /// The `threads` workers also run the solves in `plans`. A run that
+    /// needs a schedule no one has started solves it on its own worker.
+    /// While a schedule it needs is being solved elsewhere (by a worker
+    /// of this call or of any other call sharing `plans`), the worker
+    /// takes the first unclaimed solve whose inputs are ready, in
+    /// first-need order, and waits only when none is left. Each solve
+    /// runs at most once per [`CampaignPlans`]; the schedules, and so
+    /// the records, are the same at any thread count and in any
+    /// interleaving of calls. A solve that panics re-raises here once
+    /// the workers stop; its slot stays unsolved, and the next run that
+    /// needs it solves it again.
     ///
     /// Unlike [`Campaign::run_with`] this calls neither `on_begin` nor
     /// `on_end`: the caller owns the framing, so a campaign can be
@@ -1191,8 +1192,8 @@ impl Campaign {
                     }
                     sim.run(&mut draws).map_err(|e| e.to_string())?
                 } else {
-                    let plan = plans.plan_of(cell).expect("multicore cells are planned");
-                    let parted = match plan.partition.as_ref().expect("multicore plans partition") {
+                    let slot = plans.slot_of(cell).expect("multicore cells are planned");
+                    let parted = match slot.partition.as_ref().expect("multicore plans partition") {
                         Ok(p) => p,
                         Err(e) => return Err(format!("partition: {e}")),
                     };
@@ -1275,25 +1276,56 @@ impl Campaign {
 }
 
 /// `(set, cpu, cores, partitioner-index, class)` — the sharing unit of
-/// phase-1 planning.
+/// planning.
 type PlanKey = (usize, usize, usize, usize, SchedulingClass);
-/// `(needs schedules at all, needs ACS)`.
-type PlanNeeds = (bool, bool);
 
-/// The owned output of [`Campaign::plan`]: every partition and static
-/// schedule the grid needs, deduplicated and addressable per cell.
+/// The plan key of a cell, or `None` when it needs no plan: single-core
+/// unscheduled cells, and global cells, which are always unscheduled
+/// (the grid skips schedule-backed policies there) and never partition.
+fn plan_key(cell: &CellSpec) -> Option<PlanKey> {
+    let unscheduled = cell.schedule == ScheduleChoice::Unscheduled;
+    (!unscheduled || (cell.cores > 1 && cell.placement == Placement::Partitioned))
+        .then_some((cell.set, cell.cpu, cell.cores, cell.part, cell.class))
+}
+
+/// The solves of one slot, in the order one cell needs them.
+#[derive(Debug, Clone, Copy)]
+enum Solve {
+    /// The WCS schedule of every core set.
+    Wcs = 0,
+    /// ACS from the heuristic cold start (multistart only).
+    AcsCold = 1,
+    /// ACS warm-started from the WCS schedule, picking from the cold
+    /// results under multistart; runs after both.
+    AcsWarm = 2,
+}
+
+/// The partitions and static schedules a campaign grid needs,
+/// deduplicated into slots and addressable per cell.
+///
+/// [`Campaign::plan`] lays the slots out without solving anything.
+/// Each slot's solves run on the workers of
+/// [`Campaign::run_range_with`] when a run first needs them, at most
+/// once per `CampaignPlans`, however many calls (and campaigns) share
+/// it; see `run_range_with` for the order and for what a panic does.
 ///
 /// Opaque by design — build one with [`Campaign::plan`], hand it (by
-/// reference, possibly from an [`Arc`]) to
-/// [`Campaign::run_range_with`]. Because plans are pure functions of
-/// the campaign axes, a plan computed once can back any number of later
-/// campaigns built from the same axes; `run_range_with` validates the
-/// structural signature and rejects mismatched grids.
+/// reference, possibly from an [`Arc`]) to [`Campaign::run_range_with`].
+/// A plan owns clones of everything its solves read, so one computed
+/// once can back any number of later campaigns built from the same
+/// axes, which then share its solved slots; `run_range_with` validates
+/// the structural signature and rejects mismatched grids.
 pub struct CampaignPlans {
-    keys: Vec<(PlanKey, PlanNeeds)>,
-    canon: Vec<usize>,
-    slot_of: HashMap<usize, usize>,
-    plans: Vec<CellPlan>,
+    /// Every planned cell's key, sorted.
+    keys: Vec<PlanKey>,
+    /// The slot of each key in `keys`.
+    slot_at: Vec<usize>,
+    slots: Vec<Slot>,
+    /// The `(slot, solve)` of each task of `tasks`.
+    task_of: Vec<(usize, Solve)>,
+    tasks: OnceTasks,
+    synthesis: SynthesisOptions,
+    multistart: bool,
     /// Structural signature: the grid these plans were computed for.
     cells: usize,
     runs: usize,
@@ -1303,7 +1335,7 @@ impl std::fmt::Debug for CampaignPlans {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CampaignPlans")
             .field("plan_keys", &self.keys.len())
-            .field("synthesized", &self.plans.len())
+            .field("synthesized", &self.slots.len())
             .field("cells", &self.cells)
             .field("runs", &self.runs)
             .finish_non_exhaustive()
@@ -1311,54 +1343,145 @@ impl std::fmt::Debug for CampaignPlans {
 }
 
 impl CampaignPlans {
-    /// Number of deduplicated synthesis jobs actually run.
+    /// Number of deduplicated solve slots: one per `(set, cpu, cores,
+    /// partitioner, class)` that some cell plans on, with
+    /// synthesis-equivalent processors sharing one. Counted when the
+    /// plan is laid out, before any solve has run.
     pub fn synthesized(&self) -> usize {
-        self.plans.len()
+        self.slots.len()
     }
 
-    fn plan_of(&self, cell: &CellSpec) -> Option<&CellPlan> {
-        if cell.schedule == ScheduleChoice::Unscheduled
-            && (cell.cores == 1 || cell.placement == Placement::Global)
-        {
-            return None;
-        }
+    fn slot_of(&self, cell: &CellSpec) -> Option<&Slot> {
+        let key = plan_key(cell)?;
         let pos = self
             .keys
-            .binary_search_by_key(
-                &(cell.set, cell.cpu, cell.cores, cell.part, cell.class),
-                |(k, _)| *k,
-            )
-            .expect("every planned cell has a slot");
-        Some(&self.plans[self.slot_of[&self.canon[pos]]])
+            .binary_search(&key)
+            .expect("every planned cell has a key");
+        Some(&self.slots[self.slot_at[pos]])
     }
 
+    /// The cell's schedules, solving whatever they still need on this
+    /// thread (see [`Campaign::run_range_with`]).
     fn schedules_of(&self, cell: &CellSpec) -> Result<Option<&[StaticSchedule]>, String> {
-        match cell.schedule {
-            ScheduleChoice::Unscheduled => Ok(None),
-            kind => {
-                let plan = self.plan_of(cell).expect("scheduled cells are planned");
-                let solved = match kind {
-                    ScheduleChoice::Wcs => plan.wcs.as_ref(),
-                    ScheduleChoice::Acs => plan.acs.as_ref(),
-                    ScheduleChoice::Unscheduled => unreachable!(),
-                }
-                .expect("schedules synthesized for every scheduled cell");
-                match solved {
-                    Ok(v) => Ok(Some(v.as_slice())),
-                    Err(e) if e.starts_with("partition: ") => Err(e.clone()),
-                    Err(e) => Err(format!("synthesis: {e}")),
-                }
+        if cell.schedule == ScheduleChoice::Unscheduled {
+            return Ok(None);
+        }
+        let slot = self.slot_of(cell).expect("scheduled cells are planned");
+        let wcs = self.solved(&slot.wcs, slot, Solve::Wcs);
+        // ACS starts from the WCS schedule, so a failed WCS solve fails
+        // ACS cells with its error.
+        let solved = match cell.schedule {
+            ScheduleChoice::Acs if wcs.is_ok() => self.solved(&slot.acs, slot, Solve::AcsWarm),
+            _ => wcs,
+        };
+        match solved {
+            Ok(v) => Ok(Some(v.as_slice())),
+            Err(e) if e.starts_with("partition: ") => Err(e.clone()),
+            Err(e) => Err(format!("synthesis: {e}")),
+        }
+    }
+
+    /// What `slot`'s `solve` task stored in `cell`, running the task
+    /// first if it has not run.
+    fn solved<'a, T>(&'a self, cell: &'a OnceLock<T>, slot: &Slot, solve: Solve) -> &'a T {
+        if let Some(v) = cell.get() {
+            return v;
+        }
+        let task = slot.tasks[solve as usize].expect("every needed solve has a task");
+        self.tasks.ensure(task, &|t| self.run_task(t));
+        cell.get().expect("a done task has stored its result")
+    }
+
+    /// Runs solve task `task` and stores its result in its slot.
+    fn run_task(&self, task: usize) {
+        let (slot, solve) = self.task_of[task];
+        let s = &self.slots[slot];
+        let (cpu, opts) = (&s.cpu, &self.synthesis);
+        match solve {
+            Solve::Wcs => {
+                let wcs = match &s.partition {
+                    Some(Err(e)) => Err(format!("partition: {e}")),
+                    _ => s
+                        .core_sets()
+                        .iter()
+                        .map(|set| synthesize_wcs(set, cpu, opts).map_err(|e| e.to_string()))
+                        .collect(),
+                };
+                assert!(s.wcs.set(wcs).is_ok(), "WCS solved twice");
+            }
+            Solve::AcsCold => {
+                let cold = s
+                    .core_sets()
+                    .iter()
+                    .map(|set| synthesize_acs(set, cpu, opts).map_err(|e| e.to_string()))
+                    .collect();
+                let mut held = s.cold.lock().unwrap_or_else(|e| e.into_inner());
+                assert!(held.is_empty(), "cold-start ACS solved twice");
+                *held = cold;
+            }
+            Solve::AcsWarm => {
+                let acs = match s.wcs.get().expect("the warm start runs after WCS") {
+                    Err(e) => Err(e.clone()),
+                    Ok(wcs) => {
+                        let sets = s.core_sets();
+                        let warm = sets.iter().zip(wcs).map(|(set, w)| {
+                            synthesize_acs_warm(set, cpu, opts, w).map_err(|e| e.to_string())
+                        });
+                        if self.multistart {
+                            // Every warm start is solved before the cold
+                            // results are taken, so a panic leaves them
+                            // for the retry.
+                            let warm: Vec<_> = warm.collect();
+                            let cold = std::mem::take(
+                                &mut *s.cold.lock().unwrap_or_else(|e| e.into_inner()),
+                            );
+                            warm.into_iter()
+                                .zip(cold)
+                                .map(|(w, c)| if warm_start_wins(&w, &c) { w } else { c })
+                                .collect()
+                        } else {
+                            warm.collect()
+                        }
+                    }
+                };
+                assert!(s.acs.set(acs).is_ok(), "ACS solved twice");
             }
         }
     }
 }
 
-/// The shared per-(set, cpu, cores, partitioner) artifacts of phase 1:
-/// the partition (multicore only) and the per-core schedules.
-struct CellPlan {
+/// The shared planning artifacts of one `(set, cpu, cores, partitioner,
+/// class)` slot: its own copies of the set and processor, the partition
+/// (multicore only), and each solve's result once it has run.
+struct Slot {
+    /// The class-tagged task set.
+    set: TaskSet,
+    cpu: Processor,
     partition: Option<Result<Partition, String>>,
-    wcs: Option<Result<Vec<StaticSchedule>, String>>,
-    acs: Option<Result<Vec<StaticSchedule>, String>>,
+    /// The task of each [`Solve`] some cell needs, by `Solve as usize`.
+    tasks: [Option<usize>; 3],
+    wcs: OnceLock<Result<Vec<StaticSchedule>, String>>,
+    /// The cold-start results, one per core set (multistart only), held
+    /// until the warm-start task picks from them. Every update is one
+    /// assignment, so a poisoned lock still holds valid results.
+    cold: Mutex<Vec<Result<StaticSchedule, String>>>,
+    /// The ACS schedules: the warm-start solve's or, under multistart,
+    /// each core's pick of the warm and cold results by the rule of
+    /// `synthesize_acs_best`.
+    acs: OnceLock<Result<Vec<StaticSchedule>, String>>,
+}
+
+impl Slot {
+    /// The task sets schedules are synthesized on: the whole set on one
+    /// core, each non-empty core's set otherwise (core sets inherit the
+    /// class from the partitioned set); none when partitioning failed.
+    fn core_sets(&self) -> Vec<&TaskSet> {
+        match &self.partition {
+            None => vec![&self.set],
+            Some(Ok(p)) => p.cores.iter().filter_map(|c| c.set.as_ref()).collect(),
+            Some(Err(_)) => Vec::new(),
+        }
+    }
 }
 
 /// `true` when two processors are interchangeable for *schedule
@@ -1430,6 +1553,7 @@ fn mix_seed(seed: u64, set_idx: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sink::CsvSink;
     use acs_model::units::{Cycles, Ticks, Volt};
     use acs_model::Task;
     use acs_power::FreqModel;
@@ -2115,6 +2239,86 @@ mod tests {
             direct.into_report().cells(),
             via_cached.into_report().cells()
         );
+    }
+
+    #[test]
+    fn plan_solves_nothing_and_concurrent_ranges_share_each_solve() {
+        // Two sets, two synthesis-equivalent processors, one and two
+        // cores, WCS and multistart ACS: every kind of solve task, and
+        // slots shared across processors.
+        let pair = TaskSet::new(vec![
+            Task::builder("a", Ticks::new(10))
+                .wcec(Cycles::from_cycles(150.0))
+                .acec(Cycles::from_cycles(60.0))
+                .bcec(Cycles::from_cycles(15.0))
+                .build()
+                .unwrap(),
+            Task::builder("b", Ticks::new(20))
+                .wcec(Cycles::from_cycles(400.0))
+                .acec(Cycles::from_cycles(150.0))
+                .bcec(Cycles::from_cycles(40.0))
+                .build()
+                .unwrap(),
+        ])
+        .unwrap();
+        let lossy = Processor::builder(FreqModel::linear(50.0).unwrap())
+            .vmin(Volt::from_volts(0.3))
+            .vmax(Volt::from_volts(4.0))
+            .transition_overhead(acs_power::TransitionOverhead {
+                time: acs_model::units::TimeSpan::from_ms(0.001),
+                energy: Energy::from_units(1.0),
+            })
+            .build()
+            .unwrap();
+        let campaign = Campaign::builder()
+            .task_set("s", small_set())
+            .task_set("pair", pair)
+            .processor("p", cpu())
+            .processor("lossy", lossy)
+            .cores([1, 2])
+            .schedules([ScheduleChoice::Wcs, ScheduleChoice::Acs])
+            .policy(PolicySpec::greedy())
+            .policy(PolicySpec::ccrm())
+            .workload(WorkloadSpec::Paper)
+            .seeds([1, 2, 3])
+            .acs_multistart(true)
+            .threads(1)
+            .build()
+            .unwrap();
+        let mut serial = CsvSink::new(Vec::new());
+        campaign.run_with(&mut serial).unwrap();
+        let serial = String::from_utf8(serial.into_inner()).unwrap();
+        let serial_records: String = serial.lines().skip(1).map(|l| format!("{l}\n")).collect();
+
+        let plans = campaign.plan();
+        // Four slots (set × cores; the processors share), each with a
+        // WCS, a cold and a warm ACS task, and not one of them run yet.
+        assert_eq!(plans.synthesized(), 4);
+        assert_eq!(plans.task_of.len(), 12);
+        assert!((0..12).all(|t| !plans.tasks.is_done(t)));
+        assert!(plans
+            .slots
+            .iter()
+            .all(|s| s.wcs.get().is_none() && s.acs.get().is_none()));
+        // Three concurrent calls at four workers each share the slots;
+        // `run_task` asserts that no solve runs twice.
+        std::thread::scope(|scope| {
+            let runs: Vec<_> = (0..3)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut sink = CsvSink::new(Vec::new());
+                        campaign
+                            .run_range_with(&plans, 0..campaign.cell_count(), 4, &mut sink)
+                            .unwrap();
+                        String::from_utf8(sink.into_inner()).unwrap()
+                    })
+                })
+                .collect();
+            for run in runs {
+                assert_eq!(run.join().unwrap(), serial_records);
+            }
+        });
+        assert!((0..12).all(|t| plans.tasks.is_done(t)));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Minimal scoped thread pool: an atomic work queue whose results reach
 //! the calling thread in index order, so callers see the same output
-//! regardless of thread count or interleaving.
+//! regardless of thread count or interleaving; and `OnceTasks`, the
+//! run-once queue whose tasks run on the threads that need them.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -26,24 +27,6 @@ impl Drop for GatePoison<'_> {
             self.gate.1.notify_all();
         }
     }
-}
-
-/// Runs `f(0..n)` across `threads` workers and collects the results in
-/// index order. `f` must be safe to call concurrently from multiple
-/// threads (it is `Sync`); each index is evaluated exactly once.
-///
-/// Panics in `f` propagate to the caller after all workers stop.
-pub fn parallel_map<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let mut out = Vec::with_capacity(n);
-    let Ok(()) = parallel_for_in_order(n, threads, n, f, |_, value| {
-        out.push(value);
-        Ok::<(), std::convert::Infallible>(())
-    });
-    out
 }
 
 /// Runs `f(0..n)` across `threads` workers and feeds every result to
@@ -171,9 +154,153 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
+/// Where one task of a [`OnceTasks`] queue stands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Claim {
+    /// Not started, or its last run panicked.
+    Free,
+    /// Running on some thread.
+    Running,
+    /// Finished; final.
+    Done,
+}
+
+/// A fixed set of tasks that each run to completion at most once, on
+/// whichever caller first needs them. The queue owns no threads.
+///
+/// Tasks are numbered in first-need order, and every dependency of a
+/// task has a lower number. [`ensure`](OnceTasks::ensure) returns once
+/// a task and its dependencies are done. It runs each of them that no
+/// thread has claimed on the calling thread. While one it needs runs on
+/// another thread, the caller helps: it claims the lowest-numbered free
+/// task whose dependencies are done, and it waits only when there is
+/// none. A claimed task's dependencies are already done, so a running
+/// task never waits on the queue, and no cycle of waiters can form.
+///
+/// A task that panics goes back to free and wakes every waiter. The
+/// panic continues on the thread that ran it, and the next caller that
+/// needs the task runs it again. The queue stores no results: a task
+/// stores its own, for instance in a `OnceLock`, and a reader that
+/// finds it there need not touch the queue.
+#[derive(Debug)]
+pub(crate) struct OnceTasks {
+    deps: Vec<Vec<usize>>,
+    claims: Mutex<Vec<Claim>>,
+    changed: Condvar,
+}
+
+impl OnceTasks {
+    /// A queue of `deps.len()` tasks, where task `t` may start only
+    /// after every task in `deps[t]` is done.
+    ///
+    /// # Panics
+    ///
+    /// When a dependency does not come before its task.
+    pub(crate) fn new(deps: Vec<Vec<usize>>) -> Self {
+        for (task, before) in deps.iter().enumerate() {
+            assert!(
+                before.iter().all(|&d| d < task),
+                "task {task} depends on a later task: {before:?}"
+            );
+        }
+        let claims = Mutex::new(vec![Claim::Free; deps.len()]);
+        OnceTasks {
+            deps,
+            claims,
+            changed: Condvar::new(),
+        }
+    }
+
+    /// `true` once `task` has run to completion.
+    #[cfg(test)]
+    pub(crate) fn is_done(&self, task: usize) -> bool {
+        self.lock()[task] == Claim::Done
+    }
+
+    /// Returns once `task` and its dependencies are done. `run(t)` runs
+    /// task `t`; the caller may run any free task through it while it
+    /// helps, so `run` must handle every task of the queue.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic of any task run on this thread.
+    pub(crate) fn ensure(&self, task: usize, run: &(dyn Fn(usize) + Sync)) {
+        for &dep in &self.deps[task] {
+            self.ensure(dep, run);
+        }
+        let mut claims = self.lock();
+        loop {
+            let next = match claims[task] {
+                Claim::Done => return,
+                Claim::Free => task,
+                Claim::Running => match self.first_ready(&claims) {
+                    Some(other) => other,
+                    None => {
+                        claims = self.changed.wait(claims).unwrap_or_else(|e| e.into_inner());
+                        continue;
+                    }
+                },
+            };
+            claims[next] = Claim::Running;
+            drop(claims);
+            self.run_claimed(next, run);
+            if next == task {
+                return;
+            }
+            claims = self.lock();
+        }
+    }
+
+    /// The lowest-numbered free task whose dependencies are all done.
+    fn first_ready(&self, claims: &[Claim]) -> Option<usize> {
+        (0..claims.len()).find(|&t| {
+            claims[t] == Claim::Free && self.deps[t].iter().all(|&d| claims[d] == Claim::Done)
+        })
+    }
+
+    /// Runs a task this thread has claimed. It is done on return, or
+    /// free again when `run` panics; either way every waiter wakes.
+    fn run_claimed(&self, task: usize, run: &(dyn Fn(usize) + Sync)) {
+        struct Release<'a> {
+            tasks: &'a OnceTasks,
+            task: usize,
+        }
+        impl Drop for Release<'_> {
+            fn drop(&mut self) {
+                let mut claims = self.tasks.lock();
+                claims[self.task] = if std::thread::panicking() {
+                    Claim::Free
+                } else {
+                    Claim::Done
+                };
+                self.tasks.changed.notify_all();
+            }
+        }
+        let _release = Release { tasks: self, task };
+        run(task);
+    }
+
+    /// Every update under the lock is one assignment and no task runs
+    /// under it, so the claims stay valid even if the mutex is poisoned.
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Claim>> {
+        self.claims.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Runs `f(0..n)` across `threads` workers and collects the results
+    /// in index order.
+    fn parallel_map<T: Send>(n: usize, threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        let mut out = Vec::with_capacity(n);
+        let Ok(()) = parallel_for_in_order(n, threads, n, f, |_, value| {
+            out.push(value);
+            Ok::<(), std::convert::Infallible>(())
+        });
+        out
+    }
 
     /// `(threads, max_in_flight)` pairs: serial, tightly bounded, and
     /// unbounded (a bound of `n` or more).
@@ -312,6 +439,126 @@ mod tests {
         );
         assert!(ok.is_ok());
         assert_eq!(violations.load(Ordering::SeqCst), 0);
+    }
+
+    /// Runs `body` on its own thread and fails if it has not finished
+    /// within a minute, so a stranded waiter fails the test instead of
+    /// hanging it.
+    fn within_a_minute(body: impl FnOnce() + Send + 'static) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            body();
+            let _ = tx.send(());
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(60)) {
+            Ok(()) => {}
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                panic!("still waiting after 60 s: a waiter was stranded")
+            }
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => panic!("the test body failed"),
+        }
+    }
+
+    #[test]
+    fn each_task_runs_once_after_its_dependencies_at_eight_threads() {
+        // Every third task depends on the one before it; 200 runs of an
+        // in-order pool at 8 workers each need one task.
+        const TASKS: usize = 24;
+        let tasks = OnceTasks::new(
+            (0..TASKS)
+                .map(|t| if t % 3 == 2 { vec![t - 1] } else { vec![] })
+                .collect(),
+        );
+        let runs: Vec<AtomicUsize> = (0..TASKS).map(|_| AtomicUsize::new(0)).collect();
+        let early = AtomicUsize::new(0);
+        let run = |t: usize| {
+            if t % 3 == 2 && !tasks.is_done(t - 1) {
+                early.fetch_add(1, Ordering::SeqCst);
+            }
+            runs[t].fetch_add(1, Ordering::SeqCst);
+            std::thread::sleep(std::time::Duration::from_micros(300));
+        };
+        let needed = parallel_map(200, 8, |i| {
+            let t = (i * 7) % TASKS;
+            tasks.ensure(t, &run);
+            assert!(tasks.is_done(t));
+            t
+        });
+        assert_eq!(needed.len(), 200);
+        let counts: Vec<usize> = runs.iter().map(|r| r.load(Ordering::SeqCst)).collect();
+        assert_eq!(counts, vec![1; TASKS], "runs per task");
+        assert_eq!(
+            early.load(Ordering::SeqCst),
+            0,
+            "a task ran before its dependency"
+        );
+    }
+
+    #[test]
+    fn a_waiter_helps_with_the_first_ready_task() {
+        // Task 0 blocks until the main thread has seen the helper run
+        // tasks 2 and 1 (task 1 waits on 0, so it is not ready until 0
+        // is done); a second thread that needs task 0 must help with
+        // task 2, the lowest ready one, rather than wait.
+        within_a_minute(|| {
+            let tasks = OnceTasks::new(vec![vec![], vec![0], vec![]]);
+            let order = Mutex::new(Vec::new());
+            let release = AtomicBool::new(false);
+            let run = |t: usize| {
+                order.lock().unwrap().push(t);
+                if t == 0 {
+                    while !release.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                }
+            };
+            std::thread::scope(|s| {
+                s.spawn(|| tasks.ensure(0, &run));
+                while order.lock().unwrap().is_empty() {
+                    std::thread::yield_now();
+                }
+                let helper = s.spawn(|| tasks.ensure(0, &run));
+                while order.lock().unwrap().len() < 2 {
+                    std::thread::yield_now();
+                }
+                release.store(true, Ordering::SeqCst);
+                helper.join().unwrap();
+            });
+            assert_eq!(*order.lock().unwrap(), vec![0, 2]);
+            assert!(!tasks.is_done(1), "nothing needed task 1");
+        });
+    }
+
+    #[test]
+    fn a_panicking_task_strands_no_waiter_and_stays_retryable() {
+        within_a_minute(|| {
+            let tasks = OnceTasks::new(vec![vec![], vec![0]]);
+            let attempts = AtomicUsize::new(0);
+            let failing = |t: usize| {
+                if t == 0 {
+                    attempts.fetch_add(1, Ordering::SeqCst);
+                    std::thread::sleep(std::time::Duration::from_millis(2));
+                    panic!("task 0 failed");
+                }
+            };
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                parallel_map(16, 8, |i| tasks.ensure(i % 2, &failing))
+            }));
+            assert!(outcome.is_err(), "the panic reaches the pool's caller");
+            assert!(attempts.load(Ordering::SeqCst) >= 1);
+            assert!(!tasks.is_done(0) && !tasks.is_done(1));
+            // Nothing is poisoned: the next caller runs both tasks.
+            let ran = Mutex::new(Vec::new());
+            tasks.ensure(1, &|t| ran.lock().unwrap().push(t));
+            assert_eq!(*ran.lock().unwrap(), vec![0, 1]);
+            assert!(tasks.is_done(0) && tasks.is_done(1));
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "depends on a later task")]
+    fn dependencies_must_come_first() {
+        let _ = OnceTasks::new(vec![vec![1], vec![]]);
     }
 
     #[test]

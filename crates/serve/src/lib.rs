@@ -2,7 +2,7 @@
 //!
 //! A campaign server for the `acsched` workspace: `acsched serve`
 //! keeps one long-lived process whose sharded
-//! [`SolverCache`](acs_sim::SolverCache) and phase-1 plan cache stay
+//! [`SolverCache`](acs_sim::SolverCache) and campaign plan cache stay
 //! warm across submissions, and `acsched submit` streams scenarios to
 //! it over a line-oriented TCP protocol (one flat JSON object per
 //! line — built on `std::net`, no external crates).

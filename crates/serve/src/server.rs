@@ -6,9 +6,12 @@
 //!
 //! A submitted scenario is validated with the `acs-scenario` parser,
 //! then built into a `Campaign` that shares the server's process-wide
-//! [`SolverCache`](acs_sim::SolverCache). Phase-1 plans come from the
-//! fingerprint-keyed plan cache, so re-submitting a scenario skips
-//! synthesis entirely. The cell grid is split into contiguous
+//! [`SolverCache`](acs_sim::SolverCache). Campaign plans come from the
+//! fingerprint-keyed plan cache. A plan solves nothing up front: each
+//! WCS/ACS solve runs on the chunk worker whose run first needs it, so
+//! `accepted` goes out before any synthesis, and submissions sharing a
+//! cached plan share its solves (a resubmission finds them done). The
+//! cell grid is split into contiguous
 //! fixed-size chunks; a bounded in-order worker pool
 //! ([`parallel_for_in_order`]) runs each chunk through
 //! `Campaign::run_range_with` (one thread per chunk — parallelism
@@ -270,7 +273,8 @@ fn run_submission(
     }
     .map_err(|e| SubmitError::Rejected(format!("checkpoint `{}`: {e}", ckpt_path.display())))?;
 
-    // 6. Phase-1 plans, shared across submissions by fingerprint.
+    // 6. Campaign plans, shared across submissions by fingerprint.
+    //    Nothing is solved here; chunk workers solve on first need.
     state
         .counters
         .campaigns_accepted

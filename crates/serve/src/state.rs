@@ -1,4 +1,4 @@
-//! Process-wide server state: the shared solver cache, the phase-1
+//! Process-wide server state: the shared solver cache, the campaign
 //! plan cache keyed by scenario fingerprint, admission control and the
 //! counters behind the `stats` frame.
 
@@ -36,7 +36,7 @@ pub struct ServerConfig {
     pub cache_capacity: usize,
     /// Shards in the shared solver cache.
     pub cache_shards: usize,
-    /// Phase-1 plan cache capacity (distinct scenario fingerprints).
+    /// Plan cache capacity (distinct scenario fingerprints).
     pub plan_capacity: usize,
 }
 
@@ -89,7 +89,7 @@ pub fn scenario_fingerprint(scenario: &Scenario) -> Result<u64, String> {
     Ok(hash)
 }
 
-/// LRU cache of phase-1 campaign plans keyed by scenario fingerprint.
+/// LRU cache of campaign plans keyed by scenario fingerprint.
 #[derive(Debug, Default)]
 struct PlanCache {
     plans: HashMap<u64, Arc<CampaignPlans>>,
@@ -149,7 +149,7 @@ impl ServerState {
         }
     }
 
-    /// Look up a cached phase-1 plan by fingerprint, counting the
+    /// Look up a cached campaign plan by fingerprint, counting the
     /// lookup. On miss, call `build` and cache the result.
     pub fn plans_for(
         &self,
@@ -168,8 +168,11 @@ impl ServerState {
                 return plans;
             }
         }
-        // Build outside the lock: plan synthesis can take seconds and
-        // must not serialize unrelated submissions.
+        // Build outside the lock. Planning solves nothing (the slots
+        // fill as runs need them), but it walks the whole grid, and that
+        // need not serialize unrelated submissions. Concurrent misses
+        // on one fingerprint all return the first plan inserted, so
+        // they share its solves.
         let built = Arc::new(build());
         let mut cache = self.plans.lock().unwrap_or_else(|e| e.into_inner());
         let entry = cache

@@ -50,7 +50,7 @@ USAGE:
             [--inflight N] [--chunk N] [--threads N] [--cache-capacity N]
             [--cache-shards N]
         Run the campaign server: a long-lived process whose solver and
-        phase-1 plan caches stay warm across submissions. Prints
+        plan caches stay warm across submissions. Prints
         `listening on <addr>` once bound (`--addr :0` picks a free
         port). Campaigns checkpoint to DIR (default .acsched-ckpt) and
         are resumable after a crash. Protocol: docs/SERVER.md.

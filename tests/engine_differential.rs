@@ -102,10 +102,11 @@ fn assert_rows_equal(scenario: &str, threads: usize, legacy: &str, new: &str, ma
 }
 
 /// The scenario-level differential: equal campaign CSVs from both
-/// engines at 1/2/8 threads. The expensive synthesis (`Campaign::plan`)
-/// runs once and backs every engine x thread-count combination; the two
-/// 1-thread runs get separately built campaigns so both sides start
-/// from cold solver caches and the counter columns compare exactly.
+/// engines at 1/2/8 threads. One `CampaignPlans` backs every engine x
+/// thread-count combination, so each expensive WCS/ACS solve runs once,
+/// in the first run that needs it; the two 1-thread runs get separately
+/// built campaigns so both sides start from cold solver caches and the
+/// counter columns compare exactly.
 fn scenario_differential(name: &str) {
     let _guard = toggle_lock().lock().unwrap();
     let scenario = Scenario::load(scenario_path(name)).expect("scenario parses");

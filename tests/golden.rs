@@ -16,6 +16,12 @@
 //! `ablation_bimodal`) and the million-job `bursty_trace` replay are
 //! `#[ignore]`d, so the debug suite stays fast; `cargo test --release
 //! --test golden -- --include-ignored` runs them.
+//!
+//! The `threaded` tests rerun every scenario without ReOpt rows at 2
+//! and 8 worker threads against the same goldens. There the workers
+//! also run the WCS/ACS solves, in whatever interleaving the run
+//! produces, so these pin that no solve's bits depend on it. ReOpt rows
+//! are left out because their solver-cache counters do depend on it.
 
 use acsched::prelude::*;
 use acsched::trace::{generate, GenConfig, MmppProfile};
@@ -25,13 +31,14 @@ fn scenario_text(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
 }
 
-/// Reruns a scenario into the sink the golden file's extension names.
-fn rerun(scenario_text: &str, file: &str) -> Vec<u8> {
+/// Reruns a scenario at `threads` workers into the sink the golden
+/// file's extension names.
+fn rerun(scenario_text: &str, file: &str, threads: usize) -> Vec<u8> {
     let scenario = Scenario::from_text(scenario_text).expect("scenario parses");
     let campaign = scenario
         .campaign_builder()
         .expect("scenario materializes")
-        .threads(1)
+        .threads(threads)
         .build()
         .expect("campaign builds");
     let mut out = Vec::new();
@@ -45,47 +52,63 @@ fn rerun(scenario_text: &str, file: &str) -> Vec<u8> {
 }
 
 /// Asserts that `scenario_text` reproduces `tests/golden/<file>`
-/// (`<name>.csv` or `<name>.jsonl`) byte for byte.
-fn assert_golden(file: &str, scenario_text: &str) {
+/// (`<name>.csv` or `<name>.jsonl`) byte for byte at each worker count
+/// in `threads`.
+fn assert_golden(file: &str, scenario_text: &str, threads: &[usize]) {
     let path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
     let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    let fresh = String::from_utf8(rerun(scenario_text, file)).expect("output is UTF-8");
-    if fresh == golden {
-        return;
+    for &threads in threads {
+        let fresh =
+            String::from_utf8(rerun(scenario_text, file, threads)).expect("output is UTF-8");
+        if fresh == golden {
+            continue;
+        }
+        let (line, (want, got)) = golden
+            .lines()
+            .zip(fresh.lines())
+            .enumerate()
+            .find(|(_, (a, b))| a != b)
+            .map(|(i, pair)| (i + 1, pair))
+            .unwrap_or((0, ("(line count)", "(line count)")));
+        panic!(
+            "{file} at {threads} threads: output diverges from {path} at line {line} \
+             ({} vs {} lines)\n\
+             golden: {want}\n\
+             fresh:  {got}",
+            golden.lines().count(),
+            fresh.lines().count()
+        );
     }
-    let (line, (want, got)) = golden
-        .lines()
-        .zip(fresh.lines())
-        .enumerate()
-        .find(|(_, (a, b))| a != b)
-        .map(|(i, pair)| (i + 1, pair))
-        .unwrap_or((0, ("(line count)", "(line count)")));
-    panic!(
-        "{file}: output diverges from {path} at line {line} ({} vs {} lines)\n\
-         golden: {want}\n\
-         fresh:  {got}",
-        golden.lines().count(),
-        fresh.lines().count()
-    );
 }
 
+/// One test per scenario name, checking its CSV golden at the given
+/// worker counts.
 macro_rules! golden {
-    ($($name:ident),* $(,)?) => {$(
+    (threads $threads:expr => $($name:ident),* $(,)?) => {$(
         #[test]
         fn $name() {
-            assert_golden(concat!(stringify!($name), ".csv"), &scenario_text(stringify!($name)));
+            assert_golden(
+                concat!(stringify!($name), ".csv"),
+                &scenario_text(stringify!($name)),
+                &$threads,
+            );
         }
     )*};
-    (#[ignore = $why:literal] $($name:ident),* $(,)?) => {$(
+    (#[ignore = $why:literal] threads $threads:expr => $($name:ident),* $(,)?) => {$(
         #[test]
         #[ignore = $why]
         fn $name() {
-            assert_golden(concat!(stringify!($name), ".csv"), &scenario_text(stringify!($name)));
+            assert_golden(
+                concat!(stringify!($name), ".csv"),
+                &scenario_text(stringify!($name)),
+                &$threads,
+            );
         }
     )*};
 }
 
 golden!(
+    threads [1] =>
     smoke,
     edf_vs_rm,
     multicore_sweep,
@@ -100,11 +123,12 @@ golden!(
 /// scenarios/smoke.txt --threads 1 --out smoke.jsonl` writes.
 #[test]
 fn smoke_jsonl() {
-    assert_golden("smoke.jsonl", &scenario_text("smoke"));
+    assert_golden("smoke.jsonl", &scenario_text("smoke"), &[1]);
 }
 
 golden!(
     #[ignore = "paper-scale: minutes; release only"]
+    threads [1] =>
     fig6a_random,
     fig6a_threeway,
     fig6b_cnc_gap,
@@ -133,6 +157,33 @@ fn bursty_trace() {
     generate(&cfg, std::io::BufWriter::new(file)).unwrap();
     let text =
         scenario_text("bursty_trace").replace("traces/bursty.trace", trace.to_str().unwrap());
-    assert_golden("bursty_trace.csv", &text);
+    assert_golden("bursty_trace.csv", &text, &[1]);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The goldens of every scenario without ReOpt rows, again at 2 and 8
+/// worker threads.
+mod threaded {
+    use super::*;
+
+    golden!(
+        threads [2, 8] =>
+        smoke,
+        edf_vs_rm,
+        multicore_sweep,
+        dag_global,
+        global_dispatch,
+        arrivals_sweep,
+        design_space,
+    );
+
+    golden!(
+        #[ignore = "paper-scale: minutes; release only"]
+        threads [2, 8] =>
+        fig6a_random,
+        fig6b_cnc_gap,
+        ablation_objective,
+        ablation_discrete,
+        ablation_bimodal,
+    );
 }

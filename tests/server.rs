@@ -430,6 +430,48 @@ fn records_never_reach_the_client_before_their_checkpoint_line() {
     assert_eq!(records, 15, "multicore_sweep.txt is a 15-cell grid");
 }
 
+/// Two connections submit one scenario cold at the same time, under
+/// distinct ids. They share one plan-cache entry and therefore its
+/// unsolved slots, whose solves run on whichever submission's chunk
+/// worker first needs them while the other's workers help or wait.
+/// Both streams must be the golden. A deadlock in the shared slots
+/// would hang the submissions, so a watchdog fails the test after 60 s.
+#[test]
+fn concurrent_cold_submissions_share_the_unsolved_plan() {
+    let addr = spawn_in_process(ServerConfig {
+        ckpt_dir: temp_dir("concurrent-cold"),
+        ..ServerConfig::default()
+    });
+    let scenario = std::fs::read_to_string(manifest_path("scenarios/multicore_sweep.txt")).unwrap();
+    let (tx, rx) = std::sync::mpsc::channel();
+    for id in ["cold-a", "cold-b"] {
+        let (addr, scenario, tx) = (addr.clone(), scenario.clone(), tx.clone());
+        std::thread::spawn(move || {
+            let submitted = acs_serve::submit(&SubmitOptions {
+                addr,
+                scenario,
+                id: Some(id.into()),
+                resume: false,
+                threads: Some(2),
+                chunk: Some(1),
+                quiet: true,
+            });
+            let _ = tx.send((id, submitted.map(|s| s.csv)));
+        });
+    }
+    let golden =
+        std::fs::read_to_string(manifest_path("tests/golden/multicore_sweep.csv")).unwrap();
+    for _ in 0..2 {
+        let (id, csv) = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("no concurrent cold submission finished within 60 s: shared slots deadlocked");
+        let csv = csv.unwrap_or_else(|e| panic!("submission `{id}` failed: {e}"));
+        assert_eq!(csv, golden, "submission `{id}` differs from the golden");
+    }
+    let stats = acs_serve::stats(&addr).unwrap();
+    assert!(stats.contains("\"plan_lookups\":2"), "{stats}");
+}
+
 /// With Nagle's algorithm on, a frame written while the previous one is
 /// unacknowledged waits for the client's delayed ACK (40 ms on Linux),
 /// which holds every warm submission past 40 ms for about a millisecond
