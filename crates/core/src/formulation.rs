@@ -29,12 +29,12 @@
 //! speed `σ_u`. Piecewise constructs are softened with a temperature the
 //! augmented-Lagrangian driver anneals to zero.
 
-use crate::chain::{self, Chain, ChainGrad, LinkIn, LinkTape, StartMax};
+use crate::chain::{Chain, ChainGrad, LinkIn, LinkTape, StartMax};
 use crate::quantile::truncated_normal_strata;
 use crate::trace::SpeedBasis;
 use acs_model::TaskSet;
-use acs_opt::problem::{ConstrainedProblem, LinearConstraints, ProblemExprs, SparseLinear};
-use acs_opt::tape::{relu, softplus, Expr, Graph};
+use acs_opt::problem::{ConstrainedProblem, LinearConstraints, SparseLinear};
+use acs_opt::tape::{relu, softplus};
 use acs_power::Processor;
 use acs_preempt::{FullyPreemptiveSchedule, InstanceId};
 use std::cell::RefCell;
@@ -74,8 +74,9 @@ struct Scenario {
 ///
 /// The solver evaluates the objective through a hand-written kernel
 /// ([`ConstrainedProblem::objective`], in `crates/core/src/chain.rs`)
-/// that reproduces the tape [`ConstrainedProblem::build`] bit for bit.
-/// The kernel's buffers live in the problem, so it is not `Sync`.
+/// whose tests check it bit for bit against the objective's tape
+/// statement. The kernel's buffers live in the problem, so it is not
+/// `Sync`.
 #[derive(Debug)]
 pub struct ScheduleProblem<'a> {
     set: &'a TaskSet,
@@ -90,6 +91,8 @@ pub struct ScheduleProblem<'a> {
     eps_w: f64,
     /// Optional warm-start point overriding the built-in heuristic.
     warm_start: Option<Vec<f64>>,
+    /// The constraint rows ([`schedule_rows`]).
+    rows: LinearConstraints,
     /// Window start (ms) and task capacitance per sub-instance.
     link_consts: Vec<(f64, f64)>,
     /// The fill rule's walk: per instance, its task index and the range
@@ -257,6 +260,7 @@ impl<'a> ScheduleProblem<'a> {
             eps_t: 1e-6,
             eps_w: 1e-9,
             warm_start: None,
+            rows: schedule_rows(set, fps, fmax),
             link_consts,
             fill_instances,
             fill_subs,
@@ -288,68 +292,9 @@ impl<'a> ScheduleProblem<'a> {
         self.fps.len()
     }
 
-    /// Voltage expression for a (non-negative) speed expression, clamped
-    /// below at `vmin`.
-    fn voltage_expr<'g>(&self, speed: Expr<'g>, tau: f64) -> Expr<'g> {
-        voltage_for_speed(self.cpu, speed, tau)
-    }
-
-    /// Energy of one scenario's greedy trace, as an expression.
-    fn scenario_energy<'g>(
-        &self,
-        g: &'g Graph,
-        e: &[Expr<'g>],
-        w: &[Expr<'g>],
-        scenario: &Scenario,
-        tau: f64,
-    ) -> Expr<'g> {
-        let m = self.fps.len();
-        let fmax = self.cpu.f_max().as_cycles_per_ms();
-
-        // Fill rule: executed share per sub-instance (ms at f_max).
-        let mut exec: Vec<Option<Expr<'g>>> = vec![None; m];
-        for (tid, _task) in self.set.iter() {
-            for inst in 0..self.fps.instances_of(tid) {
-                let total = g.constant(scenario.totals_ms[tid.0]);
-                let mut prefix = g.constant(0.0);
-                for id in self.fps.chunks_of(acs_preempt::InstanceId {
-                    task: tid,
-                    index: inst,
-                }) {
-                    let wk = w[id.0];
-                    let rem = total - prefix;
-                    exec[id.0] = Some(clamp01(rem, wk, tau));
-                    prefix = prefix + wk;
-                }
-            }
-        }
-
-        // Greedy start-time recursion along the total order.
-        let mut energy = g.constant(0.0);
-        let mut f_prev = g.constant(0.0);
-        for (u, sub) in self.fps.sub_instances().iter().enumerate() {
-            let r = g.constant(sub.window_start.as_ms());
-            let s = smax(f_prev, r, tau);
-            let a = exec[u].expect("fill visited every sub-instance");
-            let gap = e[u] - s;
-            let denom = smax_const(gap, self.eps_t, tau) + self.eps_t;
-            let basis_w = match scenario.basis {
-                SpeedBasis::WorstRemaining => w[u],
-                SpeedBasis::AverageWork => a,
-            };
-            let speed = basis_w * fmax / denom;
-            let v = self.voltage_expr(speed, tau);
-            let c_eff = self.set.task(sub.instance.task).c_eff();
-            energy = energy + c_eff * v.sqr() * (a * fmax);
-            let rho = a / (w[u] + self.eps_w);
-            f_prev = s + rho * (e[u] - s);
-        }
-        energy
-    }
-
     /// The fill rule's executed share per sub-instance for one
-    /// scenario's per-task totals, as [`Self::scenario_energy`] builds
-    /// it: each chunk executes `clamp(total − prefix, 0, max(w, 0))`.
+    /// scenario's per-task totals: each chunk executes
+    /// `clamp(total − prefix, 0, max(w, 0))`.
     fn fill_forward(
         &self,
         totals: &[f64],
@@ -426,44 +371,40 @@ impl<'a> ScheduleProblem<'a> {
     }
 }
 
-/// Voltage expression for a (non-negative) speed expression under `cpu`'s
-/// frequency law, clamped below at `vmin`. Shared between the offline
-/// [`ScheduleProblem`] and the online remaining-schedule re-optimization
-/// ([`crate::reopt`]).
-pub(crate) fn voltage_for_speed<'g>(cpu: &Processor, speed: Expr<'g>, tau: f64) -> Expr<'g> {
-    let speed = speed.relu();
-    let (v, dv) = chain::volt_and_slope(cpu.freq_model(), speed.value());
-    smax_const(speed.custom_unary(v, dv), cpu.vmin().as_volts(), tau)
-}
-
-/// `max(a, b)`: smooth when `tau > 0`, exact otherwise.
-pub(crate) fn smax<'g>(a: Expr<'g>, b: Expr<'g>, tau: f64) -> Expr<'g> {
-    if tau > 0.0 {
-        a.smooth_max(b, tau)
-    } else {
-        a.max_exact(b)
+/// The NLP's constraint rows (module docs). Per sub-instance, in total
+/// order, five inequalities: window start, window end, non-negative
+/// budget, fit after the predecessor, fit after the release. Then one
+/// conservation equality per instance, task by task.
+fn schedule_rows(set: &TaskSet, fps: &FullyPreemptiveSchedule, fmax: f64) -> LinearConstraints {
+    let m = fps.len();
+    let mut ineq = SparseLinear::new();
+    for (u, sub) in fps.sub_instances().iter().enumerate() {
+        let r = sub.window_start.as_ms();
+        let l = sub.window_end.as_ms();
+        ineq.push_row(&[(u, -1.0)], r); // e ≥ r
+        ineq.push_row(&[(u, 1.0)], -l); // e ≤ L
+        ineq.push_row(&[(m + u, -1.0)], 0.0); // w ≥ 0
+        if u == 0 {
+            ineq.push_row(&[(m + u, 1.0), (u, -1.0)], 0.0); // fits after prev
+        } else {
+            ineq.push_row(&[(m + u, 1.0), (u, -1.0), (u - 1, 1.0)], 0.0);
+        }
+        ineq.push_row(&[(m + u, 1.0), (u, -1.0)], r); // fits after release
     }
-}
-
-/// `max(a, c)` with a constant — same cost, fewer nodes.
-pub(crate) fn smax_const<'g>(a: Expr<'g>, c: f64, tau: f64) -> Expr<'g> {
-    if tau > 0.0 {
-        (a - c).softplus(tau) + c
-    } else {
-        (a - c).relu() + c
+    let mut eq = SparseLinear::new();
+    let mut terms = Vec::new();
+    for (tid, task) in set.iter() {
+        let budget_ms = task.wcec().as_cycles() / fmax;
+        for index in 0..fps.instances_of(tid) {
+            terms.clear();
+            terms.extend(
+                fps.chunks_of(InstanceId { task: tid, index })
+                    .map(|id| (m + id.0, 1.0)),
+            );
+            eq.push_row(&terms, -budget_ms);
+        }
     }
-}
-
-/// `clamp(x, 0, max(hi, 0))`: smooth when `tau > 0`, exact otherwise.
-/// The upper bound is sanitized to be non-negative so transiently negative
-/// budgets cannot produce negative energy.
-fn clamp01<'g>(x: Expr<'g>, hi: Expr<'g>, tau: f64) -> Expr<'g> {
-    if tau > 0.0 {
-        let hi_pos = hi.softplus(tau);
-        x.softplus(tau) - (x - hi_pos).softplus(tau)
-    } else {
-        x.relu().min_exact(hi.relu())
-    }
+    LinearConstraints { ineq, eq }
 }
 
 impl ConstrainedProblem for ScheduleProblem<'_> {
@@ -471,90 +412,8 @@ impl ConstrainedProblem for ScheduleProblem<'_> {
         2 * self.fps.len()
     }
 
-    fn build<'g>(&self, g: &'g Graph, x: &[Expr<'g>], smoothing: f64) -> ProblemExprs<'g> {
-        let m = self.fps.len();
-        let (e, w) = x.split_at(m);
-        let fmax = self.cpu.f_max().as_cycles_per_ms();
-
-        let mut inequalities = Vec::with_capacity(5 * m);
-        for (u, sub) in self.fps.sub_instances().iter().enumerate() {
-            let r = sub.window_start.as_ms();
-            let l = sub.window_end.as_ms();
-            inequalities.push(r - e[u]); // e ≥ r
-            inequalities.push(e[u] - l); // e ≤ L
-            inequalities.push(-w[u]); // w ≥ 0
-            let prev_end = if u == 0 { g.constant(0.0) } else { e[u - 1] };
-            inequalities.push(w[u] - (e[u] - prev_end)); // fits after prev
-            inequalities.push(w[u] - (e[u] - r)); // fits after release
-        }
-
-        let mut equalities = Vec::new();
-        for (tid, task) in self.set.iter() {
-            let budget_ms = task.wcec().as_cycles() / fmax;
-            for inst in 0..self.fps.instances_of(tid) {
-                let mut sum = g.constant(0.0);
-                for id in self.fps.chunks_of(acs_preempt::InstanceId {
-                    task: tid,
-                    index: inst,
-                }) {
-                    sum = sum + w[id.0];
-                }
-                equalities.push(sum - budget_ms);
-            }
-        }
-
-        let mut objective = g.constant(0.0);
-        for scenario in &self.scenarios {
-            let energy = self.scenario_energy(g, e, w, scenario, smoothing);
-            objective = objective + scenario.weight * energy;
-        }
-        objective = objective / self.norm;
-
-        ProblemExprs {
-            objective,
-            inequalities,
-            equalities,
-        }
-    }
-
-    fn linear_constraints(&self) -> Option<LinearConstraints> {
-        // Every constraint of the NLP is linear (module docs); the rows
-        // mirror `build`'s push order exactly so multiplier vectors are
-        // interchangeable between the two evaluation paths.
-        let m = self.fps.len();
-        let mut ineq = SparseLinear::new();
-        for (u, sub) in self.fps.sub_instances().iter().enumerate() {
-            let r = sub.window_start.as_ms();
-            let l = sub.window_end.as_ms();
-            ineq.push_row(&[(u, -1.0)], r); // e ≥ r
-            ineq.push_row(&[(u, 1.0)], -l); // e ≤ L
-            ineq.push_row(&[(m + u, -1.0)], 0.0); // w ≥ 0
-            if u == 0 {
-                ineq.push_row(&[(m + u, 1.0), (u, -1.0)], 0.0); // fits after prev
-            } else {
-                ineq.push_row(&[(m + u, 1.0), (u, -1.0), (u - 1, 1.0)], 0.0);
-            }
-            ineq.push_row(&[(m + u, 1.0), (u, -1.0)], r); // fits after release
-        }
-        let fmax = self.cpu.f_max().as_cycles_per_ms();
-        let mut eq = SparseLinear::new();
-        let mut terms = Vec::new();
-        for (tid, task) in self.set.iter() {
-            let budget_ms = task.wcec().as_cycles() / fmax;
-            for inst in 0..self.fps.instances_of(tid) {
-                terms.clear();
-                terms.extend(
-                    self.fps
-                        .chunks_of(acs_preempt::InstanceId {
-                            task: tid,
-                            index: inst,
-                        })
-                        .map(|id| (m + id.0, 1.0)),
-                );
-                eq.push_row(&terms, -budget_ms);
-            }
-        }
-        Some(LinearConstraints { ineq, eq })
+    fn constraints(&self) -> &LinearConstraints {
+        &self.rows
     }
 
     fn objective(&self, x: &[f64], smoothing: f64, mut grad: Option<&mut [f64]>) -> f64 {
@@ -654,6 +513,92 @@ impl ConstrainedProblem for ScheduleProblem<'_> {
     }
 }
 
+/// The objective on the AD tape: the readable statement of what the
+/// kernel computes, and the reference `chain.rs`'s bitwise tests check
+/// the kernel against.
+#[cfg(test)]
+mod tape_reference {
+    use super::*;
+    use crate::chain::reference::{smax, smax_const, voltage_for_speed, TapeObjective};
+    use acs_opt::tape::{Expr, Graph};
+
+    impl TapeObjective for ScheduleProblem<'_> {
+        fn tape_objective<'g>(&self, g: &'g Graph, x: &[Expr<'g>], smoothing: f64) -> Expr<'g> {
+            let (e, w) = x.split_at(self.fps.len());
+            let mut objective = g.constant(0.0);
+            for scenario in &self.scenarios {
+                let energy = self.scenario_energy(g, e, w, scenario, smoothing);
+                objective = objective + scenario.weight * energy;
+            }
+            objective / self.norm
+        }
+    }
+
+    impl ScheduleProblem<'_> {
+        /// Energy of one scenario's greedy trace, as an expression.
+        fn scenario_energy<'g>(
+            &self,
+            g: &'g Graph,
+            e: &[Expr<'g>],
+            w: &[Expr<'g>],
+            scenario: &Scenario,
+            tau: f64,
+        ) -> Expr<'g> {
+            let m = self.fps.len();
+            let fmax = self.cpu.f_max().as_cycles_per_ms();
+
+            // Fill rule: executed share per sub-instance (ms at f_max).
+            let mut exec: Vec<Option<Expr<'g>>> = vec![None; m];
+            for (tid, _task) in self.set.iter() {
+                for index in 0..self.fps.instances_of(tid) {
+                    let total = g.constant(scenario.totals_ms[tid.0]);
+                    let mut prefix = g.constant(0.0);
+                    for id in self.fps.chunks_of(InstanceId { task: tid, index }) {
+                        let wk = w[id.0];
+                        let rem = total - prefix;
+                        exec[id.0] = Some(clamp01(rem, wk, tau));
+                        prefix = prefix + wk;
+                    }
+                }
+            }
+
+            // Greedy start-time recursion along the total order.
+            let mut energy = g.constant(0.0);
+            let mut f_prev = g.constant(0.0);
+            for (u, sub) in self.fps.sub_instances().iter().enumerate() {
+                let r = g.constant(sub.window_start.as_ms());
+                let s = smax(f_prev, r, tau);
+                let a = exec[u].expect("fill visited every sub-instance");
+                let gap = e[u] - s;
+                let denom = smax_const(gap, self.eps_t, tau) + self.eps_t;
+                let basis_w = match scenario.basis {
+                    SpeedBasis::WorstRemaining => w[u],
+                    SpeedBasis::AverageWork => a,
+                };
+                let speed = basis_w * fmax / denom;
+                let v = voltage_for_speed(self.cpu, speed, tau);
+                let c_eff = self.set.task(sub.instance.task).c_eff();
+                energy = energy + c_eff * v.sqr() * (a * fmax);
+                let rho = a / (w[u] + self.eps_w);
+                f_prev = s + rho * (e[u] - s);
+            }
+            energy
+        }
+    }
+
+    /// `clamp(x, 0, max(hi, 0))`: smooth when `tau > 0`, exact otherwise.
+    /// The upper bound is sanitized to be non-negative so transiently
+    /// negative budgets cannot produce negative energy.
+    fn clamp01<'g>(x: Expr<'g>, hi: Expr<'g>, tau: f64) -> Expr<'g> {
+        if tau > 0.0 {
+            let hi_pos = hi.softplus(tau);
+            x.softplus(tau) - (x - hi_pos).softplus(tau)
+        } else {
+            x.relu().min_exact(hi.relu())
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -692,15 +637,13 @@ mod tests {
         let fps = FullyPreemptiveSchedule::expand(&set).unwrap();
         let p = ScheduleProblem::new(&set, &cpu, &fps, ObjectiveKind::AcecTrace);
         assert_eq!(p.dim(), 2 * fps.len());
-        let g = Graph::new();
-        let x0 = p.initial_point();
-        let xs: Vec<_> = x0.iter().map(|&v| g.input(v)).collect();
-        let exprs = p.build(&g, &xs, 1e-3);
-        assert_eq!(exprs.inequalities.len(), 5 * fps.len());
+        let rows = p.constraints();
+        assert_eq!(rows.ineq.rows(), 5 * fps.len());
         // instances: a has 2, b has 1 => 3 equalities.
-        assert_eq!(exprs.equalities.len(), 3);
-        assert!(exprs.objective.value().is_finite());
-        assert!(exprs.objective.value() > 0.0);
+        assert_eq!(rows.eq.rows(), 3);
+        let value = p.objective(&p.initial_point(), 1e-3, None);
+        assert!(value.is_finite());
+        assert!(value > 0.0);
     }
 
     #[test]
@@ -709,19 +652,25 @@ mod tests {
         let fps = FullyPreemptiveSchedule::expand(&set).unwrap();
         let p = ScheduleProblem::new(&set, &cpu, &fps, ObjectiveKind::AcecTrace);
         let x0 = p.initial_point();
-        let g = Graph::new();
-        let xs: Vec<_> = x0.iter().map(|&v| g.input(v)).collect();
-        let exprs = p.build(&g, &xs, 0.0);
-        for eq in &exprs.equalities {
-            assert!(eq.value().abs() < 1e-9, "eq violated: {}", eq.value());
+        let rows = p.constraints();
+        for eq in rows.eq.iter() {
+            assert!(eq.value(&x0).abs() < 1e-9, "eq violated: {}", eq.value(&x0));
         }
         // Windows respected at the initial point.
-        for (i, ineq) in exprs.inequalities.iter().enumerate() {
+        for (i, ineq) in rows.ineq.iter().enumerate() {
             // Only the window/non-negativity families are guaranteed.
             if i % 5 < 3 {
-                assert!(ineq.value() <= 1e-9, "ineq {i}: {}", ineq.value());
+                assert!(ineq.value(&x0) <= 1e-9, "ineq {i}: {}", ineq.value(&x0));
             }
         }
+    }
+
+    /// The largest relative error of the kernel's gradient at `x0`
+    /// against central differences of its value.
+    fn kernel_gradient_error(p: &ScheduleProblem<'_>, x0: &[f64], smoothing: f64) -> f64 {
+        let mut analytic = vec![0.0; x0.len()];
+        p.objective(x0, smoothing, Some(&mut analytic));
+        max_gradient_error(|x| p.objective(x, smoothing, None), x0, &analytic, 1e-7)
     }
 
     #[test]
@@ -735,20 +684,7 @@ mod tests {
             ObjectiveKind::Quantiles(3),
         ] {
             let p = ScheduleProblem::new(&set, &cpu, &fps, kind);
-            let x0 = p.initial_point();
-            let smoothing = 1e-2;
-            let eval = |xv: &[f64]| {
-                let g = Graph::new();
-                let xs: Vec<_> = xv.iter().map(|&v| g.input(v)).collect();
-                p.build(&g, &xs, smoothing).objective.value()
-            };
-            let g = Graph::new();
-            let xs: Vec<_> = x0.iter().map(|&v| g.input(v)).collect();
-            let exprs = p.build(&g, &xs, smoothing);
-            let grads = g.gradient(exprs.objective);
-            let mut analytic = vec![0.0; x0.len()];
-            grads.write_wrt(&xs, &mut analytic);
-            let err = max_gradient_error(eval, &x0, &analytic, 1e-7);
+            let err = kernel_gradient_error(&p, &p.initial_point(), 1e-2);
             assert!(err < 1e-4, "{kind:?}: gradient error {err}");
         }
     }
@@ -763,19 +699,7 @@ mod tests {
             .unwrap();
         let fps = FullyPreemptiveSchedule::expand(&set).unwrap();
         let p = ScheduleProblem::new(&set, &cpu, &fps, ObjectiveKind::AcecTrace);
-        let x0 = p.initial_point();
-        let eval = |xv: &[f64]| {
-            let g = Graph::new();
-            let xs: Vec<_> = xv.iter().map(|&v| g.input(v)).collect();
-            p.build(&g, &xs, 1e-2).objective.value()
-        };
-        let g = Graph::new();
-        let xs: Vec<_> = x0.iter().map(|&v| g.input(v)).collect();
-        let exprs = p.build(&g, &xs, 1e-2);
-        let grads = g.gradient(exprs.objective);
-        let mut analytic = vec![0.0; x0.len()];
-        grads.write_wrt(&xs, &mut analytic);
-        let err = max_gradient_error(eval, &x0, &analytic, 1e-7);
+        let err = kernel_gradient_error(&p, &p.initial_point(), 1e-2);
         assert!(err < 1e-3, "alpha gradient error {err}");
     }
 
@@ -785,10 +709,7 @@ mod tests {
         let fps = FullyPreemptiveSchedule::expand(&set).unwrap();
         let x0 = ScheduleProblem::new(&set, &cpu, &fps, ObjectiveKind::AcecTrace).initial_point();
         let value = |kind: ObjectiveKind| {
-            let p = ScheduleProblem::new(&set, &cpu, &fps, kind);
-            let g = Graph::new();
-            let xs: Vec<_> = x0.iter().map(|&v| g.input(v)).collect();
-            p.build(&g, &xs, 0.0).objective.value()
+            ScheduleProblem::new(&set, &cpu, &fps, kind).objective(&x0, 0.0, None)
         };
         assert!(value(ObjectiveKind::WorstCase) > value(ObjectiveKind::AcecTrace));
         // The ideal-speed reading can only reduce energy further.
@@ -804,10 +725,7 @@ mod tests {
         let fps = FullyPreemptiveSchedule::expand(&set).unwrap();
         let x0 = ScheduleProblem::new(&set, &cpu, &fps, ObjectiveKind::AcecTrace).initial_point();
         let value = |kind: ObjectiveKind| {
-            let p = ScheduleProblem::new(&set, &cpu, &fps, kind);
-            let g = Graph::new();
-            let xs: Vec<_> = x0.iter().map(|&v| g.input(v)).collect();
-            p.build(&g, &xs, 0.0).objective.value()
+            ScheduleProblem::new(&set, &cpu, &fps, kind).objective(&x0, 0.0, None)
         };
         let acec = value(ObjectiveKind::AcecTrace);
         let quant = value(ObjectiveKind::Quantiles(8));

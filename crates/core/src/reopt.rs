@@ -63,14 +63,12 @@
 
 use crate::chain::{Chain, ChainGrad, LinkIn, LinkTape, StartMax};
 use crate::fill::fill_amounts;
-use crate::formulation::{smax_const, voltage_for_speed};
 use crate::schedule::StaticSchedule;
 use acs_model::units::{Cycles, Energy, Freq, Time};
 use acs_model::TaskSet;
 use acs_opt::auglag::{self, AugLagConfig};
 use acs_opt::lbfgs::LbfgsConfig;
-use acs_opt::problem::{ConstrainedProblem, LinearConstraints, ProblemExprs, SparseLinear};
-use acs_opt::tape::{Expr, Graph};
+use acs_opt::problem::{ConstrainedProblem, LinearConstraints, SparseLinear};
 use acs_power::Processor;
 use acs_preempt::InstanceId;
 use std::cell::RefCell;
@@ -433,6 +431,8 @@ pub(crate) struct RemainingProblem<'a> {
     norm: f64,
     eps_t: f64,
     eps_w: f64,
+    /// The constraint rows ([`remaining_rows`]).
+    rows: LinearConstraints,
     /// The objective kernel's per-link record, reused by every
     /// evaluation of the solve.
     links: RefCell<Vec<LinkTape>>,
@@ -465,8 +465,54 @@ impl<'a> RemainingProblem<'a> {
             norm,
             eps_t: 1e-6,
             eps_w: 1e-9,
+            rows: remaining_rows(rem),
             links: RefCell::new(Vec::with_capacity(rem.opt_live.len())),
         }
+    }
+}
+
+/// Inequality rows the boundary NLP declares per in-horizon live
+/// sub-instance ([`remaining_rows`] lists them); [`WarmCarry::nu`] holds
+/// one multiplier per row, in these blocks.
+const ROWS_PER_SUB: usize = 4;
+
+/// The boundary NLP's constraint rows, all linear in the end times: per
+/// in-horizon live sub-instance `k`, in this order,
+///
+/// 1. lower window: `e_k ≥ max(r, now)`;
+/// 2. upper window: `e_k ≤ L` (the last horizon variable's cap when a
+///    frozen tail follows);
+/// 3. chain fit: `e_k ≥ e_{k−1} + R̂ᵣₑₘ` (`now` before the first);
+/// 4. release fit: `e_k ≥ max(r, now) + R̂ᵣₑₘ`.
+fn remaining_rows(rem: &RemainingInstance) -> LinearConstraints {
+    let n = rem.opt_live.len();
+    let mut ineq = SparseLinear::new();
+    for (k, &u) in rem.opt_live.iter().enumerate() {
+        let lo = rem.lo_ms[u];
+        let hi = if k + 1 == n && n < rem.live.len() {
+            rem.last_hi_ms
+        } else {
+            rem.hi_ms[u]
+        };
+        let w = rem.rem_w_ms[u];
+        let chain_fit: (&[(usize, f64)], f64) = if k == 0 {
+            (&[(k, -1.0)], w + rem.now_ms)
+        } else {
+            (&[(k, -1.0), (k - 1, 1.0)], w)
+        };
+        let rows: [(&[(usize, f64)], f64); ROWS_PER_SUB] = [
+            (&[(k, -1.0)], lo),
+            (&[(k, 1.0)], -hi),
+            chain_fit,
+            (&[(k, -1.0)], w + lo),
+        ];
+        for (terms, bias) in rows {
+            ineq.push_row(terms, bias);
+        }
+    }
+    LinearConstraints {
+        ineq,
+        eq: SparseLinear::new(),
     }
 }
 
@@ -475,78 +521,8 @@ impl ConstrainedProblem for RemainingProblem<'_> {
         self.rem.opt_live.len()
     }
 
-    fn build<'g>(&self, g: &'g Graph, x: &[Expr<'g>], smoothing: f64) -> ProblemExprs<'g> {
-        let rem = self.rem;
-        let n = rem.opt_live.len();
-        let mut inequalities = Vec::with_capacity(4 * n);
-        let mut prev: Option<Expr<'g>> = None;
-        for (k, &u) in rem.opt_live.iter().enumerate() {
-            let lo = rem.lo_ms[u];
-            let hi = if k + 1 == n && n < rem.live.len() {
-                rem.last_hi_ms
-            } else {
-                rem.hi_ms[u]
-            };
-            let w = rem.rem_w_ms[u];
-            inequalities.push(lo - x[k]); // e ≥ max(r, now)
-            inequalities.push(x[k] - hi); // e ≤ L
-            let prev_e = prev.unwrap_or_else(|| g.constant(rem.now_ms));
-            inequalities.push(w - (x[k] - prev_e)); // fits after predecessor
-            inequalities.push(w + lo - x[k]); // fits after its own release
-            prev = Some(x[k]);
-        }
-
-        // Greedy chain energy over the expected remaining workload.
-        let mut energy = g.constant(0.0);
-        let mut f_prev = g.constant(rem.now_ms);
-        for (k, &u) in rem.opt_live.iter().enumerate() {
-            let a = rem.a_ms[u];
-            let w = rem.rem_w_ms[u];
-            let s = smax_const(f_prev, rem.lo_ms[u], smoothing);
-            let gap = x[k] - s;
-            let denom = smax_const(gap, self.eps_t, smoothing) + self.eps_t;
-            let speed = g.constant(w * rem.fmax) / denom;
-            let v = voltage_for_speed(&rem.cpu, speed, smoothing);
-            energy = energy + rem.c_eff[u] * v.sqr() * (a * rem.fmax);
-            let rho = a / (w + self.eps_w);
-            f_prev = s + rho * (x[k] - s);
-        }
-
-        ProblemExprs {
-            objective: energy / self.norm,
-            inequalities,
-            equalities: Vec::new(),
-        }
-    }
-
-    fn linear_constraints(&self) -> Option<LinearConstraints> {
-        // All four fit/window families are linear in the end times; the
-        // row order mirrors `build` exactly (the [`auglag::solve_seeded`]
-        // ν vectors the warm-carry path replays are indexed by it).
-        let rem = self.rem;
-        let n = rem.opt_live.len();
-        let mut ineq = SparseLinear::new();
-        for (k, &u) in rem.opt_live.iter().enumerate() {
-            let lo = rem.lo_ms[u];
-            let hi = if k + 1 == n && n < rem.live.len() {
-                rem.last_hi_ms
-            } else {
-                rem.hi_ms[u]
-            };
-            let w = rem.rem_w_ms[u];
-            ineq.push_row(&[(k, -1.0)], lo); // e ≥ max(r, now)
-            ineq.push_row(&[(k, 1.0)], -hi); // e ≤ L
-            if k == 0 {
-                ineq.push_row(&[(k, -1.0)], w + rem.now_ms); // fits after predecessor
-            } else {
-                ineq.push_row(&[(k, -1.0), (k - 1, 1.0)], w);
-            }
-            ineq.push_row(&[(k, -1.0)], w + lo); // fits after its own release
-        }
-        Some(LinearConstraints {
-            ineq,
-            eq: SparseLinear::new(),
-        })
+    fn constraints(&self) -> &LinearConstraints {
+        &self.rows
     }
 
     fn objective(&self, x: &[f64], smoothing: f64, grad: Option<&mut [f64]>) -> f64 {
@@ -666,9 +642,9 @@ pub struct WarmCarry {
     /// Total-order sub-instance indices the multipliers belong to (the
     /// carrying solve's in-horizon live set, ascending).
     pub subs: Vec<usize>,
-    /// PHR inequality multipliers, four per entry of `subs` in
-    /// constraint build order (lower window, upper window, chain fit,
-    /// release fit).
+    /// PHR inequality multipliers: one block per entry of `subs`, one
+    /// multiplier per row of that sub-instance, in row order (lower
+    /// window, upper window, chain fit, release fit).
     pub nu: Vec<f64>,
 }
 
@@ -773,14 +749,16 @@ pub fn synthesize_remaining_carry(
     carry: &WarmCarry,
     options: &ReoptOptions,
 ) -> (ReoptOutcome, WarmCarry) {
-    let mut nu0 = vec![0.0f64; 4 * rem.opt_live.len()];
-    let mut j = 0usize;
-    for (k, &u) in rem.opt_live.iter().enumerate() {
-        while j < carry.subs.len() && carry.subs[j] < u {
-            j += 1;
-        }
-        if j < carry.subs.len() && carry.subs[j] == u && 4 * (j + 1) <= carry.nu.len() {
-            nu0[4 * k..4 * (k + 1)].copy_from_slice(&carry.nu[4 * j..4 * (j + 1)]);
+    let mut nu0 = vec![0.0f64; ROWS_PER_SUB * rem.opt_live.len()];
+    let mut carried = carry
+        .subs
+        .iter()
+        .zip(carry.nu.chunks_exact(ROWS_PER_SUB))
+        .peekable();
+    for (&u, block) in rem.opt_live.iter().zip(nu0.chunks_exact_mut(ROWS_PER_SUB)) {
+        while carried.next_if(|&(&s, _)| s < u).is_some() {}
+        if let Some((_, nu)) = carried.next_if(|&(&s, _)| s == u) {
+            block.copy_from_slice(nu);
         }
     }
     let start = if carry.ends_ms.len() == rem.static_ends_ms.len() {
@@ -824,6 +802,38 @@ fn alap_start_ends_ms(rem: &RemainingInstance) -> Vec<f64> {
         cap = e - rem.rem_w_ms[u];
     }
     ends
+}
+
+/// The objective on the AD tape: the readable statement of what the
+/// kernel computes, and the reference `chain.rs`'s bitwise tests check
+/// the kernel against.
+#[cfg(test)]
+mod tape_reference {
+    use super::*;
+    use crate::chain::reference::{smax_const, voltage_for_speed, TapeObjective};
+    use acs_opt::tape::{Expr, Graph};
+
+    impl TapeObjective for RemainingProblem<'_> {
+        fn tape_objective<'g>(&self, g: &'g Graph, x: &[Expr<'g>], smoothing: f64) -> Expr<'g> {
+            // Greedy chain energy over the expected remaining workload.
+            let rem = self.rem;
+            let mut energy = g.constant(0.0);
+            let mut f_prev = g.constant(rem.now_ms);
+            for (k, &u) in rem.opt_live.iter().enumerate() {
+                let a = rem.a_ms[u];
+                let w = rem.rem_w_ms[u];
+                let s = smax_const(f_prev, rem.lo_ms[u], smoothing);
+                let gap = x[k] - s;
+                let denom = smax_const(gap, self.eps_t, smoothing) + self.eps_t;
+                let speed = g.constant(w * rem.fmax) / denom;
+                let v = voltage_for_speed(&rem.cpu, speed, smoothing);
+                energy = energy + rem.c_eff[u] * v.sqr() * (a * rem.fmax);
+                let rho = a / (w + self.eps_w);
+                f_prev = s + rho * (x[k] - s);
+            }
+            energy / self.norm
+        }
+    }
 }
 
 #[cfg(test)]
@@ -905,6 +915,44 @@ mod tests {
         }
         // Static ends are feasible as-is.
         assert!(rem.feasible(rem.static_ends_ms(), 1e-4));
+    }
+
+    #[test]
+    fn rows_come_in_the_order_the_carry_documents() {
+        let (set, cpu) = motivation();
+        let wcs = synthesize_wcs(&set, &cpu, &SynthesisOptions::quick()).unwrap();
+        // Two of three live subs in the horizon: the last one takes the
+        // capped upper bound.
+        let rem = RemainingInstance::at_boundary(&wcs, &set, &cpu, Time::from_ms(1.0), &[])
+            .with_horizon(2);
+        let warm = rem.warm_ends_ms();
+        let p = RemainingProblem::new(&rem, &warm);
+        let n = rem.opt_count();
+        assert_eq!((n, rem.live_count()), (2, 3));
+        let rows = &p.constraints().ineq;
+        assert_eq!(rows.rows(), ROWS_PER_SUB * n);
+        assert_eq!(p.constraints().eq.rows(), 0);
+        let x = [3.0, 11.0];
+        let values: Vec<f64> = rows.iter().map(|row| row.value(&x)).collect();
+        for (k, &u) in rem.opt_live.iter().enumerate() {
+            let (lo, w) = (rem.lo_ms[u], rem.rem_w_ms[u]);
+            let hi = if k + 1 == n {
+                rem.last_hi_ms
+            } else {
+                rem.hi_ms[u]
+            };
+            let prev = if k == 0 { rem.now_ms } else { x[k - 1] };
+            let want = [
+                ("lower window", lo - x[k]),
+                ("upper window", x[k] - hi),
+                ("chain fit", w - (x[k] - prev)),
+                ("release fit", w + lo - x[k]),
+            ];
+            for (i, (name, want)) in want.into_iter().enumerate() {
+                let got = values[ROWS_PER_SUB * k + i];
+                assert!((got - want).abs() < 1e-9, "sub {k} {name}: {got} vs {want}");
+            }
+        }
     }
 
     #[test]
@@ -1156,7 +1204,7 @@ mod tests {
         assert_eq!(plain.ends_ms, best.ends_ms);
         assert_eq!(plain.evaluations, best.evaluations);
         assert_eq!(carry.subs, rem0.opt_live);
-        assert_eq!(carry.nu.len(), 4 * rem0.opt_live.len());
+        assert_eq!(carry.nu.len(), ROWS_PER_SUB * rem0.opt_live.len());
 
         // Next boundary: first instance of t0 done early.
         let wcec0 = set.tasks()[0].wcec().as_cycles();

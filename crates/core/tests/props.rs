@@ -7,7 +7,6 @@ use acs_core::{ObjectiveKind, ScheduleProblem};
 use acs_model::units::{Cycles, Ticks, Volt};
 use acs_model::{Task, TaskSet};
 use acs_opt::problem::ConstrainedProblem;
-use acs_opt::tape::Graph;
 use acs_power::{FreqModel, Processor};
 use acs_preempt::FullyPreemptiveSchedule;
 use proptest::prelude::*;
@@ -105,15 +104,14 @@ proptest! {
         let p = ScheduleProblem::new(&set, &cpu, &fps, ObjectiveKind::AcecTrace);
         prop_assert_eq!(p.dim(), 2 * fps.len());
         let x0 = p.initial_point();
-        let g = Graph::new();
-        let xs: Vec<_> = x0.iter().map(|&v| g.input(v)).collect();
-        let exprs = p.build(&g, &xs, 0.0);
-        prop_assert_eq!(exprs.inequalities.len(), 5 * fps.len());
-        prop_assert_eq!(exprs.equalities.len(), set.total_instances() as usize);
-        for eq in &exprs.equalities {
-            prop_assert!(eq.value().abs() < 1e-6, "eq residual {}", eq.value());
+        let rows = p.constraints();
+        prop_assert_eq!(rows.ineq.rows(), 5 * fps.len());
+        prop_assert_eq!(rows.eq.rows(), set.total_instances() as usize);
+        for eq in rows.eq.iter() {
+            prop_assert!(eq.value(&x0).abs() < 1e-6, "eq residual {}", eq.value(&x0));
         }
-        prop_assert!(exprs.objective.value().is_finite());
-        prop_assert!(exprs.objective.value() >= 0.0);
+        let objective = p.objective(&x0, 0.0, None);
+        prop_assert!(objective.is_finite());
+        prop_assert!(objective >= 0.0);
     }
 }

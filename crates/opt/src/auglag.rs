@@ -15,16 +15,18 @@
 //!
 //! with multiplier updates `λ_j += μ h_j`, `ν_i = max(0, ν_i + μ g_i)`
 //! and a penalty bump whenever feasibility stalls. The inner solver is
-//! [`crate::lbfgs`]. Problems whose constraints are all linear are
-//! evaluated in plain `f64`: the objective through
-//! [`ConstrainedProblem::objective`] and the penalties from the sparse
-//! rows. Any other problem is built on the AD tape at every evaluation.
+//! [`crate::lbfgs`]. Everything is evaluated in plain `f64`: the
+//! objective through [`ConstrainedProblem::objective`] and the penalties
+//! from the problem's sparse constraint rows. For
+//! `P = (max(0, μg+ν)² − ν²)/2μ` the chain rule gives
+//! `∂P/∂x = max(0, μg+ν)·∇g`, and `∇g` is the row's constant
+//! coefficients.
 //!
-//! On the linear path an inactive inequality row (`t = max(μ g_i + ν_i,
-//! 0)` is zero) adds `(0.0 − ν_i·ν_i) / (2μ)` and nothing to the
-//! gradient. That term depends on ν and μ alone, which change only
-//! between outer iterations, so it is computed once per outer iteration
-//! into an `idle` vector and each evaluation adds `idle[i]` without a
+//! An inactive inequality row (`t = max(μ g_i + ν_i, 0)` is zero) adds
+//! `(0.0 − ν_i·ν_i) / (2μ)` and nothing to the gradient. That term
+//! depends on ν and μ alone, which change only between outer
+//! iterations, so it is computed once per outer iteration into an
+//! `idle` vector and each evaluation adds `idle[i]` without a
 //! division. It is the formula's own value: `t` is never NaN (`max`
 //! returns the non-NaN operand) and `t·t` is `+0.0` for either zero, so
 //! the merit and every gradient entry keep their bits. Writing it as
@@ -32,7 +34,6 @@
 
 use crate::lbfgs::{self, LbfgsConfig, LbfgsStop};
 use crate::problem::{ConstrainedProblem, LinearConstraints};
-use crate::tape::{Expr, Graph};
 
 /// Configuration of the outer augmented-Lagrangian loop.
 #[derive(Debug, Clone)]
@@ -51,7 +52,7 @@ pub struct AugLagConfig {
     /// Required per-outer-iteration violation shrink factor; slower
     /// progress bumps μ.
     pub violation_shrink: f64,
-    /// Initial smoothing temperature handed to the problem's `build`.
+    /// Initial smoothing temperature handed to the problem's `objective`.
     pub smoothing_init: f64,
     /// Smoothing decays geometrically to (at most) this value.
     pub smoothing_final: f64,
@@ -110,46 +111,30 @@ pub struct AugLagResult {
     pub evaluations: usize,
     /// Per-outer-iteration telemetry.
     pub history: Vec<OuterLog>,
-    /// Inequality multipliers ν at termination, one per inequality in
-    /// build order. Feed these back into [`solve_seeded`] to warm-start
+    /// Inequality multipliers ν at termination, one per inequality row
+    /// in row order. Feed these back into [`solve_seeded`] to warm-start
     /// a *related* solve (e.g. the next boundary of an online
     /// re-optimization) past its multiplier-estimation phase.
     pub nu: Vec<f64>,
-    /// Equality multipliers λ at termination, one per equality.
+    /// Equality multipliers λ at termination, one per equality row in
+    /// row order.
     pub lambda: Vec<f64>,
 }
 
-/// Exact (unsmoothed) objective and violation at `x`; constraint
-/// values land in `ineq`/`eq`. With a linear-constraints description
-/// nothing touches the tape: the objective comes from
-/// [`ConstrainedProblem::objective`] and the constraint values from the
-/// sparse rows. Otherwise everything is built on the shared (reset +
-/// reused) arena.
-fn measure<'g>(
+/// Exact (unsmoothed) objective and violation at `x`; the row values
+/// land in `ineq`/`eq`.
+fn measure(
     problem: &dyn ConstrainedProblem,
-    lc: Option<&LinearConstraints>,
-    g: &'g Graph,
-    xs: &mut Vec<Expr<'g>>,
     x: &[f64],
     ineq: &mut Vec<f64>,
     eq: &mut Vec<f64>,
 ) -> (f64, f64) {
-    let obj;
+    let obj = problem.objective(x, 0.0, None);
+    let lc = problem.constraints();
     ineq.clear();
+    ineq.extend(lc.ineq.iter().map(|row| row.value(x)));
     eq.clear();
-    if let Some(lc) = lc {
-        obj = problem.objective(x, 0.0, None);
-        ineq.extend(lc.ineq.iter().map(|row| row.value(x)));
-        eq.extend(lc.eq.iter().map(|row| row.value(x)));
-    } else {
-        g.reset();
-        xs.clear();
-        xs.extend(x.iter().map(|&v| g.input(v)));
-        let exprs = problem.build(g, xs, 0.0);
-        obj = exprs.objective.value();
-        ineq.extend(exprs.inequalities.iter().map(|e| e.value()));
-        eq.extend(exprs.equalities.iter().map(|e| e.value()));
-    }
+    eq.extend(lc.eq.iter().map(|row| row.value(x)));
     let viol = ineq
         .iter()
         .map(|&v| v.max(0.0))
@@ -188,10 +173,10 @@ impl<'a> Phr<'a> {
     /// read once; an inactive inequality row adds its `idle` term and
     /// touches no gradient entry.
     //
-    // Out of line on purpose: inlined into the merit closure, which also
-    // holds the tape path, `merit` lives in a stack slot and every row
-    // waits on a store-to-load round trip; out of line the sum stays in
-    // a register and the pass takes about half the time.
+    // Out of line on purpose: inlined into the merit closure, `merit`
+    // lived in a stack slot and every row waited on a store-to-load round
+    // trip; out of line the sum stays in a register, and the pass took
+    // about half the time (docs/PERF.md, "The penalty pass").
     #[inline(never)]
     fn add_linear(&self, lc: &LinearConstraints, x: &[f64], grad: &mut [f64], merit: f64) -> f64 {
         let (mu, mut merit) = (self.mu, merit);
@@ -224,7 +209,7 @@ pub fn solve(problem: &dyn ConstrainedProblem, config: &AugLagConfig) -> AugLagR
 
 /// [`solve`] with warm-started inequality multipliers.
 ///
-/// `nu0` seeds the PHR inequality multipliers in build order (entries
+/// `nu0` seeds the PHR inequality multipliers in row order (entries
 /// are clamped to `≥ 0`; missing entries default to `0`, extras are
 /// ignored). When the seed comes from a structurally similar solve —
 /// the previous boundary of an online re-optimization, say — the first
@@ -240,34 +225,10 @@ pub fn solve_seeded(
     let n = problem.dim();
     let mut x = problem.initial_point();
     assert_eq!(x.len(), n, "initial point dimension mismatch");
-
-    // When the problem exposes its (all-linear) constraint system, the
-    // merit function takes the objective from `problem.objective` and
-    // folds the PHR penalty terms in analytically: for
-    // P = (max(0, μg+ν)² − ν²)/2μ the chain rule gives
-    // ∂P/∂x = max(0, μg+ν)·∇g, and ∇g is the constant coefficient row.
-    let lc = problem.linear_constraints();
-
-    // Otherwise one AD arena serves every evaluation of this solve: each
-    // build resets the tape and reuses the grown node/adjoint buffers, so
-    // warm iterations allocate nothing on the tape side. An empty graph
-    // holds no arena; the linear path never builds on it.
-    let g = Graph::new();
-    let mut xs: Vec<Expr<'_>> = Vec::new();
+    let lc = problem.constraints();
+    let (num_ineq, num_eq) = (lc.ineq.rows(), lc.eq.rows());
     let mut ineq: Vec<f64> = Vec::new();
     let mut eq: Vec<f64> = Vec::new();
-
-    // Discover constraint counts once.
-    let (num_ineq, num_eq) = match &lc {
-        Some(lc) => (lc.ineq.rows(), lc.eq.rows()),
-        None => {
-            g.reset();
-            xs.clear();
-            xs.extend(x.iter().map(|&v| g.input(v)));
-            let e = problem.build(&g, &xs, config.smoothing_init);
-            (e.inequalities.len(), e.equalities.len())
-        }
-    };
 
     let mut nu = vec![0.0f64; num_ineq]; // inequality multipliers ≥ 0
     if let Some(seed) = nu0 {
@@ -277,9 +238,8 @@ pub fn solve_seeded(
     }
     let mut lambda = vec![0.0f64; num_eq]; // equality multipliers
 
-    // Inactive-row penalty terms of the linear path, refilled once per
-    // outer iteration.
-    let mut idle = vec![0.0f64; if lc.is_some() { num_ineq } else { 0 }];
+    // Inactive-row penalty terms, refilled once per outer iteration.
+    let mut idle = vec![0.0f64; num_ineq];
     let mut mu = config.mu_init;
     let mut smoothing = config.smoothing_init;
     let mut evaluations = 0usize;
@@ -287,8 +247,7 @@ pub fn solve_seeded(
     let mut prev_violation = f64::INFINITY;
 
     let mut best_x = x.clone();
-    let (mut best_obj, mut best_viol) =
-        measure(problem, lc.as_ref(), &g, &mut xs, &x, &mut ineq, &mut eq);
+    let (mut best_obj, mut best_viol) = measure(problem, &x, &mut ineq, &mut eq);
 
     let mut outer_done = 0usize;
     for _outer in 0..config.outer_iters {
@@ -296,25 +255,8 @@ pub fn solve_seeded(
         // ---- inner minimization of the merit function ----
         let phr = Phr::new(&lambda, &nu, mu, &mut idle);
         let merit = |xv: &[f64], grad: &mut [f64]| -> f64 {
-            if let Some(lc) = &lc {
-                // Fast path: the problem's objective, linear penalties in f64.
-                let objective = problem.objective(xv, smoothing, Some(grad));
-                return phr.add_linear(lc, xv, grad, objective);
-            }
-            g.reset();
-            xs.clear();
-            xs.extend(xv.iter().map(|&v| g.input(v)));
-            let exprs = problem.build(&g, &xs, smoothing);
-            let mut merit = exprs.objective;
-            for (j, &h) in exprs.equalities.iter().enumerate() {
-                merit = merit + lambda[j] * h + (mu / 2.0) * h.sqr();
-            }
-            for (i, &gi) in exprs.inequalities.iter().enumerate() {
-                let t = (gi * mu + nu[i]).relu();
-                merit = merit + (t.sqr() - nu[i] * nu[i]) / (2.0 * mu);
-            }
-            g.gradient_wrt(merit, &xs, grad);
-            merit.value()
+            let objective = problem.objective(xv, smoothing, Some(grad));
+            phr.add_linear(lc, xv, grad, objective)
         };
         let inner = lbfgs::minimize(merit, &x, &config.inner);
         evaluations += inner.evaluations;
@@ -323,7 +265,7 @@ pub fn solve_seeded(
         }
 
         // ---- exact measurement and multiplier update ----
-        let (obj, viol) = measure(problem, lc.as_ref(), &g, &mut xs, &x, &mut ineq, &mut eq);
+        let (obj, viol) = measure(problem, &x, &mut ineq, &mut eq);
         history.push(OuterLog {
             objective: obj,
             violation: viol,
@@ -360,15 +302,7 @@ pub fn solve_seeded(
         smoothing = (smoothing * config.smoothing_decay).max(config.smoothing_final);
     }
 
-    let (obj, viol) = measure(
-        problem,
-        lc.as_ref(),
-        &g,
-        &mut xs,
-        &best_x,
-        &mut ineq,
-        &mut eq,
-    );
+    let (obj, viol) = measure(problem, &best_x, &mut ineq, &mut eq);
     AugLagResult {
         x: best_x,
         objective: obj,
@@ -385,31 +319,79 @@ pub fn solve_seeded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::{ProblemExprs, SparseLinear};
-    use crate::tape::Expr;
+    use crate::problem::SparseLinear;
     use proptest::prelude::*;
 
-    /// min x² + y²  s.t.  x + y = 1  →  (0.5, 0.5).
-    struct EqualityQp;
-    impl ConstrainedProblem for EqualityQp {
+    /// A test problem: an objective closure `f(x, τ, grad) → value` that
+    /// writes every gradient entry, under `rows`.
+    struct Problem<F> {
+        x0: Vec<f64>,
+        rows: LinearConstraints,
+        f: F,
+    }
+
+    impl<F: Fn(&[f64], f64, &mut [f64]) -> f64> ConstrainedProblem for Problem<F> {
         fn dim(&self) -> usize {
-            2
-        }
-        fn build<'g>(&self, _g: &'g Graph, x: &[Expr<'g>], _s: f64) -> ProblemExprs<'g> {
-            ProblemExprs {
-                objective: x[0].sqr() + x[1].sqr(),
-                inequalities: vec![],
-                equalities: vec![x[0] + x[1] - 1.0],
-            }
+            self.x0.len()
         }
         fn initial_point(&self) -> Vec<f64> {
-            vec![0.0, 0.0]
+            self.x0.clone()
         }
+        fn constraints(&self) -> &LinearConstraints {
+            &self.rows
+        }
+        fn objective(&self, x: &[f64], smoothing: f64, grad: Option<&mut [f64]>) -> f64 {
+            let mut unused = vec![0.0; x.len()];
+            (self.f)(x, smoothing, grad.unwrap_or(&mut unused))
+        }
+    }
+
+    type Rows<'a> = &'a [(&'a [(usize, f64)], f64)];
+
+    /// The problem min `f` from `x0` under inequality rows `ineq` (`≤ 0`)
+    /// and equality rows `eq` (`= 0`), each row given as its terms and
+    /// bias.
+    fn problem<F: Fn(&[f64], f64, &mut [f64]) -> f64>(
+        x0: &[f64],
+        ineq: Rows<'_>,
+        eq: Rows<'_>,
+        f: F,
+    ) -> Problem<F> {
+        Problem {
+            x0: x0.to_vec(),
+            rows: LinearConstraints {
+                ineq: sparse(ineq),
+                eq: sparse(eq),
+            },
+            f,
+        }
+    }
+
+    /// `(x₀ − c)²`, the objective of the one-variable problems.
+    fn square_from(c: f64) -> impl Fn(&[f64], f64, &mut [f64]) -> f64 {
+        move |x: &[f64], _: f64, grad: &mut [f64]| {
+            grad[0] = 2.0 * (x[0] - c);
+            (x[0] - c) * (x[0] - c)
+        }
+    }
+
+    /// min x² + y²  s.t.  x + y = 1  →  (0.5, 0.5).
+    fn equality_qp_problem() -> impl ConstrainedProblem {
+        problem(
+            &[0.0, 0.0],
+            &[],
+            &[(&[(0, 1.0), (1, 1.0)], -1.0)],
+            |x: &[f64], _: f64, grad: &mut [f64]| {
+                grad[0] = 2.0 * x[0];
+                grad[1] = 2.0 * x[1];
+                x[0] * x[0] + x[1] * x[1]
+            },
+        )
     }
 
     #[test]
     fn equality_qp() {
-        let r = solve(&EqualityQp, &AugLagConfig::default());
+        let r = solve(&equality_qp_problem(), &AugLagConfig::default());
         assert!(r.converged, "violation = {}", r.max_violation);
         assert!((r.x[0] - 0.5).abs() < 1e-4, "x = {:?}", r.x);
         assert!((r.x[1] - 0.5).abs() < 1e-4);
@@ -417,92 +399,54 @@ mod tests {
     }
 
     /// min (x−2)²  s.t.  x ≤ 1  →  x = 1 (active constraint).
-    struct ActiveIneq;
-    impl ConstrainedProblem for ActiveIneq {
-        fn dim(&self) -> usize {
-            1
-        }
-        fn build<'g>(&self, _g: &'g Graph, x: &[Expr<'g>], _s: f64) -> ProblemExprs<'g> {
-            ProblemExprs {
-                objective: (x[0] - 2.0).sqr(),
-                inequalities: vec![x[0] - 1.0],
-                equalities: vec![],
-            }
-        }
-        fn initial_point(&self) -> Vec<f64> {
-            vec![5.0]
-        }
+    fn active_ineq_problem() -> impl ConstrainedProblem {
+        problem(&[5.0], &[(&[(0, 1.0)], -1.0)], &[], square_from(2.0))
     }
 
     #[test]
     fn active_inequality() {
-        let r = solve(&ActiveIneq, &AugLagConfig::default());
+        let r = solve(&active_ineq_problem(), &AugLagConfig::default());
         assert!(r.converged);
         assert!((r.x[0] - 1.0).abs() < 1e-4, "x = {:?}", r.x);
     }
 
-    /// min (x+1)²  s.t.  0 ≤ x ≤ 2  →  x = 0.
-    struct BoxProblem;
-    impl ConstrainedProblem for BoxProblem {
-        fn dim(&self) -> usize {
-            1
-        }
-        fn build<'g>(&self, _g: &'g Graph, x: &[Expr<'g>], _s: f64) -> ProblemExprs<'g> {
-            ProblemExprs {
-                objective: (x[0] + 1.0).sqr(),
-                inequalities: vec![-x[0], x[0] - 2.0],
-                equalities: vec![],
-            }
-        }
-        fn initial_point(&self) -> Vec<f64> {
-            vec![1.0]
-        }
-    }
-
     #[test]
     fn box_constraint_binds_at_lower() {
-        let r = solve(&BoxProblem, &AugLagConfig::default());
+        // min (x+1)²  s.t.  0 ≤ x ≤ 2  →  x = 0.
+        let p = problem(
+            &[1.0],
+            &[(&[(0, -1.0)], 0.0), (&[(0, 1.0)], -2.0)],
+            &[],
+            square_from(-1.0),
+        );
+        let r = solve(&p, &AugLagConfig::default());
         assert!(r.converged);
         assert!(r.x[0].abs() < 1e-4, "x = {:?}", r.x);
     }
 
-    /// Energy-shaped posynomial with a time budget — the WCS sanity
-    /// structure: min Σ wᵢ³/tᵢ² s.t. Σ tᵢ = T, tᵢ ≥ ε. The optimum runs
-    /// everything at the common speed Σwᵢ/T, i.e. tᵢ = wᵢ·T/Σw.
-    struct EnergySplit {
-        w: Vec<f64>,
-        total: f64,
-    }
-    impl ConstrainedProblem for EnergySplit {
-        fn dim(&self) -> usize {
-            self.w.len()
-        }
-        fn build<'g>(&self, g: &'g Graph, x: &[Expr<'g>], _s: f64) -> ProblemExprs<'g> {
-            let mut obj = g.constant(0.0);
-            let mut sum = g.constant(0.0);
-            let mut ineqs = Vec::new();
-            for (i, &wi) in self.w.iter().enumerate() {
-                obj = obj + g.constant(wi.powi(3)) / x[i].sqr();
-                sum = sum + x[i];
-                ineqs.push(0.05 - x[i]); // t_i ≥ 0.05 keeps 1/t² finite
-            }
-            ProblemExprs {
-                objective: obj,
-                inequalities: ineqs,
-                equalities: vec![sum - self.total],
-            }
-        }
-        fn initial_point(&self) -> Vec<f64> {
-            vec![self.total / self.w.len() as f64; self.w.len()]
-        }
-    }
-
     #[test]
     fn energy_split_equalizes_speed() {
-        let p = EnergySplit {
-            w: vec![1.0, 2.0, 3.0],
-            total: 12.0,
-        };
+        // Energy-shaped posynomial with a time budget — the WCS sanity
+        // structure: min Σ wᵢ³/tᵢ² s.t. Σ tᵢ = T, tᵢ ≥ 0.05 (keeps 1/t²
+        // finite). The optimum runs everything at the common speed Σwᵢ/T,
+        // i.e. tᵢ = wᵢ·T/Σw.
+        let (w, total) = ([1.0f64, 2.0, 3.0], 12.0);
+        let floors: Vec<[(usize, f64); 1]> = (0..w.len()).map(|i| [(i, -1.0)]).collect();
+        let ineq: Vec<(&[(usize, f64)], f64)> = floors.iter().map(|t| (&t[..], 0.05)).collect();
+        let sum: Vec<(usize, f64)> = (0..w.len()).map(|i| (i, 1.0)).collect();
+        let p = problem(
+            &[total / w.len() as f64; 3],
+            &ineq,
+            &[(&sum, -total)],
+            |t: &[f64], _: f64, grad: &mut [f64]| {
+                let mut energy = 0.0;
+                for ((&wi, &ti), g) in w.iter().zip(t).zip(grad.iter_mut()) {
+                    energy += wi.powi(3) / (ti * ti);
+                    *g = -2.0 * wi.powi(3) / (ti * ti * ti);
+                }
+                energy
+            },
+        );
         let r = solve(&p, &AugLagConfig::default());
         assert!(r.converged, "violation = {}", r.max_violation);
         // Expected t = w·T/Σw = (2, 4, 6).
@@ -511,65 +455,47 @@ mod tests {
         }
         // Common speed 0.5 ⇒ objective Σ wᵢ·0.25.
         assert!((r.objective - 0.25 * 6.0).abs() < 1e-2);
-    }
-
-    /// Infeasible: x ≤ −1 and x ≥ 1 simultaneously.
-    struct Infeasible;
-    impl ConstrainedProblem for Infeasible {
-        fn dim(&self) -> usize {
-            1
-        }
-        fn build<'g>(&self, _g: &'g Graph, x: &[Expr<'g>], _s: f64) -> ProblemExprs<'g> {
-            ProblemExprs {
-                objective: x[0].sqr(),
-                inequalities: vec![x[0] + 1.0, 1.0 - x[0]],
-                equalities: vec![],
-            }
-        }
-        fn initial_point(&self) -> Vec<f64> {
-            vec![0.0]
-        }
+        // The budget's multiplier: stationarity −2wᵢ³/tᵢ³ + λ = 0 at the
+        // common speed 0.5 gives λ = 2·0.5³.
+        assert!((r.lambda[0] - 0.25).abs() < 0.0125, "λ = {:?}", r.lambda);
     }
 
     #[test]
     fn infeasible_is_reported() {
+        // x ≤ −1 and x ≥ 1 simultaneously.
+        let p = problem(
+            &[0.0],
+            &[(&[(0, 1.0)], 1.0), (&[(0, -1.0)], 1.0)],
+            &[],
+            square_from(0.0),
+        );
         let cfg = AugLagConfig {
             outer_iters: 12,
             ..Default::default()
         };
-        let r = solve(&Infeasible, &cfg);
+        let r = solve(&p, &cfg);
         assert!(!r.converged);
         // Best compromise is x in [−1, 1]; violation ≥ ~1.
         assert!(r.max_violation > 0.5);
     }
 
-    /// Problem using smoothing: min max(x, 0.3)² via smooth_max.
-    struct SmoothedMax;
-    impl ConstrainedProblem for SmoothedMax {
-        fn dim(&self) -> usize {
-            1
-        }
-        fn build<'g>(&self, g: &'g Graph, x: &[Expr<'g>], s: f64) -> ProblemExprs<'g> {
-            let floor = g.constant(0.3);
-            let m = if s > 0.0 {
-                x[0].smooth_max(floor, s)
-            } else {
-                x[0].max_exact(floor)
-            };
-            ProblemExprs {
-                objective: m.sqr(),
-                inequalities: vec![],
-                equalities: vec![],
-            }
-        }
-        fn initial_point(&self) -> Vec<f64> {
-            vec![4.0]
-        }
-    }
-
     #[test]
     fn smoothing_anneals_to_exact() {
-        let r = solve(&SmoothedMax, &AugLagConfig::default());
+        // min max(x, 0.3)², as 0.3 + τ·ln(1 + e^{(x−0.3)/τ}) while τ > 0.
+        let p = problem(&[4.0], &[], &[], |x: &[f64], tau: f64, grad: &mut [f64]| {
+            let (m, slope) = if tau > 0.0 {
+                let z = (x[0] - 0.3) / tau;
+                let softplus = z.max(0.0) + (-z.abs()).exp().ln_1p();
+                (0.3 + tau * softplus, 1.0 / (1.0 + (-z).exp()))
+            } else if x[0] >= 0.3 {
+                (x[0], 1.0)
+            } else {
+                (0.3, 0.0)
+            };
+            grad[0] = 2.0 * m * slope;
+            m * m
+        });
+        let r = solve(&p, &AugLagConfig::default());
         // Any x ≤ 0.3 is optimal with objective 0.09 (exact evaluation).
         assert!(r.objective <= 0.09 + 1e-6, "objective = {}", r.objective);
         assert!(r.x[0] <= 0.31, "x = {:?}", r.x);
@@ -577,7 +503,8 @@ mod tests {
 
     #[test]
     fn seeded_multipliers_are_reported_and_reusable() {
-        let cold = solve(&ActiveIneq, &AugLagConfig::default());
+        let p = active_ineq_problem();
+        let cold = solve(&p, &AugLagConfig::default());
         assert_eq!(cold.nu.len(), 1);
         assert!(
             cold.nu[0] > 0.0,
@@ -586,79 +513,17 @@ mod tests {
         );
         // Re-solving seeded with the converged multipliers reproduces the
         // optimum (negative seeds are clamped away, extras ignored).
-        let warm = solve_seeded(&ActiveIneq, &AugLagConfig::default(), Some(&cold.nu));
+        let warm = solve_seeded(&p, &AugLagConfig::default(), Some(&cold.nu));
         assert!(warm.converged);
         assert!((warm.x[0] - 1.0).abs() < 1e-4, "x = {:?}", warm.x);
-        let odd = solve_seeded(&ActiveIneq, &AugLagConfig::default(), Some(&[-5.0, 9.0]));
+        let odd = solve_seeded(&p, &AugLagConfig::default(), Some(&[-5.0, 9.0]));
         assert!(odd.converged);
         assert!((odd.x[0] - 1.0).abs() < 1e-4, "x = {:?}", odd.x);
     }
 
-    /// [`EnergySplit`] with its (all-linear) constraints exposed as
-    /// sparse rows, routing the solver through the f64 fast path.
-    struct EnergySplitLinear(EnergySplit);
-    impl ConstrainedProblem for EnergySplitLinear {
-        fn dim(&self) -> usize {
-            self.0.dim()
-        }
-        fn build<'g>(&self, g: &'g Graph, x: &[Expr<'g>], s: f64) -> ProblemExprs<'g> {
-            self.0.build(g, x, s)
-        }
-        fn initial_point(&self) -> Vec<f64> {
-            self.0.initial_point()
-        }
-        fn linear_constraints(&self) -> Option<crate::problem::LinearConstraints> {
-            let mut ineq = crate::problem::SparseLinear::new();
-            let mut eq = crate::problem::SparseLinear::new();
-            let mut sum: Vec<(usize, f64)> = Vec::new();
-            for i in 0..self.0.w.len() {
-                ineq.push_row(&[(i, -1.0)], 0.05);
-                sum.push((i, 1.0));
-            }
-            eq.push_row(&sum, -self.0.total);
-            Some(crate::problem::LinearConstraints { ineq, eq })
-        }
-    }
-
-    #[test]
-    fn linear_fast_path_matches_tape_path() {
-        let tape = solve(
-            &EnergySplit {
-                w: vec![1.0, 2.0, 3.0],
-                total: 12.0,
-            },
-            &AugLagConfig::default(),
-        );
-        let fast = solve(
-            &EnergySplitLinear(EnergySplit {
-                w: vec![1.0, 2.0, 3.0],
-                total: 12.0,
-            }),
-            &AugLagConfig::default(),
-        );
-        assert!(fast.converged, "violation = {}", fast.max_violation);
-        assert!(
-            (fast.objective - tape.objective).abs() < 1e-4,
-            "objectives diverged: tape {} vs fast {}",
-            tape.objective,
-            fast.objective
-        );
-        for (a, b) in fast.x.iter().zip(&tape.x) {
-            assert!((a - b).abs() < 1e-2, "fast {:?} tape {:?}", fast.x, tape.x);
-        }
-        // The multipliers survive the detour too: the equality λ must
-        // agree (it is the shadow price of the budget).
-        assert!(
-            (fast.lambda[0] - tape.lambda[0]).abs() < 0.05 * tape.lambda[0].abs().max(1.0),
-            "lambda diverged: tape {} vs fast {}",
-            tape.lambda[0],
-            fast.lambda[0]
-        );
-    }
-
     #[test]
     fn history_is_recorded() {
-        let r = solve(&EqualityQp, &AugLagConfig::default());
+        let r = solve(&equality_qp_problem(), &AugLagConfig::default());
         assert!(!r.history.is_empty());
         assert!(r.history.last().unwrap().violation <= 1e-6);
         assert!(r.evaluations > 0);
@@ -747,10 +612,10 @@ mod tests {
         )
     }
 
-    fn sparse(rows: &[(Vec<(usize, f64)>, f64)]) -> SparseLinear {
+    fn sparse<T: AsRef<[(usize, f64)]>>(rows: &[(T, f64)]) -> SparseLinear {
         let mut m = SparseLinear::new();
         for (terms, bias) in rows {
-            m.push_row(terms, *bias);
+            m.push_row(terms.as_ref(), *bias);
         }
         m
     }

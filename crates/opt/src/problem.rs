@@ -1,35 +1,25 @@
 //! The constrained-problem interface consumed by [`crate::auglag`].
 
-use crate::tape::{Expr, Graph};
-
-/// Expression handles of a problem instantiated on a graph:
-/// minimize `objective` subject to `inequalities[i] ≤ 0` and
-/// `equalities[j] = 0`.
-#[derive(Debug)]
-pub struct ProblemExprs<'g> {
-    /// The scalar objective to minimize.
-    pub objective: Expr<'g>,
-    /// Constraint expressions; feasible iff `≤ 0`.
-    pub inequalities: Vec<Expr<'g>>,
-    /// Constraint expressions; feasible iff `= 0`.
-    pub equalities: Vec<Expr<'g>>,
-}
-
 /// Sparse rows of linear functions `g_i(x) = Σ_k c_k · x[col_k] + b_i`
 /// in CSR layout: row `i`'s terms live at `offsets[i]..offsets[i+1]`.
 ///
-/// This is the hot-path representation for problems whose constraints
-/// are all linear (both NLPs of this workspace): the augmented
-/// Lagrangian evaluates constraint values and penalty gradients
-/// directly from these rows in plain `f64` — the coefficient of a
-/// linear function *is* its gradient — instead of re-recording every
-/// constraint on the AD tape at every merit evaluation.
-#[derive(Debug, Clone, Default)]
+/// Every constraint of a [`ConstrainedProblem`] is such a row: the
+/// augmented Lagrangian evaluates constraint values and penalty
+/// gradients directly from them in plain `f64` (the coefficient of a
+/// linear function *is* its gradient).
+#[derive(Debug, Clone)]
 pub struct SparseLinear {
     offsets: Vec<u32>,
     cols: Vec<u32>,
     coeffs: Vec<f64>,
     bias: Vec<f64>,
+}
+
+impl Default for SparseLinear {
+    /// An empty row set, as [`SparseLinear::new`] makes it.
+    fn default() -> Self {
+        SparseLinear::new()
+    }
 }
 
 impl SparseLinear {
@@ -127,12 +117,10 @@ impl SparseRow<'_> {
     }
 }
 
-/// The linear constraint system of a [`ConstrainedProblem`] whose
-/// constraints are all linear: `ineq` rows feasible iff `≤ 0`, `eq`
-/// rows feasible iff `= 0`. Row order must match the order
-/// [`ConstrainedProblem::build`] pushes the corresponding expressions
-/// (multiplier vectors are indexed by that order and shared across both
-/// evaluation paths).
+/// The constraint system of a [`ConstrainedProblem`]: `ineq` rows
+/// feasible iff `≤ 0`, `eq` rows feasible iff `= 0`. The row order is the
+/// multiplier order: [`crate::auglag::solve_seeded`]'s `nu0` seed and
+/// the result's `nu` and `lambda` are indexed by it.
 #[derive(Debug, Clone, Default)]
 pub struct LinearConstraints {
     /// Inequality rows (`≤ 0`).
@@ -141,12 +129,12 @@ pub struct LinearConstraints {
     pub eq: SparseLinear,
 }
 
-/// A smooth constrained minimization problem, expressed by building its
-/// objective and constraints on an AD [`Graph`].
+/// A smooth minimization problem under linear constraints: an objective
+/// kernel and the sparse rows of its constraints.
 ///
 /// `smoothing` is a temperature for piecewise operations (`max`, `clamp`):
-/// implementations should use smooth surrogates
-/// ([`Expr::softplus`]-based) when `smoothing > 0` and the exact
+/// implementations should use smooth surrogates (see
+/// [`crate::tape::softplus`]) when `smoothing > 0` and the exact
 /// piecewise forms when `smoothing == 0`. The augmented-Lagrangian driver
 /// anneals the temperature toward zero across its outer iterations and
 /// evaluates all *reported* quantities at zero.
@@ -154,77 +142,52 @@ pub trait ConstrainedProblem {
     /// Number of decision variables.
     fn dim(&self) -> usize;
 
-    /// Builds the objective and constraints at `x` on graph `g`.
-    fn build<'g>(&self, g: &'g Graph, x: &[Expr<'g>], smoothing: f64) -> ProblemExprs<'g>;
-
     /// A starting point (need not be feasible).
     fn initial_point(&self) -> Vec<f64>;
 
-    /// The constraint system as sparse linear rows, when *every*
-    /// constraint is linear in `x`. Solvers that see `Some` evaluate
-    /// constraints and penalty gradients in plain `f64` from these rows
-    /// and the objective through [`ConstrainedProblem::objective`],
-    /// never building on a tape. Implementations must keep row order
-    /// identical to the expression order of
-    /// [`ConstrainedProblem::build`].
-    fn linear_constraints(&self) -> Option<LinearConstraints> {
-        None
-    }
+    /// The constraint rows, built once when the problem is.
+    fn constraints(&self) -> &LinearConstraints;
 
     /// The objective at `x`; when `grad` is given, its gradient is
-    /// written there (every entry overwritten). Used together with
-    /// [`ConstrainedProblem::linear_constraints`].
-    ///
-    /// The default builds the problem on a fresh tape — correct, but it
-    /// allocates the arena and records every constraint node on each
-    /// call. Implementations override it with a hand-written kernel that
-    /// must return the same bits as the default, value and every
-    /// gradient entry, so that the solver's iterates do not depend on
-    /// which of the two ran; [`ConstrainedProblem::build`] stays the
-    /// reference the kernel is tested against.
-    fn objective(&self, x: &[f64], smoothing: f64, grad: Option<&mut [f64]>) -> f64 {
-        let g = Graph::new();
-        let xs: Vec<Expr<'_>> = x.iter().map(|&v| g.input(v)).collect();
-        let objective = self.build(&g, &xs, smoothing).objective;
-        if let Some(grad) = grad {
-            g.gradient_wrt(objective, &xs, grad);
-        }
-        objective.value()
-    }
+    /// written there (every entry overwritten).
+    fn objective(&self, x: &[f64], smoothing: f64, grad: Option<&mut [f64]>) -> f64;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Minimal problem used to exercise the trait object path:
-    /// min (x₀−1)², no constraints.
-    struct Paraboloid;
+    /// min (x₀−1)² subject to x₀ ≤ 3.
+    struct Paraboloid(LinearConstraints);
 
     impl ConstrainedProblem for Paraboloid {
         fn dim(&self) -> usize {
             1
         }
-        fn build<'g>(&self, _g: &'g Graph, x: &[Expr<'g>], _s: f64) -> ProblemExprs<'g> {
-            ProblemExprs {
-                objective: (x[0] - 1.0).sqr(),
-                inequalities: vec![],
-                equalities: vec![],
-            }
-        }
         fn initial_point(&self) -> Vec<f64> {
             vec![0.0]
+        }
+        fn constraints(&self) -> &LinearConstraints {
+            &self.0
+        }
+        fn objective(&self, x: &[f64], _s: f64, grad: Option<&mut [f64]>) -> f64 {
+            if let Some(grad) = grad {
+                grad[0] = 2.0 * (x[0] - 1.0);
+            }
+            (x[0] - 1.0) * (x[0] - 1.0)
         }
     }
 
     #[test]
-    fn trait_is_object_safe_and_buildable() {
-        let p: &dyn ConstrainedProblem = &Paraboloid;
-        let g = Graph::new();
-        let xs = vec![g.input(2.0)];
-        let exprs = p.build(&g, &xs, 0.0);
-        assert_eq!(exprs.objective.value(), 1.0);
-        assert!(exprs.inequalities.is_empty());
+    fn trait_is_object_safe() {
+        let mut lc = LinearConstraints::default();
+        lc.ineq.push_row(&[(0, 1.0)], -3.0);
+        let p: &dyn ConstrainedProblem = &Paraboloid(lc);
+        let rows = p.constraints();
+        assert_eq!((rows.ineq.rows(), rows.eq.rows()), (1, 0));
+        // A default row set takes rows like a new one.
+        let values: Vec<f64> = rows.ineq.iter().map(|row| row.value(&[2.0])).collect();
+        assert_eq!(values, [-1.0]);
         let mut grad = [0.0];
         assert_eq!(p.objective(&[2.0], 0.0, Some(&mut grad)), 1.0);
         assert_eq!(grad, [2.0]);

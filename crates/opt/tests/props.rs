@@ -6,7 +6,7 @@ use acs_opt::{lbfgs, LbfgsConfig};
 use proptest::prelude::*;
 
 proptest! {
-    /// AD gradients of a random rational/exponential composite agree with
+    /// AD gradients of a random rational/softplus composite agree with
     /// central finite differences.
     #[test]
     fn tape_gradient_matches_finite_difference(
@@ -18,13 +18,17 @@ proptest! {
         let eval = |x: &[f64]| {
             let g = Graph::new();
             let (xa, xb, xc) = (g.input(x[0]), g.input(x[1]), g.input(x[2]));
-            let f = (xa * xb + k) * (xc + 1.0).ln() + (xa / xc).sqr() + (xb * 0.3).exp();
+            let f = (xa * xb + k) * (xc - 1.0).softplus(0.7)
+                + (xa / xc).sqr()
+                + (xb * 0.3 - xc).softplus(0.2);
             f.value()
         };
         let x = [a, b, c];
         let g = Graph::new();
         let (xa, xb, xc) = (g.input(x[0]), g.input(x[1]), g.input(x[2]));
-        let f = (xa * xb + k) * (xc + 1.0).ln() + (xa / xc).sqr() + (xb * 0.3).exp();
+        let f = (xa * xb + k) * (xc - 1.0).softplus(0.7)
+                + (xa / xc).sqr()
+                + (xb * 0.3 - xc).softplus(0.2);
         let grads = g.gradient(f);
         let analytic = [grads.wrt(xa), grads.wrt(xb), grads.wrt(xc)];
         let fd = finite_difference_gradient(eval, &x, 1e-6);
@@ -45,20 +49,6 @@ proptest! {
         let relu = x.max(0.0);
         prop_assert!(sp >= relu - 1e-12);
         prop_assert!(sp <= relu + tau * (2f64).ln() + 1e-12);
-    }
-
-    /// smooth_clamp stays within an τ·ln2-widened band of the exact clamp.
-    #[test]
-    fn smooth_clamp_band(x in -10.0f64..10.0, lo in -2.0f64..0.0, width in 0.1f64..4.0) {
-        let tau = 1e-3;
-        let hi = lo + width;
-        let g = Graph::new();
-        let xv = g.input(x);
-        let (lov, hiv) = (g.constant(lo), g.constant(hi));
-        let sc = xv.smooth_clamp(lov, hiv, tau).value();
-        let exact = x.clamp(lo, hi);
-        prop_assert!((sc - exact).abs() <= 2.0 * tau * (2f64).ln() + 1e-9,
-            "x={x} lo={lo} hi={hi}: {sc} vs {exact}");
     }
 
     /// L-BFGS minimizes random positive-definite quadratics to the known

@@ -110,6 +110,12 @@ impl FreqModel {
     /// precision in a handful of steps because `f` is smooth and strictly
     /// monotone above `Vth`.
     ///
+    /// A speed the alpha law does not reach below 10¹² V maps to `+∞` V.
+    /// With `α = 1` the law saturates at `k`, so every speed from `k` up
+    /// is such a speed; with `α > 1` only speeds far beyond any realistic
+    /// `f_max` are. Only an optimizer's trial point asks for one, and the
+    /// infinite voltage gives that point an infinite energy.
+    ///
     /// # Panics
     ///
     /// Panics if `f` is negative or non-finite (caller bug: speeds are
@@ -126,12 +132,14 @@ impl FreqModel {
                 if target == 0.0 {
                     return vth;
                 }
-                // Bracket the root: f is 0 at vth and grows without bound.
+                // Bracket the root: f is 0 at vth and increasing.
                 let mut lo = vth.as_volts();
                 let mut hi = vth.as_volts().max(1.0);
                 while self.freq_at(Volt::from_volts(hi)).as_cycles_per_ms() < target {
                     hi *= 2.0;
-                    assert!(hi < 1e12, "voltage bracket diverged");
+                    if hi >= 1e12 {
+                        return Volt::from_volts(f64::INFINITY);
+                    }
                 }
                 // Newton with bisection fallback.
                 let mut v = 0.5 * (lo + hi);
@@ -295,6 +303,25 @@ mod tests {
                 "f={f}: {fd} vs {an}"
             );
         }
+    }
+
+    #[test]
+    fn unreachable_speeds_need_infinite_voltage() {
+        // α = 1 saturates at k: k itself and beyond are out of reach.
+        let saturating = FreqModel::alpha(120.0, Volt::from_volts(0.4), 1.0).unwrap();
+        for f in [120.0, 1e3, 1e300] {
+            let v = saturating.volt_for(Freq::from_cycles_per_ms(f));
+            assert_eq!(v.as_volts(), f64::INFINITY, "f = {f}");
+        }
+        let just_below = saturating.volt_for(Freq::from_cycles_per_ms(119.0));
+        assert!(just_below.is_finite());
+        // α > 1 grows without bound, but not past 10¹² V in reach.
+        let m = FreqModel::alpha(120.0, Volt::from_volts(0.4), 1.6).unwrap();
+        assert_eq!(
+            m.volt_for(Freq::from_cycles_per_ms(1e12)).as_volts(),
+            f64::INFINITY
+        );
+        assert!(m.volt_for(Freq::from_cycles_per_ms(1e6)).is_finite());
     }
 
     #[test]

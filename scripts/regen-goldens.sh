@@ -2,7 +2,7 @@
 # Regenerates every golden CSV and JSONL file in tests/golden/ from the
 # scenario of the same name in scenarios/, with `acsched run --threads 1`
 # on a release build, then shows which goldens moved. tests/golden.rs
-# asserts all seventeen byte for byte: nine fast ones in any build (eight
+# asserts all eighteen byte for byte: ten fast ones in any build (nine
 # CSVs plus smoke.jsonl), and in release the seven paper-scale grids
 # (fig6a_random, fig6a_threeway, fig6b_cnc_gap and the ablations
 # ablation_objective, ablation_policies, ablation_discrete,

@@ -117,6 +117,7 @@ golden!(
     arrivals_sweep,
     design_space,
     serve_warm,
+    alpha_law,
 );
 
 /// JSONL is pinned too: `smoke.jsonl` is what `acsched run
@@ -175,6 +176,7 @@ mod threaded {
         global_dispatch,
         arrivals_sweep,
         design_space,
+        alpha_law,
     );
 
     golden!(
