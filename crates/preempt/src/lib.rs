@@ -1,7 +1,8 @@
 //! # acs-preempt
 //!
 //! Fully preemptive schedule expansion for the `acsched` workspace
-//! (paper §3.1, Figs. 3–4).
+//! (paper §3.1, Figs. 3–4), the schedulability tests around it, and
+//! the partitioning of a task set onto identical cores.
 //!
 //! In a fixed-priority preemptive system a task instance can only be
 //! preempted when a higher-priority task releases. Expanding every
@@ -11,6 +12,12 @@
 //! execution order. The NLP in `acs-core` assigns each sub-instance an
 //! end-time and a worst-case workload share; the runtime in `acs-sim`
 //! uses those as DVS milestones.
+//!
+//! The [`feasibility`] module holds the closed-form single-core tests
+//! (RM response times, the EDF utilization and demand bounds), and
+//! [`partition()`] bin-packs a set onto N identical cores by
+//! worst-case utilization ([`PartitionHeuristic`]: first-fit, best-fit
+//! or worst-fit decreasing) for the per-core machine runs in `acs-sim`.
 //!
 //! ## Example
 //!
@@ -36,6 +43,7 @@ pub mod error;
 pub mod expansion;
 pub mod feasibility;
 pub mod grid;
+pub mod partition;
 pub mod subinstance;
 
 pub use error::PreemptError;
@@ -44,4 +52,5 @@ pub use feasibility::{
     demand_bound_ms, edf_demand_feasible, edf_utilization_feasible, rm_feasible, rm_response_times,
 };
 pub use grid::ReleaseGrid;
+pub use partition::{partition, CoreAssignment, Partition, PartitionHeuristic};
 pub use subinstance::{InstanceId, SubInstance, SubInstanceId};

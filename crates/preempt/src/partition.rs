@@ -3,12 +3,14 @@
 //! Partitioned multiprocessor scheduling (Nélis et al.) reduces an
 //! N-core platform to N independent single-core problems: assign every
 //! task to exactly one core, then run the classic single-core machinery
-//! — offline synthesis, the event-driven engine, any online
-//! [`Policy`](acs_sim::Policy) — per core. The assignment is the
-//! classic bin-packing family over worst-case utilizations, in
-//! decreasing order.
+//! — offline synthesis, the event-driven engine, any online policy —
+//! per core (`acs_sim::MachineRun`). The assignment is the classic
+//! bin-packing family over worst-case utilizations, in decreasing
+//! order: a schedulability question like [`rm_feasible`](crate::rm_feasible)
+//! and [`edf_demand_feasible`](crate::edf_demand_feasible), one core
+//! at a time.
 
-use crate::error::MultiError;
+use crate::error::PreemptError;
 use acs_model::units::{Freq, Ticks};
 use acs_model::TaskSet;
 
@@ -16,7 +18,7 @@ use acs_model::TaskSet;
 /// utilization order) to cores.
 ///
 /// ```
-/// use acs_multi::PartitionHeuristic;
+/// use acs_preempt::PartitionHeuristic;
 ///
 /// assert_eq!(PartitionHeuristic::FirstFitDecreasing.label(), "ffd");
 /// assert_eq!("wfd".parse(), Ok(PartitionHeuristic::WorstFitDecreasing));
@@ -95,8 +97,6 @@ pub struct CoreAssignment {
 /// covers exactly one machine hyper-period of wall-clock time.
 #[derive(Debug, Clone)]
 pub struct Partition {
-    /// The heuristic that produced this assignment.
-    pub heuristic: PartitionHeuristic,
     /// Per-core assignments, in core order.
     pub cores: Vec<CoreAssignment>,
     /// The original (whole-machine) hyper-period.
@@ -104,18 +104,6 @@ pub struct Partition {
 }
 
 impl Partition {
-    /// The core each original task landed on (indexed by task id).
-    pub fn core_of_task(&self) -> Vec<usize> {
-        let n: usize = self.cores.iter().map(|c| c.tasks.len()).sum();
-        let mut owner = vec![0usize; n];
-        for (core, a) in self.cores.iter().enumerate() {
-            for &t in &a.tasks {
-                owner[t] = core;
-            }
-        }
-        owner
-    }
-
     /// Number of cores that received at least one task.
     pub fn busy_cores(&self) -> usize {
         self.cores.iter().filter(|c| c.set.is_some()).count()
@@ -137,7 +125,7 @@ impl Partition {
 /// per-core EDF bound for implicit deadlines
 /// ([`acs_model::SchedulingClass::Edf`]; only *necessary* when
 /// deadlines are constrained below periods — use
-/// `acs_preempt::edf_demand_feasible` there — and likewise necessary
+/// [`edf_demand_feasible`](crate::edf_demand_feasible) there — and likewise necessary
 /// under RM, where the expansion-based worst-case check in `acs-core`
 /// remains the exact per-core gate).
 ///
@@ -149,7 +137,7 @@ impl Partition {
 ///
 /// ```
 /// use acs_model::{Task, TaskSet, units::{Cycles, Freq, Ticks}};
-/// use acs_multi::{partition, PartitionHeuristic};
+/// use acs_preempt::{partition, PartitionHeuristic};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let set = TaskSet::new(vec![
@@ -173,11 +161,11 @@ impl Partition {
 ///
 /// # Errors
 ///
-/// [`MultiError::InvalidCoreCount`] for zero cores;
-/// [`MultiError::GraphNotPartitionable`] when the set carries a
+/// [`PreemptError::InvalidCoreCount`] for zero cores;
+/// [`PreemptError::GraphNotPartitionable`] when the set carries a
 /// non-empty precedence graph (use global placement);
-/// [`MultiError::Infeasible`] when some task fits on no core;
-/// [`MultiError::Model`] when a per-core task set violates a model
+/// [`PreemptError::Infeasible`] when some task fits on no core;
+/// [`PreemptError::Model`] when a per-core task set violates a model
 /// invariant (cannot happen for subsets of a valid set, but surfaced
 /// rather than panicking).
 pub fn partition(
@@ -185,16 +173,16 @@ pub fn partition(
     f_max: Freq,
     cores: usize,
     heuristic: PartitionHeuristic,
-) -> Result<Partition, MultiError> {
+) -> Result<Partition, PreemptError> {
     if cores == 0 {
-        return Err(MultiError::InvalidCoreCount);
+        return Err(PreemptError::InvalidCoreCount);
     }
     // Precedence edges cannot cross a partition: a successor pinned to
     // core A would need to observe its predecessor's completion on core
     // B, which independent per-core simulations cannot express. DAG
     // sets run under global placement (`Simulator::with_cores`) instead.
     if set.graph().is_some_and(|g| !g.is_empty()) {
-        return Err(MultiError::GraphNotPartitionable);
+        return Err(PreemptError::GraphNotPartitionable);
     }
     const CAP: f64 = 1.0 + 1e-9;
     let utils: Vec<f64> = set
@@ -219,7 +207,7 @@ pub fn partition(
                 .min_by(|&a, &b| loads[a].total_cmp(&loads[b]).then(a.cmp(&b))),
         };
         let Some(core) = core else {
-            return Err(MultiError::Infeasible {
+            return Err(PreemptError::Infeasible {
                 task: set.tasks()[t].name().to_string(),
                 util: utils[t],
                 cores,
@@ -238,7 +226,7 @@ pub fn partition(
             let cloned: Vec<_> = tasks.iter().map(|&t| set.tasks()[t].clone()).collect();
             Some(
                 TaskSet::new(cloned)
-                    .map_err(|e| MultiError::Model(e.to_string()))?
+                    .map_err(|e| PreemptError::Model(e.to_string()))?
                     .with_class(set.class()),
             )
         };
@@ -249,7 +237,6 @@ pub fn partition(
         });
     }
     Ok(Partition {
-        heuristic,
         cores: out,
         machine_hyper_period: set.hyper_period(),
     })
@@ -298,7 +285,6 @@ mod tests {
         assert_eq!(p.cores[1].tasks, vec![2, 3]);
         assert!(p.cores[2].set.is_none());
         assert_eq!(p.busy_cores(), 2);
-        assert_eq!(p.core_of_task(), vec![0, 0, 1, 1]);
     }
 
     #[test]
@@ -365,7 +351,7 @@ mod tests {
         let heavy = TaskSet::new(vec![task("x", 10, 2200.0)]).unwrap(); // util 1.1
         for h in PartitionHeuristic::ALL {
             let err = partition(&heavy, f200(), 4, h).unwrap_err();
-            assert!(matches!(err, MultiError::Infeasible { .. }), "{err}");
+            assert!(matches!(err, PreemptError::Infeasible { .. }), "{err}");
             assert!(err.to_string().contains("`x`"));
         }
         assert_eq!(
@@ -376,7 +362,7 @@ mod tests {
                 PartitionHeuristic::FirstFitDecreasing
             )
             .unwrap_err(),
-            MultiError::InvalidCoreCount
+            PreemptError::InvalidCoreCount
         );
     }
 
@@ -388,7 +374,7 @@ mod tests {
         for h in PartitionHeuristic::ALL {
             assert_eq!(
                 partition(&set, f200(), 2, h).unwrap_err(),
-                MultiError::GraphNotPartitionable
+                PreemptError::GraphNotPartitionable
             );
         }
     }

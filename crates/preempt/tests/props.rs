@@ -1,8 +1,11 @@
-//! Property-based tests for the fully preemptive expansion.
+//! Property-based tests for the fully preemptive expansion and for
+//! partitioning.
 
-use acs_model::units::{Cycles, Ticks};
-use acs_model::{Task, TaskId, TaskSet};
-use acs_preempt::FullyPreemptiveSchedule;
+use acs_model::units::{Cycles, Freq, Ticks};
+use acs_model::{SchedulingClass, Task, TaskId, TaskSet};
+use acs_preempt::{
+    partition, FullyPreemptiveSchedule, Partition, PartitionHeuristic, PreemptError,
+};
 use proptest::prelude::*;
 
 fn arb_set() -> impl Strategy<Value = TaskSet> {
@@ -148,5 +151,117 @@ proptest! {
         let set = TaskSet::new(tasks).unwrap();
         let fps = FullyPreemptiveSchedule::expand(&set).unwrap();
         prop_assert_eq!(fps.max_chunks_per_task()[0], 1);
+    }
+}
+
+/// The periods partition inputs draw from: mixed, not all harmonic, and
+/// with hyper-periods of at most 120 ticks.
+const PERIODS: [u64; 8] = [4, 5, 6, 8, 10, 12, 20, 30];
+
+/// The speed partition inputs are packed at, in cycles per ms.
+const F_MAX: f64 = 100.0;
+
+/// `(set, cores, heuristic)`: 1–8 tasks with mixed periods and
+/// worst-case utilizations of 0.05–0.95 each, in either scheduling
+/// class, on 1–4 cores, under every heuristic. Some sets fit one core
+/// and some fit no core count drawn here.
+fn arb_partition_input() -> impl Strategy<Value = (TaskSet, usize, PartitionHeuristic)> {
+    (
+        prop::collection::vec((0..PERIODS.len(), 0.05f64..0.95), 1..9),
+        1usize..5,
+        0..PartitionHeuristic::ALL.len(),
+        prop::bool::ANY,
+    )
+        .prop_map(|(specs, cores, heuristic, edf)| {
+            let tasks: Vec<Task> = specs
+                .iter()
+                .enumerate()
+                .map(|(i, &(p, util))| {
+                    let period = PERIODS[p];
+                    Task::builder(format!("t{i}"), Ticks::new(period))
+                        .wcec(Cycles::from_cycles(util * period as f64 * F_MAX))
+                        .build()
+                        .unwrap()
+                })
+                .collect();
+            let class = if edf {
+                SchedulingClass::Edf
+            } else {
+                SchedulingClass::FixedPriorityRm
+            };
+            let set = TaskSet::new(tasks).unwrap().with_class(class);
+            (set, cores, PartitionHeuristic::ALL[heuristic])
+        })
+}
+
+/// Each core's task indices and utilization bits, for comparing two
+/// assignments exactly.
+fn assignment(p: &Partition) -> Vec<(Vec<usize>, u64)> {
+    p.cores
+        .iter()
+        .map(|c| (c.tasks.clone(), c.utilization.to_bits()))
+        .collect()
+}
+
+proptest! {
+    /// A partition puts every task on exactly one core, in ascending
+    /// task order, within capacity; each busy core's set carries the
+    /// parent's class and tiles the machine hyper-period; and the same
+    /// inputs give the same assignment. Only an over-committed machine
+    /// fails, naming a task of the set.
+    #[test]
+    fn partition_assigns_each_task_once_within_capacity(input in arb_partition_input()) {
+        let (set, cores, heuristic) = input;
+        let f_max = Freq::from_cycles_per_ms(F_MAX);
+        let utils: Vec<f64> = set
+            .tasks()
+            .iter()
+            .map(|t| t.wcec() / (t.period().as_span() * f_max))
+            .collect();
+        match partition(&set, f_max, cores, heuristic) {
+            Ok(p) => {
+                prop_assert_eq!(p.cores.len(), cores);
+                prop_assert_eq!(p.machine_hyper_period, set.hyper_period());
+                let mut owners = vec![0usize; set.len()];
+                for (c, core) in p.cores.iter().enumerate() {
+                    prop_assert!(
+                        core.tasks.windows(2).all(|w| w[0] < w[1]),
+                        "core {c} tasks {:?} not ascending",
+                        core.tasks
+                    );
+                    for &t in &core.tasks {
+                        owners[t] += 1;
+                    }
+                    let sum: f64 = core.tasks.iter().map(|&t| utils[t]).sum();
+                    prop_assert!(
+                        (core.utilization - sum).abs() <= 1e-12,
+                        "core {c}: utilization {} vs task sum {sum}",
+                        core.utilization
+                    );
+                    prop_assert!(core.utilization <= 1.0 + 1e-9, "core {c} over capacity");
+                    match &core.set {
+                        None => prop_assert!(core.tasks.is_empty()),
+                        Some(core_set) => {
+                            prop_assert_eq!(core_set.len(), core.tasks.len());
+                            prop_assert_eq!(core_set.class(), set.class());
+                            prop_assert_eq!(
+                                p.hyper_multiplier(c) * core_set.hyper_period().get(),
+                                p.machine_hyper_period.get()
+                            );
+                        }
+                    }
+                }
+                prop_assert!(owners.iter().all(|&n| n == 1), "task owners {owners:?}");
+                let again = partition(&set, f_max, cores, heuristic).unwrap();
+                prop_assert_eq!(assignment(&again), assignment(&p));
+            }
+            Err(PreemptError::Infeasible { task, .. }) => {
+                prop_assert!(set.tasks().iter().any(|t| t.name() == task), "unknown task {task}");
+                // Every task fits beside the rest on one core when the
+                // whole set does, so only over-committed sets fail.
+                prop_assert!(utils.iter().sum::<f64>() > 1.0);
+            }
+            Err(e) => prop_assert!(false, "unexpected error: {e}"),
+        }
     }
 }

@@ -9,12 +9,13 @@ use acs_core::{
 };
 use acs_model::units::Energy;
 use acs_model::{SchedulingClass, TaskSet};
-use acs_multi::{partition, MachineRun, Partition, PartitionHeuristic, Placement};
 use acs_power::Processor;
+use acs_preempt::{partition, Partition, PartitionHeuristic};
 use acs_sim::{
-    ArrivalKind, CcRm, GreedyReclaim, NoDvs, Policy, ReOpt, ReOptConfig, SimOptions, SimReport,
-    Simulator, SolverCache, StaticSpeed,
+    ArrivalKind, CcRm, GreedyReclaim, MachineRun, NoDvs, Placement, Policy, ReOpt, ReOptConfig,
+    SimOptions, SimReport, Simulator, SolverCache, StaticSpeed,
 };
+use acs_trace::rng::mix;
 use acs_trace::TraceSource;
 use acs_workloads::{TaskWorkloads, WorkloadDist};
 use std::collections::HashMap;
@@ -1155,16 +1156,16 @@ impl Campaign {
                     class: Some(cell.class),
                 };
                 let schedules = plans.schedules_of(cell)?;
+                // Mix only the set index into the draw seed: cells that
+                // differ in schedule/policy/processor see identical
+                // draws, so comparisons across those axes are paired.
+                let set_seed = mix(seed, cell.set as u64);
                 let out = if cell.cores == 1 || cell.placement == Placement::Global {
                     // Single-core and global cells are one engine run on
-                    // `cores` cores. Mix only the set index into the draw
-                    // seed: cells that differ in schedule/policy/processor
-                    // see identical draws, so comparisons across those
-                    // axes are paired. The engine draws task-major per
+                    // `cores` cores. The engine draws task-major per
                     // hyper-period at any core count, so global cells
                     // pair with their single-core twins too.
-                    let mut draws =
-                        TaskWorkloads::from_dists(spec.dists(set), mix_seed(seed, cell.set));
+                    let mut draws = TaskWorkloads::from_dists(spec.dists(set), set_seed);
                     let mut sim = Simulator::new(set, cpu, b.policies[cell.policy].instantiate())
                         .with_cores(cell.cores)
                         .with_options(options);
@@ -1186,7 +1187,7 @@ impl Campaign {
                         // share the (seed, set) key with the workload
                         // draws, so arrival streams pair across
                         // schedule/policy/processor cells too.
-                        if let Some(source) = kind.source(set, mix_seed(seed, cell.set)) {
+                        if let Some(source) = kind.source(set, set_seed) {
                             sim = sim.with_arrivals(source);
                         }
                     }
@@ -1216,14 +1217,12 @@ impl Campaign {
                         |core, core_set| {
                             TaskWorkloads::from_dists(
                                 spec.dists(core_set),
-                                mix_seed(mix_seed(seed, cell.set), core),
+                                mix(set_seed, core as u64),
                             )
                         },
                         // Per-core sources keyed (seed, set, core),
                         // mirroring the per-core draw streams.
-                        &mut |core, core_set| {
-                            kind.source(core_set, mix_seed(mix_seed(seed, cell.set), core))
-                        },
+                        &mut |core, core_set| kind.source(core_set, mix(set_seed, core as u64)),
                     )
                     .map_err(|e| e.to_string())?
                 };
@@ -1537,17 +1536,6 @@ fn aggregate(per_seed: &[Result<(SimReport, Vec<f64>), String>]) -> Result<CellS
         *acc /= n;
     }
     Ok(stats)
-}
-
-/// SplitMix64-mixes the user seed with the task-set index, so every set
-/// gets an independent, reproducible draw stream.
-fn mix_seed(seed: u64, set_idx: usize) -> u64 {
-    let mut z = seed
-        .wrapping_add(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add((set_idx as u64).wrapping_mul(0xD129_0793_66CA_8C21));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -2319,12 +2307,5 @@ mod tests {
             }
         });
         assert!((0..12).all(|t| plans.tasks.is_done(t)));
-    }
-
-    #[test]
-    fn mix_seed_separates_sets_deterministically() {
-        assert_eq!(mix_seed(7, 0), mix_seed(7, 0));
-        assert_ne!(mix_seed(7, 0), mix_seed(7, 1));
-        assert_ne!(mix_seed(7, 0), mix_seed(8, 0));
     }
 }

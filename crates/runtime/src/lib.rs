@@ -64,7 +64,8 @@ pub mod report;
 pub mod sink;
 
 pub use acs_model::SchedulingClass;
-pub use acs_multi::{PartitionHeuristic, Placement};
+pub use acs_preempt::PartitionHeuristic;
+pub use acs_sim::Placement;
 pub use campaign::{
     Campaign, CampaignBuilder, CampaignError, CampaignPlans, PolicySpec, ScheduleChoice,
     WorkloadSpec,

@@ -127,21 +127,7 @@ impl Value<'_> {
     /// (embedded quotes doubled).
     fn write(self, out: &mut String, json: bool) {
         match self {
-            Value::Str(s) if json => {
-                out.push('"');
-                for ch in s.chars() {
-                    match ch {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => push(out, format_args!("\\u{:04x}", c as u32)),
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
+            Value::Str(s) if json => push_json_str(out, s),
             Value::Str(s) if s.contains([',', '"', '\n', '\r']) => {
                 push(out, format_args!("\"{}\"", s.replace('"', "\"\"")));
             }
@@ -163,6 +149,26 @@ impl Value<'_> {
 fn push(out: &mut String, args: std::fmt::Arguments) {
     out.write_fmt(args)
         .expect("formatting into a String cannot fail");
+}
+
+/// Appends `s` as a JSON string literal, quotes included. `"` and `\`
+/// are backslash-escaped, `\n`, `\r` and `\t` get their short escapes
+/// and every other control character becomes `\uXXXX`; everything else
+/// passes through, so multi-line text survives on one line.
+pub fn push_json_str(out: &mut String, s: &str) {
+    out.push('"');
+    for ch in s.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => push(out, format_args!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// Where a result column's value comes from.

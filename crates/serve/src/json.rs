@@ -8,6 +8,7 @@
 //! error messages name the offending byte offset so a malformed frame
 //! can be reported precisely.
 
+use acs_runtime::sink::push_json_str;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -334,28 +335,6 @@ fn expect_word(bytes: &[u8], pos: &mut usize, word: &[u8]) -> Result<(), String>
     }
 }
 
-/// Escape `s` for embedding in a JSON string literal (quotes not
-/// included). Control characters become `\uXXXX`; everything else
-/// passes through, so multi-line scenario text survives a round trip
-/// on one wire line.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// An incremental builder for one-line flat JSON objects.
 ///
 /// Fields are emitted in insertion order; `finish` closes the object.
@@ -382,13 +361,14 @@ impl ObjectBuilder {
             self.buf.push(',');
         }
         self.first = false;
-        let _ = write!(self.buf, "\"{}\":", escape(key));
+        push_json_str(&mut self.buf, key);
+        self.buf.push(':');
     }
 
     /// Append a string field.
     pub fn push_str(&mut self, key: &str, value: &str) -> &mut Self {
         self.key(key);
-        let _ = write!(self.buf, "\"{}\"", escape(value));
+        push_json_str(&mut self.buf, value);
         self
     }
 
@@ -421,7 +401,7 @@ impl ObjectBuilder {
             if i > 0 {
                 self.buf.push(',');
             }
-            let _ = write!(self.buf, "\"{}\"", escape(v));
+            push_json_str(&mut self.buf, v);
         }
         self.buf.push(']');
         self

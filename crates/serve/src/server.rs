@@ -35,11 +35,13 @@
 
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
+use std::ops::Range;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
 use acs_runtime::pool::parallel_for_in_order;
 use acs_runtime::sink::csv_row;
-use acs_runtime::{CellRecord, ResultSink};
+use acs_runtime::{Campaign, CampaignPlans, CellRecord, ResultSink};
 use acs_scenario::Scenario;
 
 use crate::checkpoint::{self, CheckpointWriter, ChunkEntry, Header};
@@ -194,6 +196,41 @@ impl ResultSink for ChunkSink {
     }
 }
 
+/// Runs chunk `k`, the cells `range`, on one thread. A panic anywhere
+/// in its runs (a solve, the engine, a custom policy) becomes an `Err`
+/// like any other chunk failure, naming the chunk, its cell range and
+/// the panic message, so the submission ends in an `error` frame and
+/// counts as failed. A solve that panicked stays unsolved in the shared
+/// plan, so a resubmission retries it.
+fn run_chunk(
+    campaign: &Campaign,
+    plans: &CampaignPlans,
+    k: usize,
+    range: Range<usize>,
+) -> Result<ChunkEntry, String> {
+    let (lo, hi) = (range.start, range.end);
+    let mut sink = ChunkSink::default();
+    panic::catch_unwind(AssertUnwindSafe(|| {
+        campaign.run_range_with(plans, range, 1, &mut sink)
+    }))
+    .unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("non-string payload");
+        Err(io::Error::other(format!("panicked: {message}")))
+    })
+    .map_err(|e| format!("chunk {k} ({lo}..{hi}): {e}"))?;
+    Ok(ChunkEntry {
+        chunk: k,
+        lo,
+        hi,
+        failed: sink.failed,
+        rows: sink.rows,
+    })
+}
+
 fn send(writer: &mut BufWriter<TcpStream>, frame: &str) -> io::Result<()> {
     writer.write_all(frame.as_bytes())?;
     writer.write_all(b"\n")?;
@@ -300,7 +337,7 @@ fn run_submission(
     //    connection's socket + disk.
     let resumed = &resumed;
     let campaign = &campaign;
-    let plans_ref: &acs_runtime::CampaignPlans = &plans;
+    let plans_ref: &CampaignPlans = &plans;
     let mut cells_done = 0usize;
     let mut failed_total = 0usize;
     let mut chunks_run = 0usize;
@@ -313,25 +350,14 @@ fn run_submission(
         threads,
         state.cfg.max_inflight_chunks,
         |k| -> Result<(ChunkEntry, bool), String> {
-            let lo = k * chunk_size;
-            let hi = (lo + chunk_size).min(cells);
-            if let Some(entry) = resumed.get(&k) {
-                return Ok((entry.clone(), true));
+            match resumed.get(&k) {
+                Some(entry) => Ok((entry.clone(), true)),
+                None => {
+                    let lo = k * chunk_size;
+                    run_chunk(campaign, plans_ref, k, lo..(lo + chunk_size).min(cells))
+                        .map(|entry| (entry, false))
+                }
             }
-            let mut sink = ChunkSink::default();
-            campaign
-                .run_range_with(plans_ref, lo..hi, 1, &mut sink)
-                .map_err(|e| format!("chunk {k} ({lo}..{hi}): {e}"))?;
-            Ok((
-                ChunkEntry {
-                    chunk: k,
-                    lo,
-                    hi,
-                    failed: sink.failed,
-                    rows: sink.rows,
-                },
-                false,
-            ))
         },
         |k, produced| -> Result<(), SubmitError> {
             let (entry, replayed) = produced.map_err(|message| {
@@ -391,5 +417,56 @@ fn run_submission(
             state.counters.campaigns_failed.fetch_add(1, relaxed);
             Err(e)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use acs_model::units::Freq;
+    use acs_runtime::PolicySpec;
+    use acs_sim::{DispatchContext, Policy};
+
+    /// A policy that panics at its first dispatch.
+    struct Panics;
+
+    impl Policy for Panics {
+        fn name(&self) -> &str {
+            "panics"
+        }
+        fn on_dispatch(&mut self, _ctx: &DispatchContext<'_>) -> Freq {
+            panic!("dispatch exploded");
+        }
+    }
+
+    #[test]
+    fn a_panicking_chunk_is_an_error_naming_the_chunk_and_the_panic() {
+        let scenario = Scenario::from_text(
+            "acsched-scenario v1\n\
+             taskset solo\n\
+             task ctrl period=10 wcec=300 acec=120 bcec=30\n\
+             end\n\
+             processor linear50 linear kappa=50 vmin=0.3 vmax=4\n\
+             schedules unscheduled\n\
+             policy no-dvs\n\
+             workload paper\n\
+             seeds 1\n\
+             hyper_periods 1\n",
+        )
+        .unwrap();
+        let campaign = scenario
+            .campaign_builder_with_cache(None)
+            .unwrap()
+            .policy(PolicySpec::custom(|| Box::new(Panics)))
+            .build()
+            .unwrap();
+        let plans = campaign.plan();
+        let cells = campaign.cell_count();
+        let err = run_chunk(&campaign, &plans, 3, 0..cells).unwrap_err();
+        assert!(
+            err.starts_with(&format!("chunk 3 (0..{cells}): panicked: ")),
+            "{err}"
+        );
+        assert!(err.contains("dispatch exploded"), "{err}");
     }
 }

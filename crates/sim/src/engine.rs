@@ -68,7 +68,7 @@ impl Default for SimOptions {
     }
 }
 
-/// Result of [`Simulator::run`] and of `acs_multi::MachineRun::run`.
+/// Result of [`Simulator::run`] and of [`MachineRun::run`](crate::MachineRun::run).
 #[derive(Debug, Clone)]
 pub struct RunOutput {
     /// Aggregate counters and energy. A multi-core run folds its cores'

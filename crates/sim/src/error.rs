@@ -50,6 +50,21 @@ pub enum SimError {
         /// Why the run cannot start on that many cores.
         reason: String,
     },
+    /// The number of schedules handed to a machine run does not match
+    /// the number of non-empty cores.
+    ScheduleCount {
+        /// Schedules provided.
+        got: usize,
+        /// Non-empty cores in the partition.
+        expected: usize,
+    },
+    /// One core of a partitioned machine run failed.
+    Core {
+        /// The failing core's index.
+        core: usize,
+        /// That core's own simulation error.
+        error: Box<SimError>,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -83,6 +98,13 @@ impl fmt::Display for SimError {
             SimError::Cores { cores, reason } => {
                 write!(f, "cannot run on {cores} cores: {reason}")
             }
+            SimError::ScheduleCount { got, expected } => write!(
+                f,
+                "machine run got {got} schedules for {expected} non-empty cores"
+            ),
+            SimError::Core { core, error } => {
+                write!(f, "per-core simulation: core {core}: {error}")
+            }
         }
     }
 }
@@ -101,5 +123,13 @@ mod tests {
         .to_string()
         .contains("greedy"));
         assert!(SimError::StalledProcessor.to_string().contains("zero"));
+        let core = SimError::Core {
+            core: 2,
+            error: Box::new(SimError::StalledProcessor),
+        };
+        assert_eq!(
+            core.to_string(),
+            "per-core simulation: core 2: processor frequency is zero at the dispatched voltage"
+        );
     }
 }

@@ -29,7 +29,10 @@
 //! The same engine runs a set on `m` identical cores with global
 //! placement ([`Simulator::with_cores`]): one shared ready queue, the
 //! `m` most eligible jobs per round, sticky cores and per-core reports
-//! ([`CoreOutput`]).
+//! ([`CoreOutput`]). Partitioned placement pins each task to a core
+//! (`acs_preempt::partition`) and runs one single-core engine per core
+//! ([`MachineRun`]); the [`machine`] module compares the two
+//! [`Placement`]s.
 //!
 //! The simulator reports energy, deadline misses, saturation events,
 //! idle/busy time and voltage switches ([`SimReport`]), optionally
@@ -82,6 +85,7 @@ pub mod exec_trace;
 pub mod gantt;
 #[cfg(feature = "legacy-engine")]
 pub mod legacy;
+pub mod machine;
 pub mod policy;
 pub mod reopt;
 pub mod report;
@@ -99,6 +103,7 @@ pub use exec_trace::{ExecutionTrace, Slice};
 pub use gantt::render_gantt;
 #[cfg(feature = "legacy-engine")]
 pub use legacy::{legacy_engine_enabled, set_legacy_engine};
+pub use machine::{CoreSourceFactory, MachineRun, Placement};
 pub use policy::{
     BoundaryEvent, CcRm, DispatchContext, GreedyReclaim, IntoPolicy, NoDvs, Policy, SolverContext,
     SolverStats, StaticSpeed,

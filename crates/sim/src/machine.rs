@@ -1,16 +1,106 @@
-//! Running a [`Partition`] on N identical cores: one single-core
-//! [`Simulator`] per core, one fresh [`Policy`] per core, folded into
-//! one machine-level [`RunOutput`].
+//! Machine placements and partitioned machine runs on N identical cores.
+//!
+//! The paper's machinery (offline synthesis, the event-driven engine,
+//! the online [`Policy`] API) is single-processor. A [`Placement`]
+//! lifts it to N identical cores in one of two ways.
+//!
+//! [`Placement::Partitioned`] pins tasks to cores, after Nélis et al.
+//! (power-aware scheduling on identical multiprocessors):
+//!
+//! 1. [`acs_preempt::partition()`] assigns the task set to cores with
+//!    a bin-packing heuristic over worst-case utilizations
+//!    ([`PartitionHeuristic`](acs_preempt::PartitionHeuristic):
+//!    first-fit, best-fit or worst-fit decreasing);
+//! 2. each core runs the unchanged single-core engine and its own fresh
+//!    policy instance ([`MachineRun`]);
+//! 3. the per-core reports fold into the same [`RunOutput`] a global
+//!    run returns, whose [`breakdown`](SimReport::breakdown) splits
+//!    dynamic vs static vs idle energy (leakage modeling lives in
+//!    `acs-power`).
+//!
+//! Partitioner choice matters for energy: worst-fit decreasing spreads
+//! load thin, handing every core more slack for DVS to reclaim, while
+//! best-fit packs cores full and leaves whole cores idle (cheap on
+//! platforms that power-gate, expensive when `idle_power > 0`). The
+//! `acs-runtime` campaign axes (`cores`, `partitioners`) sweep exactly
+//! this trade-off.
+//!
+//! [`Placement::Global`] keeps one shared ready queue and runs the `m`
+//! most eligible jobs on the `m` cores (RM priority order or EDF
+//! absolute-deadline order, per `SchedulingClass`), migrating jobs when
+//! the eligibility order forces it. That is the event engine itself on
+//! `m` cores ([`Simulator::with_cores`]); see `docs/ENGINE.md` for its
+//! placement, migration and preemption rules. Global placement is the
+//! only way to run precedence-constrained sets
+//! ([`acs_model::TaskGraph`]) on multiple cores: precedence edges
+//! cannot cross a partition, and [`acs_preempt::partition()`] rejects
+//! such sets up front.
 
-use crate::error::MultiError;
-use crate::partition::Partition;
+use crate::engine::{CoreOutput, RunOutput, SimOptions, Simulator};
+use crate::error::SimError;
+use crate::policy::Policy;
+use crate::report::SimReport;
+use crate::workload::WorkloadSource;
 use acs_core::StaticSchedule;
 use acs_model::units::{Energy, TimeSpan};
 use acs_model::TaskSet;
 use acs_power::Processor;
-use acs_sim::{
-    ArrivalSource, CoreOutput, Policy, RunOutput, SimOptions, SimReport, Simulator, WorkloadSource,
-};
+use acs_preempt::Partition;
+use acs_trace::ArrivalSource;
+
+/// How jobs are mapped onto the cores of a multiprocessor machine.
+///
+/// ```
+/// use acs_sim::Placement;
+///
+/// assert_eq!(Placement::Global.label(), "global");
+/// assert_eq!("partitioned".parse(), Ok(Placement::Partitioned));
+/// assert!("clustered".parse::<Placement>().is_err());
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum Placement {
+    /// Every task is pinned to one core by a bin-packing heuristic
+    /// ([`acs_preempt::partition()`]); cores run independent
+    /// single-core simulations ([`MachineRun`]) and jobs never migrate.
+    Partitioned,
+    /// One shared ready queue; at every scheduling event the `m` most
+    /// eligible jobs (RM priority or EDF deadline order) run on the
+    /// `m` cores, migrating when necessary ([`Simulator::with_cores`]).
+    Global,
+}
+
+impl Placement {
+    /// Both placements, in canonical order.
+    pub const ALL: [Placement; 2] = [Placement::Partitioned, Placement::Global];
+
+    /// The short label used in scenarios, reports and CSV columns.
+    pub fn label(self) -> &'static str {
+        match self {
+            Placement::Partitioned => "partitioned",
+            Placement::Global => "global",
+        }
+    }
+}
+
+impl std::fmt::Display for Placement {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.label())
+    }
+}
+
+impl std::str::FromStr for Placement {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "partitioned" => Ok(Placement::Partitioned),
+            "global" => Ok(Placement::Global),
+            other => Err(format!(
+                "unknown placement `{other}` (known: partitioned, global)"
+            )),
+        }
+    }
+}
 
 /// Per-core arrival-source factory passed to [`MachineRun::run`]:
 /// `(core, core's task set)` → `Some(source)` to drive that core from
@@ -24,6 +114,46 @@ pub type CoreSourceFactory<'a> = dyn FnMut(usize, &TaskSet) -> Option<Box<dyn Ar
 /// simulates `hyper_periods × machine_hyper_period / core_hyper_period`
 /// of its own hyper-periods, so every core covers exactly the same
 /// wall-clock horizon.
+///
+/// ```
+/// use acs_model::{Task, TaskId, TaskSet, units::{Cycles, Energy, Ticks, Volt}};
+/// use acs_power::{FreqModel, Processor};
+/// use acs_preempt::{partition, PartitionHeuristic};
+/// use acs_sim::{MachineRun, NoDvs, SimOptions};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let set = TaskSet::new(vec![
+///     Task::builder("a", Ticks::new(10)).wcec(Cycles::from_cycles(1000.0)).build()?,
+///     Task::builder("b", Ticks::new(20)).wcec(Cycles::from_cycles(900.0)).build()?,
+/// ])?;
+/// let cpu = Processor::builder(FreqModel::linear(50.0)?)
+///     .vmin(Volt::from_volts(0.5))
+///     .vmax(Volt::from_volts(4.0))
+///     .static_power(5.0)
+///     .build()?;
+///
+/// let p = partition(&set, cpu.f_max(), 2, PartitionHeuristic::WorstFitDecreasing)?;
+/// assert_eq!(p.busy_cores(), 2);
+///
+/// let out = MachineRun {
+///     partition: &p,
+///     cpu: &cpu,
+///     schedules: None,
+///     options: SimOptions::default(),
+/// }
+/// .run(
+///     || Box::new(NoDvs),
+///     |_core, _set| |_task: TaskId, _abs: u64| Cycles::from_cycles(400.0),
+///     &mut |_core, _set| None,
+/// )?;
+/// assert_eq!(out.cores.len(), 2);
+/// assert!(out.report.all_deadlines_met());
+/// let split = out.report.breakdown();
+/// assert!(split.static_ > Energy::ZERO);
+/// assert_eq!(split.total(), out.report.energy);
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone)]
 pub struct MachineRun<'a> {
     /// The task-to-core assignment to execute.
@@ -62,19 +192,19 @@ impl MachineRun<'_> {
     ///
     /// # Errors
     ///
-    /// [`MultiError::ScheduleCount`] when `schedules` does not line up
-    /// with the non-empty cores; [`MultiError::Sim`] when a core's
+    /// [`SimError::ScheduleCount`] when `schedules` does not line up
+    /// with the non-empty cores; [`SimError::Core`] when a core's
     /// simulation fails (the first failing core aborts the machine).
     pub fn run<S: WorkloadSource>(
         &self,
         mut make_policy: impl FnMut() -> Box<dyn Policy>,
         mut make_workload: impl FnMut(usize, &TaskSet) -> S,
         make_arrivals: &mut CoreSourceFactory<'_>,
-    ) -> Result<RunOutput, MultiError> {
+    ) -> Result<RunOutput, SimError> {
         let busy = self.partition.busy_cores();
         if let Some(schedules) = self.schedules {
             if schedules.len() != busy {
-                return Err(MultiError::ScheduleCount {
+                return Err(SimError::ScheduleCount {
                     got: schedules.len(),
                     expected: busy,
                 });
@@ -113,7 +243,10 @@ impl MachineRun<'_> {
             }
             let out = sim
                 .run(&mut make_workload(core, set))
-                .map_err(|e| MultiError::Sim(format!("core {core}: {e}")))?;
+                .map_err(|e| SimError::Core {
+                    core,
+                    error: Box::new(e),
+                })?;
             cores.push(CoreOutput {
                 report: out.report,
                 trace: out.trace,
@@ -135,11 +268,11 @@ impl MachineRun<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::{partition, PartitionHeuristic};
+    use crate::NoDvs;
     use acs_model::units::{Cycles, Ticks, Volt};
     use acs_model::{Task, TaskId, TaskSet};
     use acs_power::FreqModel;
-    use acs_sim::NoDvs;
+    use acs_preempt::{partition, PartitionHeuristic};
 
     fn set() -> TaskSet {
         let mk = |n: &str, period: u64, wcec: f64| {
@@ -261,6 +394,15 @@ mod tests {
                 &mut |_, _| None,
             )
             .unwrap_err();
-        assert!(matches!(err, MultiError::ScheduleCount { .. }), "{err}");
+        assert!(matches!(err, SimError::ScheduleCount { .. }), "{err}");
+    }
+
+    #[test]
+    fn placement_labels_round_trip() {
+        for p in Placement::ALL {
+            assert_eq!(p.label().parse::<Placement>(), Ok(p));
+            assert_eq!(p.to_string(), p.label());
+        }
+        assert!("clustered".parse::<Placement>().is_err());
     }
 }

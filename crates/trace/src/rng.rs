@@ -4,12 +4,11 @@
 //! streams that are (a) dependency-free, (b) fast, and (c) *keyable* —
 //! `stream(mix(seed, task))` must be a pure function of its key so
 //! per-task streams never interact. SplitMix64 satisfies all three,
-//! and [`mix`] uses the exact finalizer the campaign runner already
-//! uses to derive per-set draw seeds, so seed discipline is uniform
-//! across the workspace.
+//! and the campaign runner derives its per-set draw seeds with
+//! [`mix`] too, so seed discipline is uniform across the workspace.
 
-/// Mixes a salt into a seed (SplitMix64 finalizer). Pure, and
-/// identical to the campaign runner's per-set seed derivation.
+/// Mixes a salt into a seed (SplitMix64 finalizer). Pure; the campaign
+/// runner derives its per-set and per-core draw seeds with it.
 pub fn mix(seed: u64, salt: u64) -> u64 {
     let mut z = seed
         .wrapping_add(0x9E37_79B9_7F4A_7C15)
@@ -58,9 +57,10 @@ mod tests {
 
     #[test]
     fn mix_matches_campaign_finalizer() {
-        // Pinned values: the campaign runner derives per-set draw seeds
-        // with this exact finalizer, and arrival keying must agree.
-        assert_eq!(mix(7, 0), mix(7, 0));
+        // The campaign runner derives its per-set and per-core draw
+        // seeds with `mix`, so changing the finalizer moves every
+        // golden: pin one value here, where a unit test catches it.
+        assert_eq!(mix(7, 0), 0x63CB_E1E4_5932_0DD7);
         assert_ne!(mix(7, 0), mix(7, 1));
         assert_ne!(mix(7, 0), mix(8, 0));
     }

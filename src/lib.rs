@@ -11,12 +11,11 @@
 //! |--------|-------|----------|
 //! | [`model`] | `acs-model` | tasks, task sets, typed units |
 //! | [`power`] | `acs-power` | DVS processor model |
-//! | [`preempt`] | `acs-preempt` | fully preemptive expansion |
+//! | [`preempt`] | `acs-preempt` | fully preemptive expansion, schedulability tests, ffd/bfd/wfd partitioning |
 //! | [`opt`] | `acs-opt` | autodiff + L-BFGS + augmented Lagrangian |
 //! | [`core`] | `acs-core` | ACS/WCS schedule synthesis |
-//! | [`sim`] | `acs-sim` | runtime simulator & the open [`Policy`] API |
+//! | [`sim`] | `acs-sim` | runtime simulator & the open [`Policy`] API, global and partitioned machine runs |
 //! | [`trace`] | `acs-trace` | arrival sources (sporadic/Poisson/MMPP) & the streaming trace format |
-//! | [`multi`] | `acs-multi` | partitioned multiprocessor layer (ffd/bfd/wfd + machine runs) |
 //! | [`workloads`] | `acs-workloads` | distributions, random/CNC/GAP sets |
 //! | [`runtime`] | `acs-runtime` | parallel [`Campaign`] runner + streaming [`ResultSink`]s |
 //! | [`scenario`] | `acs-scenario` | declarative text-format experiment scenarios |
@@ -136,7 +135,6 @@
 
 pub use acs_core as core;
 pub use acs_model as model;
-pub use acs_multi as multi;
 pub use acs_opt as opt;
 pub use acs_power as power;
 pub use acs_preempt as preempt;
@@ -158,13 +156,11 @@ pub mod prelude {
     pub use acs_model::{
         ModelError, SchedulingClass, Task, TaskBuilder, TaskGraph, TaskId, TaskSet,
     };
-    pub use acs_multi::{
-        partition, CoreAssignment, MachineRun, MultiError, Partition, PartitionHeuristic, Placement,
-    };
     pub use acs_power::{FreqModel, LevelTable, Processor, TransitionOverhead, VoltageLevels};
     pub use acs_preempt::{
-        edf_demand_feasible, edf_utilization_feasible, rm_feasible, rm_response_times,
-        FullyPreemptiveSchedule, InstanceId, SubInstance, SubInstanceId,
+        edf_demand_feasible, edf_utilization_feasible, partition, rm_feasible, rm_response_times,
+        CoreAssignment, FullyPreemptiveSchedule, InstanceId, Partition, PartitionHeuristic,
+        SubInstance, SubInstanceId,
     };
     pub use acs_runtime::{
         AggregateSink, Campaign, CampaignBuilder, CampaignError, CampaignMeta, CampaignReport,
@@ -175,8 +171,9 @@ pub mod prelude {
     pub use acs_sim::{
         improvement_over, render_gantt, ArrivalJob, ArrivalKind, ArrivalSource, BoundaryEvent,
         CcRm, DispatchContext, EnergyBreakdown, ExecutionTrace, GreedyReclaim, IntoPolicy,
-        MmppProfile, NoDvs, Policy, ReOpt, ReOptConfig, SimOptions, SimReport, Simulator, Slice,
-        SolverCache, SolverContext, SolverStats, StaticSpeed, Summary, WorkloadSource,
+        MachineRun, MmppProfile, NoDvs, Placement, Policy, ReOpt, ReOptConfig, SimOptions,
+        SimReport, Simulator, Slice, SolverCache, SolverContext, SolverStats, StaticSpeed, Summary,
+        WorkloadSource,
     };
     pub use acs_trace::{TraceReader, TraceRecord, TraceSource, TraceWriter};
     pub use acs_workloads::{

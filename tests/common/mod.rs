@@ -1,23 +1,38 @@
 //! CSV helpers shared by the integration suites: an RFC-4180 row
-//! splitter and column masking by header name.
+//! splitter, column lookup by header name, and the fold of the two
+//! cache-warmth solver counters into their sum.
 
 // Every suite compiles its own copy of this module and uses a subset.
 #![allow(dead_code)]
 
 use acs_runtime::CSV_HEADER;
 
-/// The solver-counter columns. A shared solver cache makes these
-/// counters, and only these, depend on thread interleaving and on how
-/// warm the cache already is.
-pub const SOLVER_COUNTERS: [&str; 4] = [
-    "solver_lookups",
-    "solver_cache_hits",
-    "boundary_resolves",
-    "resolves_adopted",
-];
+/// The two solver-counter columns that depend on how warm a shared
+/// solver cache already is, and so on thread interleaving: a boundary
+/// lookup one run answers from the cache is a resolve on another. Their
+/// sum is fixed, and so are `solver_lookups` and `resolves_adopted`,
+/// because a cache hit returns the bits a resolve would.
+pub const CACHE_WARMTH_COUNTERS: [&str; 2] = ["solver_cache_hits", "boundary_resolves"];
+
+/// `row` with the [`CACHE_WARMTH_COUNTERS`] folded into their sum: the
+/// first column holds `hits + resolves`, the second `*`. Every other
+/// field, the other solver counters included, stays as it is; a row
+/// whose two fields are not both counts (a header, a failed cell) comes
+/// back unchanged.
+pub fn fold_cache_warmth(row: &str) -> String {
+    let mut fields = split_csv(row);
+    let [hits, resolves] = CACHE_WARMTH_COUNTERS.map(column);
+    let count = |i: usize| fields.get(i).and_then(|f| f.parse::<u64>().ok());
+    let (Some(h), Some(r)) = (count(hits), count(resolves)) else {
+        return row.to_string();
+    };
+    fields[hits] = (h + r).to_string();
+    fields[resolves] = "*".to_string();
+    fields.join(",")
+}
 
 /// Splits one CSV row into fields, honoring RFC-4180 quoting (the sink
-/// quotes fields containing commas; masking by column must not split
+/// quotes fields containing commas; folding by column must not split
 /// inside them).
 pub fn split_csv(row: &str) -> Vec<String> {
     let mut fields = Vec::new();
@@ -49,16 +64,4 @@ pub fn column(name: &str) -> usize {
         .iter()
         .position(|h| h == name)
         .unwrap_or_else(|| panic!("CSV_HEADER has no column `{name}`"))
-}
-
-/// `row`'s fields, with those of the named columns replaced by `mask`,
-/// joined by commas.
-pub fn mask_columns(row: &str, names: &[&str], mask: &str) -> String {
-    let mut fields = split_csv(row);
-    for name in names {
-        if let Some(field) = fields.get_mut(column(name)) {
-            *field = mask.to_string();
-        }
-    }
-    fields.join(",")
 }

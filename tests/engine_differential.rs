@@ -15,9 +15,10 @@
 //! * **Campaign CSVs** — every checked-in scenario (`scenarios/*.txt`)
 //!   is run through `acs-runtime` on both engines at 1, 2 and 8
 //!   threads; the emitted CSVs must match byte for byte. (At >1 thread
-//!   the four solver-counter columns are masked for re-optimizing
-//!   cells: a shared solver cache makes *those counters* — never the
-//!   adopted schedules or energies — dependent on thread interleaving.
+//!   `solver_cache_hits` and `boundary_resolves` compare by their sum
+//!   for re-optimizing cells: a shared solver cache moves a lookup
+//!   between *those two counters* — never the lookups, the adoptions,
+//!   the schedules or the energies — depending on thread interleaving.
 //!   The 1-thread comparison is exact, counters included, with cold
 //!   caches on both sides.)
 //! * **Traces** — `smoke.txt` and `edf_vs_rm.txt` task sets re-run at
@@ -57,12 +58,6 @@ fn scenario_path(name: &str) -> PathBuf {
         .join(name)
 }
 
-/// Replaces the solver-counter fields with `*` so multi-thread CSVs
-/// compare on everything the simulation itself produced.
-fn mask_solver_columns(row: &str) -> String {
-    common::mask_columns(row, &common::SOLVER_COUNTERS, "*")
-}
-
 /// Runs `campaign` on the selected engine and returns the CSV body
 /// (no header; `run_range_with` streams records only).
 fn campaign_csv(
@@ -90,7 +85,7 @@ fn assert_rows_equal(scenario: &str, threads: usize, legacy: &str, new: &str, ma
     );
     for (i, (l, n)) in l_rows.iter().zip(&n_rows).enumerate() {
         let (l, n) = if mask {
-            (mask_solver_columns(l), mask_solver_columns(n))
+            (common::fold_cache_warmth(l), common::fold_cache_warmth(n))
         } else {
             ((*l).to_string(), (*n).to_string())
         };
@@ -128,23 +123,23 @@ fn scenario_differential(name: &str) {
     let n1 = campaign_csv(&cold_new, &plans, 1, false);
     assert_rows_equal(name, 1, &l1, &n1, false);
 
-    // 2 and 8 threads, shared warm cache: exact modulo the four
-    // solver-counter columns (interleaving-dependent, see module docs).
+    // 2 and 8 threads, shared warm cache: exact but for the split of
+    // cache hits vs resolves (interleaving-dependent, see module docs).
     for threads in [2usize, 8] {
         let l = campaign_csv(&warm, &plans, threads, true);
         let n = campaign_csv(&warm, &plans, threads, false);
         assert_rows_equal(name, threads, &l, &n, true);
-        // The masked multi-thread rows must also agree with the exact
+        // The folded multi-thread rows must also agree with the exact
         // 1-thread rows — threading must not move simulation output.
         assert_rows_equal(
             name,
             threads,
             &l1.lines()
-                .map(mask_solver_columns)
+                .map(common::fold_cache_warmth)
                 .collect::<Vec<_>>()
                 .join("\n"),
             &n.lines()
-                .map(mask_solver_columns)
+                .map(common::fold_cache_warmth)
                 .collect::<Vec<_>>()
                 .join("\n"),
             false,

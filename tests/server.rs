@@ -617,13 +617,14 @@ fn client_hangup_mid_campaign_frees_the_admission_slot() {
     }
 }
 
-/// `csv` with the four solver-counter columns blanked on `reopt` rows:
-/// a warm shared solver cache moves only those counters.
-fn mask_solver_counters(csv: &str) -> String {
+/// `csv` with cache hits and resolves folded into their sum on `reopt`
+/// rows: a warm shared solver cache moves lookups from one to the other
+/// and nothing else.
+fn fold_cache_warmth(csv: &str) -> String {
     let policy = common::column("policy");
     csv.lines()
         .map(|line| match common::split_csv(line)[policy].as_str() {
-            "reopt" => common::mask_columns(line, &common::SOLVER_COUNTERS, "") + "\n",
+            "reopt" => common::fold_cache_warmth(line) + "\n",
             _ => format!("{line}\n"),
         })
         .collect()
@@ -632,7 +633,8 @@ fn mask_solver_counters(csv: &str) -> String {
 /// Served warm-cache runs are pinned across commits: the first
 /// submission of `serve_warm.txt` to a fresh server is its golden byte
 /// for byte, and a resubmission, which the server's shared solver cache
-/// serves warm, equals the golden once the solver counters are masked.
+/// serves warm, equals the golden once cache hits and resolves are
+/// folded into their sum.
 #[test]
 fn served_warm_resubmission_matches_the_golden_with_solver_counters_masked() {
     let addr = spawn_in_process(ServerConfig {
@@ -659,9 +661,9 @@ fn served_warm_resubmission_matches_the_golden_with_solver_counters_masked() {
     assert_eq!(cold, golden, "a cold served run reproduces the golden");
     let warm = submit();
     assert_eq!(
-        mask_solver_counters(&warm),
-        mask_solver_counters(&golden),
-        "a warm served run differs from the golden only in solver counters"
+        fold_cache_warmth(&warm),
+        fold_cache_warmth(&golden),
+        "a warm served run differs from the golden only in its split of cache hits vs resolves"
     );
     let stats = acs_serve::stats(&addr).unwrap();
     assert!(
