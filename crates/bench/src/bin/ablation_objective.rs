@@ -20,10 +20,7 @@ use acs_sim::Summary;
 
 fn main() {
     let scenario = acs_bench::load("ablation_objective");
-    let base = match scenario.synthesis {
-        Some(SynthProfile::Default) => SynthesisOptions::default(),
-        Some(SynthProfile::Quick) | None => SynthesisOptions::quick(),
-    };
+    let base = scenario.synthesis.unwrap_or(SynthProfile::Quick).options();
     let variants = [
         ("AcecTrace (default)", ObjectiveKind::AcecTrace),
         ("PaperIdealSpeed", ObjectiveKind::PaperIdealSpeed),

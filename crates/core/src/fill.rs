@@ -13,8 +13,6 @@
 //! The paper's Fig. 5 example: WCEC = 30, budgets (10, 10, 10), actual
 //! (average) workload 15 ⇒ executed (10, 5, 0).
 
-use acs_model::units::Cycles;
-
 /// Distributes a total workload of `total` cycles over sub-instance
 /// budgets according to the fill rule, in raw `f64` cycles.
 ///
@@ -30,15 +28,6 @@ pub fn fill_amounts(budgets: &[f64], total: f64) -> Vec<f64> {
             remaining -= a;
             a
         })
-        .collect()
-}
-
-/// Typed wrapper over [`fill_amounts`].
-pub fn fill_cycles(budgets: &[Cycles], total: Cycles) -> Vec<Cycles> {
-    let raw: Vec<f64> = budgets.iter().map(|c| c.as_cycles()).collect();
-    fill_amounts(&raw, total.as_cycles())
-        .into_iter()
-        .map(Cycles::from_cycles)
         .collect()
 }
 
@@ -81,14 +70,6 @@ mod tests {
     fn negative_inputs_are_clamped() {
         assert_eq!(fill_amounts(&[-5.0, 10.0], 7.0), vec![0.0, 7.0]);
         assert_eq!(fill_amounts(&[10.0], -3.0), vec![0.0]);
-    }
-
-    #[test]
-    fn typed_wrapper_round_trips() {
-        let budgets = [Cycles::from_cycles(10.0), Cycles::from_cycles(10.0)];
-        let out = fill_cycles(&budgets, Cycles::from_cycles(12.0));
-        assert_eq!(out[0], Cycles::from_cycles(10.0));
-        assert_eq!(out[1], Cycles::from_cycles(2.0));
     }
 
     #[test]

@@ -39,8 +39,6 @@ pub struct TaskGraph {
     edges: Vec<(TaskId, TaskId)>,
     /// Predecessors per task, in edge-declaration order.
     preds: Vec<Vec<TaskId>>,
-    /// Successors per task, in edge-declaration order.
-    succs: Vec<Vec<TaskId>>,
     /// Every task id, topologically sorted (ties toward lower ids).
     topo: Vec<TaskId>,
     /// `rank[t]` = position of task `t` in [`TaskGraph::topo_order`].
@@ -190,7 +188,6 @@ impl TaskGraph {
         Ok(TaskGraph {
             edges,
             preds,
-            succs,
             topo,
             rank,
         })
@@ -223,15 +220,6 @@ impl TaskGraph {
     /// Panics if `task` is out of range.
     pub fn preds_of(&self, task: TaskId) -> &[TaskId] {
         &self.preds[task.0]
-    }
-
-    /// Direct successors of `task`, in edge-declaration order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `task` is out of range.
-    pub fn succs_of(&self, task: TaskId) -> &[TaskId] {
-        &self.succs[task.0]
     }
 
     /// Every task id in a deterministic topological order (predecessors
@@ -286,7 +274,6 @@ mod tests {
         assert!(g.topo_rank(TaskId(3)) < g.topo_rank(TaskId(1)));
         assert!(g.topo_rank(TaskId(1)) < g.topo_rank(TaskId(0)));
         assert_eq!(g.preds_of(TaskId(0)), &[TaskId(1)]);
-        assert_eq!(g.succs_of(TaskId(3)), &[TaskId(1), TaskId(2)]);
         assert!(!g.is_empty());
         assert_eq!(g.task_count(), 4);
     }

@@ -174,15 +174,6 @@ impl TaskSet {
             .sum()
     }
 
-    /// Average-case utilization at the given maximum speed:
-    /// `Σ ACEC_i / (period_i · f_max)`.
-    pub fn average_utilization_at(&self, f_max: Freq) -> f64 {
-        self.tasks
-            .iter()
-            .map(|t| t.acec() / (t.period().as_span() * f_max))
-            .sum()
-    }
-
     /// Ensures worst-case utilization at `f_max` does not exceed 1
     /// (+`1e-9` slack for rounding).
     ///
@@ -288,19 +279,6 @@ mod tests {
         assert!(ts.check_utilization(f).is_err());
         let f2 = Freq::from_cycles_per_ms(30.0);
         assert!(ts.check_utilization(f2).is_ok());
-    }
-
-    #[test]
-    fn average_utilization_below_worst() {
-        let t = Task::builder("a", Ticks::new(10))
-            .wcec(Cycles::from_cycles(100.0))
-            .bcec(Cycles::from_cycles(20.0))
-            .acec(Cycles::from_cycles(60.0))
-            .build()
-            .unwrap();
-        let ts = TaskSet::new(vec![t]).unwrap();
-        let f = Freq::from_cycles_per_ms(20.0);
-        assert!(ts.average_utilization_at(f) < ts.utilization_at(f));
     }
 
     #[test]

@@ -47,7 +47,6 @@ pub mod error;
 pub mod freq;
 pub mod levels;
 pub mod processor;
-pub mod text;
 
 pub use error::PowerError;
 pub use freq::FreqModel;

@@ -354,21 +354,6 @@ impl Processor {
         Energy::from_units(c_eff * v.as_volts() * v.as_volts() * cycles.as_cycles())
     }
 
-    /// Energy of executing `cycles` at exactly `speed` (continuous DVS).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PowerError::SpeedUnachievable`] from the voltage query.
-    pub fn energy_at_speed(
-        &self,
-        c_eff: f64,
-        speed: Freq,
-        cycles: Cycles,
-    ) -> Result<Energy, PowerError> {
-        let v = self.volt_for_speed(speed)?;
-        Ok(self.energy(c_eff, v, cycles))
-    }
-
     /// Time to execute `cycles` at voltage `v`.
     ///
     /// # Errors
@@ -649,14 +634,6 @@ mod tests {
         // E = C·V²·N = 1 · 9 · 500
         let e = p.energy(1.0, Volt::from_volts(3.0), Cycles::from_cycles(500.0));
         assert_eq!(e, Energy::from_units(4500.0));
-        let e2 = p
-            .energy_at_speed(
-                2.0,
-                Freq::from_cycles_per_ms(100.0),
-                Cycles::from_cycles(10.0),
-            )
-            .unwrap();
-        assert_eq!(e2, Energy::from_units(2.0 * 4.0 * 10.0));
     }
 
     #[test]

@@ -2,12 +2,13 @@
 //!
 //! Declarative experiment scenarios for the `acsched` workspace:
 //! a whole [`Campaign`](acs_runtime::Campaign) — task sets, processors,
-//! cores and partitioners (`v2`), schedules, policies, workload
+//! cores and partitioners, scheduling classes, arrival processes,
+//! placements, precedence graphs, schedules, policies, workload
 //! distributions, seeds, hyper-periods, threads — described as a
-//! versioned, line-oriented **text file** instead of Rust code.
-//! `acsched-scenario v2` adds the multiprocessor axis (`cores N
-//! partition=ffd,wfd`) and leakage-aware processors
-//! (`static_power=`/`idle_power=`); every `v1` file stays valid.
+//! line-oriented **text file** instead of Rust code. The file starts
+//! with one of the headers `acsched-scenario v1` through `v5`; every
+//! directive parses under any of them, and [`Scenario::to_text`]
+//! writes the oldest one that covers the declarations.
 //!
 //! Same philosophy as the `acsched-schedule v1` artifact in
 //! `acs-core::export`: diff-able, greppable, hand-editable, no serde

@@ -3,7 +3,7 @@
 use crate::error::ScenarioError;
 use crate::scenario::{
     DagDecl, ModelDecl, PolicyDecl, ProcessorDecl, Scenario, StaticPowerDecl, SynthProfile,
-    TaskDecl, TaskSetDecl,
+    TaskDecl, TaskSetDecl, HEADERS,
 };
 use acs_runtime::{PartitionHeuristic, Placement, ScheduleChoice, SchedulingClass, WorkloadSpec};
 use acs_sim::ArrivalKind;
@@ -199,11 +199,7 @@ fn parse_overhead(kv: &Kv<'_>, val: &str) -> Result<(f64, f64), ScenarioError> {
     ))
 }
 
-fn parse_processor(
-    ln: usize,
-    tokens: &[&str],
-    version: u32,
-) -> Result<ProcessorDecl, ScenarioError> {
+fn parse_processor(ln: usize, tokens: &[&str]) -> Result<ProcessorDecl, ScenarioError> {
     let [name, model_kind, rest @ ..] = tokens else {
         return Err(ScenarioError::at(
             ln,
@@ -239,33 +235,18 @@ fn parse_processor(
         Some(val) => Some(parse_overhead(&kv, val)?),
         None => None,
     };
-    let mut static_power = None;
-    let mut idle_power = None;
-    if version >= 2 {
-        static_power = match kv.opt("static_power") {
-            Some(val) => Some(parse_static_power(&kv, name, val, levels.as_deref())?),
-            None => None,
-        };
-        idle_power = kv.opt_f64("idle_power")?;
-        if let Some(p) = idle_power {
-            if p < 0.0 {
-                return Err(ScenarioError::at(
-                    ln,
-                    format!("processor `{name}`: idle_power must be non-negative, got {p}"),
-                ));
-            }
+    let static_power = match kv.opt("static_power") {
+        Some(val) => Some(parse_static_power(&kv, name, val, levels.as_deref())?),
+        None => None,
+    };
+    let idle_power = kv.opt_f64("idle_power")?;
+    if let Some(p) = idle_power {
+        if p < 0.0 {
+            return Err(ScenarioError::at(
+                ln,
+                format!("processor `{name}`: idle_power must be non-negative, got {p}"),
+            ));
         }
-    } else if rest
-        .iter()
-        .any(|t| t.starts_with("static_power=") || t.starts_with("idle_power="))
-    {
-        return Err(ScenarioError::at(
-            ln,
-            format!(
-                "processor `{name}`: static_power/idle_power need the \
-                 `acsched-scenario v2` header"
-            ),
-        ));
     }
     let decl = ProcessorDecl {
         name: name.to_string(),
@@ -406,27 +387,17 @@ pub(crate) fn parse(text: &str) -> Result<Scenario, ScenarioError> {
     let (header_ln, header) = lines.next().ok_or_else(|| {
         ScenarioError::msg("empty scenario (missing `acsched-scenario v1|v2|v3|v4|v5` header)")
     })?;
-    let version = match header {
-        "acsched-scenario v1" => 1,
-        "acsched-scenario v2" => 2,
-        "acsched-scenario v3" => 3,
-        "acsched-scenario v4" => 4,
-        "acsched-scenario v5" => 5,
-        other => {
-            return Err(ScenarioError::at(
-                header_ln,
-                format!(
-                    "unsupported header `{other}` (expected `acsched-scenario v1` \
-                     through `acsched-scenario v5`)"
-                ),
-            ))
-        }
-    };
+    if !HEADERS.contains(&header) {
+        return Err(ScenarioError::at(
+            header_ln,
+            format!(
+                "unsupported header `{header}` (expected `acsched-scenario v1` \
+                 through `acsched-scenario v5`)"
+            ),
+        ));
+    }
 
-    let mut sc = Scenario {
-        version,
-        ..Scenario::default()
-    };
+    let mut sc = Scenario::default();
     // (opening line, name, tasks) of the inline task-set block under
     // construction, if any.
     let mut inline: Option<(usize, String, Vec<TaskDecl>)> = None;
@@ -524,12 +495,6 @@ pub(crate) fn parse(text: &str) -> Result<Scenario, ScenarioError> {
                 }
                 ["taskset", name, "trace", path] => {
                     check_name(ln, "taskset", name)?;
-                    if version < 4 {
-                        return Err(ScenarioError::at(
-                            ln,
-                            "`taskset … trace` needs the `acsched-scenario v4` header".to_string(),
-                        ));
-                    }
                     sc.task_sets.push(TaskSetDecl::Trace {
                         name: name.to_string(),
                         path: path.to_string(),
@@ -593,12 +558,6 @@ pub(crate) fn parse(text: &str) -> Result<Scenario, ScenarioError> {
                 ))
             }
             "dag" => {
-                if version < 5 {
-                    return Err(ScenarioError::at(
-                        ln,
-                        "`dag` needs the `acsched-scenario v5` header".to_string(),
-                    ));
-                }
                 let ["dag", name] = tokens.as_slice() else {
                     return Err(ScenarioError::at(
                         ln,
@@ -615,17 +574,9 @@ pub(crate) fn parse(text: &str) -> Result<Scenario, ScenarioError> {
                 }
                 dag = Some((ln, name.to_string(), Vec::new()));
             }
-            "processor" => sc
-                .processors
-                .push(parse_processor(ln, &tokens[1..], version)?),
+            "processor" => sc.processors.push(parse_processor(ln, &tokens[1..])?),
             "cores" => {
                 singleton(ln, "cores")?;
-                if version < 2 {
-                    return Err(ScenarioError::at(
-                        ln,
-                        "`cores` needs the `acsched-scenario v2` header".to_string(),
-                    ));
-                }
                 if tokens.len() == 1 {
                     return Err(ScenarioError::at(
                         ln,
@@ -706,12 +657,6 @@ pub(crate) fn parse(text: &str) -> Result<Scenario, ScenarioError> {
             }
             "class" => {
                 singleton(ln, "class")?;
-                if version < 3 {
-                    return Err(ScenarioError::at(
-                        ln,
-                        "`class` needs the `acsched-scenario v3` header".to_string(),
-                    ));
-                }
                 if tokens.len() == 1 {
                     return Err(ScenarioError::at(
                         ln,
@@ -735,12 +680,6 @@ pub(crate) fn parse(text: &str) -> Result<Scenario, ScenarioError> {
             }
             "arrivals" => {
                 singleton(ln, "arrivals")?;
-                if version < 4 {
-                    return Err(ScenarioError::at(
-                        ln,
-                        "`arrivals` needs the `acsched-scenario v4` header".to_string(),
-                    ));
-                }
                 if tokens.len() == 1 {
                     return Err(ScenarioError::at(
                         ln,
@@ -763,12 +702,6 @@ pub(crate) fn parse(text: &str) -> Result<Scenario, ScenarioError> {
             }
             "placement" => {
                 singleton(ln, "placement")?;
-                if version < 5 {
-                    return Err(ScenarioError::at(
-                        ln,
-                        "`placement` needs the `acsched-scenario v5` header".to_string(),
-                    ));
-                }
                 if tokens.len() == 1 {
                     return Err(ScenarioError::at(
                         ln,

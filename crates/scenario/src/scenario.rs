@@ -78,7 +78,7 @@ pub enum TaskSetDecl {
         f_max: f64,
     },
     /// A recorded arrival trace replayed as the cell's release stream
-    /// (`taskset <name> trace <path>`, `v4`). The task set itself comes
+    /// (`taskset <name> trace <path>`). The task set itself comes
     /// from the trace file's prologue; the set's cells replay the
     /// recorded arrivals instead of iterating the `arrivals` axis, and
     /// are restricted to single-core grids.
@@ -91,7 +91,7 @@ pub enum TaskSetDecl {
     },
 }
 
-/// A precedence-graph declaration (`dag <taskset>` … `end`, `v5`):
+/// A precedence-graph declaration (`dag <taskset>` … `end`):
 /// named edges over one **inline** task set's tasks. The parser
 /// validates every edge — unknown tasks, self-edges, duplicates, period
 /// mismatches and cycles are rejected with the offending edge's line
@@ -125,7 +125,7 @@ pub enum ModelDecl {
     },
 }
 
-/// Static (leakage) power of a processor declaration (`v2`).
+/// Static (leakage) power of a processor declaration.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StaticPowerDecl {
     /// One value for every operating point (`static_power=0.5`).
@@ -153,9 +153,9 @@ pub struct ProcessorDecl {
     /// free switching.
     pub overhead: Option<(f64, f64)>,
     /// Static (leakage) power while executing, energy units per ms
-    /// (`v2`; `None` = the paper's lossless model).
+    /// (`None` = the paper's lossless model).
     pub static_power: Option<StaticPowerDecl>,
-    /// Idle power while not shut down, energy units per ms (`v2`).
+    /// Idle power while not shut down, energy units per ms.
     pub idle_power: Option<f64>,
 }
 
@@ -253,47 +253,49 @@ pub enum SynthProfile {
     Default,
 }
 
+impl SynthProfile {
+    /// The synthesis options this profile names.
+    pub fn options(self) -> SynthesisOptions {
+        match self {
+            SynthProfile::Quick => SynthesisOptions::quick(),
+            SynthProfile::Default => SynthesisOptions::default(),
+        }
+    }
+}
+
 /// A parsed scenario: the declarative form of a whole [`Campaign`].
 ///
 /// Obtain one with [`Scenario::from_text`] / [`Scenario::load`],
 /// inspect or edit the declarations, serialize back with
 /// [`Scenario::to_text`] (canonical form; `parse → to_text → parse` is
-/// a fixpoint, per version), and materialize with
-/// [`Scenario::to_campaign`].
-#[derive(Debug, Clone, PartialEq)]
+/// a fixpoint), and materialize with [`Scenario::to_campaign`].
+///
+/// The header line (`acsched-scenario v1` through `v5`) is
+/// informational: every directive parses under any of the five, and
+/// the parsed scenario does not record which one the text used.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Scenario {
-    /// Format version the scenario was parsed from (1 through 5). `v2`
-    /// adds the `cores` directive and the `static_power=`/`idle_power=`
-    /// processor keys; `v3` adds the `class` directive (scheduling-class
-    /// axis); `v4` adds the `arrivals` directive (arrival-process axis)
-    /// and `taskset … trace <path>` declarations; `v5` adds the
-    /// `placement` directive (partitioned/global multiprocessor axis)
-    /// and `dag … end` precedence-graph blocks. [`Scenario::to_text`]
-    /// refuses to serialize features of a newer version under an older
-    /// header rather than emitting text an old parser would reject with
-    /// an unhelpful error.
-    pub version: u32,
     /// Task-set declarations (grid rows, in order).
     pub task_sets: Vec<TaskSetDecl>,
-    /// Precedence-graph declarations (`v5`), at most one per task set;
+    /// Precedence-graph declarations, at most one per task set;
     /// each attaches a validated [`TaskGraph`] to the **inline** task
     /// set it names at materialization time.
     pub dags: Vec<DagDecl>,
     /// Processor declarations (grid columns, in order).
     pub processors: Vec<ProcessorDecl>,
-    /// Core-count axis (`v2`); empty = single core.
+    /// Core-count axis; empty = single core.
     pub cores: Vec<usize>,
-    /// Partitioner axis (`v2`); empty = first-fit decreasing.
+    /// Partitioner axis; empty = first-fit decreasing.
     pub partitioners: Vec<PartitionHeuristic>,
-    /// Scheduling-class axis (`v3`); empty = fixed-priority RM only.
+    /// Scheduling-class axis; empty = fixed-priority RM only.
     pub classes: Vec<SchedulingClass>,
-    /// Arrival-process axis (`v4`); empty = strictly periodic releases.
+    /// Arrival-process axis; empty = strictly periodic releases.
     /// Duplicate entries on the `arrivals` line are dropped at parse
     /// time, keeping first positions (matching `seeds`/`schedules`).
     /// Trace-backed task sets ignore this axis and replay their
     /// recorded stream.
     pub arrivals: Vec<ArrivalKind>,
-    /// Placement axis (`v5`); empty = partitioned dispatch only.
+    /// Placement axis; empty = partitioned dispatch only.
     /// Duplicate entries on the `placement` line are dropped at parse
     /// time, keeping first positions (matching `class`/`arrivals`).
     /// Single-core cells ignore this axis — there is nothing to place.
@@ -321,32 +323,16 @@ pub struct Scenario {
     pub threads: Option<usize>,
 }
 
-impl Default for Scenario {
-    /// An empty `v1` scenario; bump [`Scenario::version`] to 2 before
-    /// using the multicore/leakage fields programmatically.
-    fn default() -> Self {
-        Scenario {
-            version: 1,
-            task_sets: Vec::new(),
-            dags: Vec::new(),
-            processors: Vec::new(),
-            cores: Vec::new(),
-            partitioners: Vec::new(),
-            classes: Vec::new(),
-            arrivals: Vec::new(),
-            placements: Vec::new(),
-            schedules: Vec::new(),
-            policies: Vec::new(),
-            workloads: Vec::new(),
-            seeds: Vec::new(),
-            hyper_periods: None,
-            deadline_tol_ms: None,
-            synthesis: None,
-            acs_multistart: false,
-            threads: None,
-        }
-    }
-}
+/// The headers the parser accepts, oldest first. Each later one names
+/// the format after more directives were added; none of them gates a
+/// directive.
+pub(crate) const HEADERS: [&str; 5] = [
+    "acsched-scenario v1",
+    "acsched-scenario v2",
+    "acsched-scenario v3",
+    "acsched-scenario v4",
+    "acsched-scenario v5",
+];
 
 /// Rejects names the line-oriented, whitespace-split format cannot
 /// carry through a round trip.
@@ -414,7 +400,11 @@ impl Scenario {
     ///
     /// `from_text(&sc.to_text()?)` reproduces `sc` exactly; defaults
     /// that were not declared stay undeclared. Scenarios produced by
-    /// [`Scenario::from_text`] always serialize.
+    /// [`Scenario::from_text`] always serialize. The first line is the
+    /// oldest header whose directives cover the declarations: `dag` or
+    /// `placement` → `v5`, `arrivals` or a trace set → `v4`, `class` →
+    /// `v3`, `cores`, partitioners or static/idle power → `v2`, else
+    /// `v1`.
     ///
     /// # Errors
     ///
@@ -425,48 +415,8 @@ impl Scenario {
     /// reparse.
     pub fn to_text(&self) -> Result<String, ScenarioError> {
         use std::fmt::Write as _;
-        if self.version < 2 {
-            let leaky = self
-                .processors
-                .iter()
-                .any(|p| p.static_power.is_some() || p.idle_power.is_some());
-            if leaky || !self.cores.is_empty() || !self.partitioners.is_empty() {
-                return Err(ScenarioError::msg(
-                    "scenario uses v2 features (cores/partitioners/static_power/idle_power) \
-                     but declares version 1; set `version: 2`"
-                        .to_string(),
-                ));
-            }
-        }
-        if self.version < 3 && !self.classes.is_empty() {
-            return Err(ScenarioError::msg(format!(
-                "scenario uses v3 features (the `class` scheduling-class axis) but \
-                 declares version {}; set `version: 3`",
-                self.version
-            )));
-        }
-        if self.version < 4 {
-            let traced = self
-                .task_sets
-                .iter()
-                .any(|d| matches!(d, TaskSetDecl::Trace { .. }));
-            if traced || !self.arrivals.is_empty() {
-                return Err(ScenarioError::msg(format!(
-                    "scenario uses v4 features (the `arrivals` axis or `taskset … trace` \
-                     declarations) but declares version {}; set `version: 4`",
-                    self.version
-                )));
-            }
-        }
-        if self.version < 5 && (!self.placements.is_empty() || !self.dags.is_empty()) {
-            return Err(ScenarioError::msg(format!(
-                "scenario uses v5 features (the `placement` axis or `dag` blocks) but \
-                 declares version {}; set `version: 5`",
-                self.version
-            )));
-        }
         let mut out = String::new();
-        let _ = writeln!(out, "acsched-scenario v{}", self.version);
+        let _ = writeln!(out, "{}", self.header());
         for decl in &self.task_sets {
             match decl {
                 TaskSetDecl::Inline { name, tasks } => {
@@ -677,6 +627,32 @@ impl Scenario {
             let _ = writeln!(out, "threads {t}");
         }
         Ok(out)
+    }
+
+    /// The oldest header whose directives cover the declarations, which
+    /// [`Scenario::to_text`] writes so that canonical text stays readable
+    /// by any older `acsched` that can run it.
+    fn header(&self) -> &'static str {
+        let traced = self
+            .task_sets
+            .iter()
+            .any(|d| matches!(d, TaskSetDecl::Trace { .. }));
+        let leaky = self
+            .processors
+            .iter()
+            .any(|p| p.static_power.is_some() || p.idle_power.is_some());
+        let version = if !self.dags.is_empty() || !self.placements.is_empty() {
+            5
+        } else if traced || !self.arrivals.is_empty() {
+            4
+        } else if !self.classes.is_empty() {
+            3
+        } else if leaky || !self.cores.is_empty() || !self.partitioners.is_empty() {
+            2
+        } else {
+            1
+        };
+        HEADERS[version - 1]
     }
 
     /// Materializes the task-set declarations into named [`TaskSet`]s,
@@ -915,10 +891,8 @@ impl Scenario {
         if let Some(t) = self.deadline_tol_ms {
             b = b.deadline_tol_ms(t);
         }
-        match self.synthesis {
-            Some(SynthProfile::Quick) => b = b.synthesis(SynthesisOptions::quick()),
-            Some(SynthProfile::Default) => b = b.synthesis(SynthesisOptions::default()),
-            None => {}
+        if let Some(profile) = self.synthesis {
+            b = b.synthesis(profile.options());
         }
         b = b.acs_multistart(self.acs_multistart);
         if let Some(t) = self.threads {

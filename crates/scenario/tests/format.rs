@@ -145,7 +145,6 @@ fn full_scenario_round_trip_fixpoint() {
         (FULL_V5, 5),
     ] {
         let first = Scenario::from_text(text).expect("full scenario parses");
-        assert_eq!(first.version, version);
         let canonical = first.to_text().expect("parsed scenarios serialize");
         let second = Scenario::from_text(&canonical).expect("canonical form parses");
         assert_eq!(first, second, "parse -> to_text -> parse is a fixpoint");
@@ -155,9 +154,64 @@ fn full_scenario_round_trip_fixpoint() {
     }
 }
 
-/// Every checked-in scenario under `scenarios/` keeps parsing, and the
-/// canonical serialization is a parse fixpoint for each — `v1` files
-/// must survive the `v2` format extension unchanged.
+/// No header gates a directive: each of the five headers × each subset
+/// of the seven directives later headers introduced parses to the same
+/// scenario, and `to_text` writes the oldest header that covers the
+/// subset, whose text parses back to the same scenario.
+#[test]
+fn every_directive_parses_under_every_header() {
+    // (the first header whose format named the directive, its text).
+    const DECLS: [(usize, &str); 7] = [
+        (
+            2,
+            "processor leaky linear kappa=50 vmin=1 vmax=4 static_power=1\n",
+        ),
+        (2, "cores 2\n"),
+        (3, "class edf\n"),
+        (4, "arrivals sporadic\n"),
+        (4, "taskset replay trace traces/replay.trace\n"),
+        (5, "placement global\n"),
+        (5, "dag pipe\nedge a->b\nend\n"),
+    ];
+    for subset in 0u32..1 << DECLS.len() {
+        let mut body = String::from(
+            "taskset pipe\ntask a period=10 wcec=100\ntask b period=10 wcec=200\nend\n\
+             processor p linear kappa=50 vmin=1 vmax=4\n",
+        );
+        let mut lowest = 1;
+        for (bit, (version, decl)) in DECLS.iter().enumerate() {
+            if subset & (1 << bit) != 0 {
+                body.push_str(decl);
+                lowest = lowest.max(*version);
+            }
+        }
+        body.push_str("policy ccrm\nworkload paper\n");
+        let mut parsed = Vec::new();
+        for version in 1..=5 {
+            let text = format!("acsched-scenario v{version}\n{body}");
+            let sc = Scenario::from_text(&text)
+                .unwrap_or_else(|e| panic!("subset {subset:07b} under v{version}: {e}"));
+            let canonical = sc.to_text().unwrap();
+            assert!(
+                canonical.starts_with(&format!("acsched-scenario v{lowest}\n")),
+                "subset {subset:07b} under v{version}: expected v{lowest}, got:\n{canonical}"
+            );
+            assert_eq!(sc, Scenario::from_text(&canonical).unwrap());
+            parsed.push(sc);
+        }
+        assert!(
+            parsed.windows(2).all(|w| w[0] == w[1]),
+            "subset {subset:07b}: the header changed the parsed scenario"
+        );
+    }
+}
+
+/// Every checked-in scenario under `scenarios/` keeps parsing, the
+/// canonical serialization is a parse fixpoint for each, and each file
+/// declares the header its canonical form starts with. The server's
+/// plan-cache and checkpoint fingerprint hashes the canonical form, so
+/// the last check pins every checked-in scenario's fingerprint against
+/// a change in the header `to_text` picks.
 #[test]
 fn checked_in_scenarios_parse_and_round_trip() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
@@ -177,6 +231,16 @@ fn checked_in_scenarios_parse_and_round_trip() {
             sc,
             Scenario::from_text(&canonical).unwrap(),
             "{} canonical form is not a parse fixpoint",
+            path.display()
+        );
+        let header = text
+            .lines()
+            .map(str::trim)
+            .find(|l| !l.is_empty() && !l.starts_with('#'));
+        assert_eq!(
+            header,
+            canonical.lines().next(),
+            "{} declares a header other than its canonical one",
             path.display()
         );
         checked += 1;
@@ -204,15 +268,12 @@ fn v2_features_materialize() {
     assert_eq!(campaign.cell_count(), 20);
     assert_eq!(campaign.run_count(), 40);
 
-    // A v1 scenario hand-upgraded with v2 fields must be re-versioned
-    // before it serializes.
+    // A v1 scenario hand-upgraded with a core-count axis serializes
+    // under the v2 header.
     let mut v1 =
         Scenario::from_text("acsched-scenario v1\nprocessor p linear kappa=50 vmin=1 vmax=4\n")
             .unwrap();
     v1.cores = vec![2];
-    let err = v1.to_text().unwrap_err().to_string();
-    assert!(err.contains("v2 features"), "{err}");
-    v1.version = 2;
     let text = v1.to_text().unwrap();
     assert!(text.starts_with("acsched-scenario v2\n"), "{text}");
     assert_eq!(v1, Scenario::from_text(&text).unwrap());
@@ -244,7 +305,7 @@ fn duplicate_partitioners_dedupe_preserving_order() {
 }
 
 #[test]
-fn v3_class_axis_materializes_and_gates() {
+fn v3_class_axis_materializes_and_lifts_the_header() {
     use acs_runtime::SchedulingClass;
     let sc = Scenario::from_text(FULL_V3).unwrap();
     assert_eq!(
@@ -258,21 +319,17 @@ fn v3_class_axis_materializes_and_gates() {
     let text = sc.to_text().unwrap();
     assert!(text.contains("\nclass rm,edf\n"), "{text}");
 
-    // A v2 scenario hand-upgraded with a class axis must be
-    // re-versioned before it serializes.
+    // A v2 scenario hand-upgraded with a class axis serializes under
+    // the v3 header.
     let mut v2 = Scenario::from_text(FULL_V2).unwrap();
     v2.classes = vec![SchedulingClass::Edf];
-    let err = v2.to_text().unwrap_err().to_string();
-    assert!(err.contains("v3 features"), "{err}");
-    assert!(err.contains("version 2"), "{err}");
-    v2.version = 3;
     let text = v2.to_text().unwrap();
     assert!(text.starts_with("acsched-scenario v3\n"), "{text}");
     assert_eq!(v2, Scenario::from_text(&text).unwrap());
 }
 
 #[test]
-fn v4_arrivals_axis_materializes_and_gates() {
+fn v4_arrivals_axis_materializes_and_lifts_the_header() {
     use acs_sim::{ArrivalKind, MmppProfile};
     let sc = Scenario::from_text(
         "acsched-scenario v4\n\
@@ -303,21 +360,17 @@ fn v4_arrivals_axis_materializes_and_gates() {
     );
     assert_eq!(sc, Scenario::from_text(&text).unwrap());
 
-    // A v3 scenario hand-upgraded with an arrivals axis must be
-    // re-versioned before it serializes.
+    // A v3 scenario hand-upgraded with an arrivals axis serializes
+    // under the v4 header.
     let mut v3 = Scenario::from_text(FULL_V3).unwrap();
     v3.arrivals = vec![ArrivalKind::Poisson];
-    let err = v3.to_text().unwrap_err().to_string();
-    assert!(err.contains("v4 features"), "{err}");
-    assert!(err.contains("version 3"), "{err}");
-    v3.version = 4;
     let text = v3.to_text().unwrap();
     assert!(text.starts_with("acsched-scenario v4\n"), "{text}");
     assert_eq!(v3, Scenario::from_text(&text).unwrap());
 }
 
 #[test]
-fn v5_placement_and_dag_materialize_and_gate() {
+fn v5_placement_and_dag_materialize_and_lift_the_header() {
     use acs_runtime::Placement;
     let sc = Scenario::from_text(
         "acsched-scenario v5\n\
@@ -356,14 +409,10 @@ fn v5_placement_and_dag_materialize_and_gate() {
     assert!(text.contains("\nplacement global,partitioned\n"), "{text}");
     assert_eq!(sc, Scenario::from_text(&text).unwrap());
 
-    // A v4 scenario hand-upgraded with v5 features must be re-versioned
-    // before it serializes.
+    // A v4 scenario hand-upgraded with a placement axis serializes
+    // under the v5 header.
     let mut v4 = Scenario::from_text(FULL_V4).unwrap();
     v4.placements = vec![Placement::Global];
-    let err = v4.to_text().unwrap_err().to_string();
-    assert!(err.contains("v5 features"), "{err}");
-    assert!(err.contains("version 4"), "{err}");
-    v4.version = 5;
     let text = v4.to_text().unwrap();
     assert!(text.starts_with("acsched-scenario v5\n"), "{text}");
     assert_eq!(v4, Scenario::from_text(&text).unwrap());
@@ -691,15 +740,7 @@ fn malformed_inputs_report_line_and_cause() {
             "acsched-scenario v1\nthreads 0\n",
             &["line 2", "threads", "positive integer"],
         ),
-        // ---- v2 grammar: multicore + leakage ----
-        (
-            "acsched-scenario v1\ncores 2\n",
-            &["line 2", "`cores`", "acsched-scenario v2"],
-        ),
-        (
-            "acsched-scenario v1\nprocessor p linear kappa=50 vmin=1 vmax=4 static_power=1\n",
-            &["line 2", "static_power", "acsched-scenario v2"],
-        ),
+        // ---- multicore and leakage ----
         (
             "acsched-scenario v2\ncores\n",
             &["line 2", "cores", "at least one core count"],
@@ -745,11 +786,7 @@ fn malformed_inputs_report_line_and_cause() {
              levels=1,2,4 static_power=1,2\n",
             &["line 2", "2 static_power entries for 3 levels"],
         ),
-        // ---- v3 grammar: scheduling classes ----
-        (
-            "acsched-scenario v2\nclass edf\n",
-            &["line 2", "`class`", "acsched-scenario v3"],
-        ),
+        // ---- scheduling classes ----
         (
             "acsched-scenario v3\nclass\n",
             &["line 2", "class", "at least one of rm, edf"],
@@ -764,15 +801,7 @@ fn malformed_inputs_report_line_and_cause() {
             "acsched-scenario v3\nclass rm\nclass edf\n",
             &["line 3", "directive `class` declared twice"],
         ),
-        // ---- v4 grammar: arrival processes and traces ----
-        (
-            "acsched-scenario v3\narrivals poisson\n",
-            &["line 2", "`arrivals`", "acsched-scenario v4"],
-        ),
-        (
-            "acsched-scenario v3\ntaskset t trace traces/t.trace\n",
-            &["line 2", "`taskset … trace`", "acsched-scenario v4"],
-        ),
+        // ---- arrival processes and traces ----
         (
             "acsched-scenario v4\narrivals\nprocessor p linear kappa=50 vmin=1 vmax=4\n",
             &[
@@ -795,15 +824,7 @@ fn malformed_inputs_report_line_and_cause() {
              processor p linear kappa=50 vmin=1 vmax=4\n",
             &["taskset `t`", "trace `/no/such/file.trace`"],
         ),
-        // ---- v5 grammar: placement axis and precedence graphs ----
-        (
-            "acsched-scenario v4\nplacement global\n",
-            &["line 2", "`placement`", "acsched-scenario v5"],
-        ),
-        (
-            "acsched-scenario v4\ndag x\n",
-            &["line 2", "`dag`", "acsched-scenario v5"],
-        ),
+        // ---- placement axis and precedence graphs ----
         (
             "acsched-scenario v5\nplacement\n",
             &["line 2", "placement", "at least one of partitioned, global"],

@@ -33,15 +33,15 @@
 //!    sub-instances enter the NLP; the frontier advances with execution,
 //!    so successive boundaries cover the whole hyper-period while each
 //!    solve stays small.
-//! 4. **Solver cache.** Boundary states are quantized
-//!    ([`ReOptConfig::time_quantum_frac`] /
-//!    [`ReOptConfig::cycle_quantum_frac`]) and solved states are kept in
-//!    a shared LRU ([`SolverCache`]), so repeated states — across
-//!    hyper-periods and across campaign seeds — skip the solver
-//!    entirely. Quantization happens *before* the solve, which makes the
-//!    solve a pure function of the cache key: a hit returns bit-identical
-//!    end times to what the solver would produce, so results do not
-//!    depend on whether the cache is enabled.
+//! 4. **Solver cache.** Boundary states are quantized (times to 1/512
+//!    of the hyper-period, cycles to 1/256 of the largest WCEC) and
+//!    solved states are kept in a shared LRU ([`SolverCache`]), so
+//!    repeated states — across hyper-periods and across campaign seeds
+//!    — skip the solver entirely. Quantization happens *before* the
+//!    solve, which makes the solve a pure function of the cache key: a
+//!    hit returns bit-identical end times to what the solver would
+//!    produce, so results do not depend on whether the cache is
+//!    enabled.
 //!
 //! Safety never rests on the solver: a candidate is adopted only after
 //! an exact worst-case chain check *and* only when it strictly lowers
@@ -66,6 +66,14 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+
+/// Boundary-time quantization, as a fraction of the hyper-period
+/// (times are rounded *up*, which is the conservative direction).
+const TIME_QUANTUM_FRAC: f64 = 1.0 / 512.0;
+/// Cycle quantization, as a fraction of the largest WCEC (remaining
+/// budgets round *up*, executed cycles round *down* — both
+/// conservative).
+const CYCLE_QUANTUM_FRAC: f64 = 1.0 / 256.0;
 
 /// Configuration of the [`ReOpt`] policy.
 #[derive(Debug, Clone)]
@@ -92,13 +100,6 @@ pub struct ReOptConfig {
     /// exact greedy behavior unless the re-solve finds a gain that
     /// clears that noise floor.
     pub min_rel_gain: f64,
-    /// Boundary-time quantization, as a fraction of the hyper-period
-    /// (times are rounded *up*, which is the conservative direction).
-    pub time_quantum_frac: f64,
-    /// Cycle quantization, as a fraction of the largest WCEC (remaining
-    /// budgets round *up*, executed cycles round *down* — both
-    /// conservative).
-    pub cycle_quantum_frac: f64,
     /// Incremental boundary solves (default `true`): carry the previous
     /// boundary's winning solve — end times *and* PHR inequality
     /// multipliers, remapped by sub-instance — into the next boundary
@@ -120,8 +121,6 @@ impl Default for ReOptConfig {
             resolve_on_release: true,
             resolve_at_start: true,
             min_rel_gain: 0.01,
-            time_quantum_frac: 1.0 / 512.0,
-            cycle_quantum_frac: 1.0 / 256.0,
             warm_carry: true,
         }
     }
@@ -390,8 +389,8 @@ impl ReOpt {
             .iter()
             .map(|t| t.wcec().as_cycles())
             .fold(0.0f64, f64::max);
-        self.q_time_ms = (hyper * self.cfg.time_quantum_frac).max(1e-9);
-        self.q_cycles = (max_wcec * self.cfg.cycle_quantum_frac).max(1e-9);
+        self.q_time_ms = (hyper * TIME_QUANTUM_FRAC).max(1e-9);
+        self.q_cycles = (max_wcec * CYCLE_QUANTUM_FRAC).max(1e-9);
         self.fingerprint = fingerprint(schedule, ctx.set, ctx.cpu, &self.cfg);
         self.last_state = None;
         self.carry = None;
@@ -601,8 +600,8 @@ fn fingerprint(
     cfg.horizon.hash(&mut h);
     cfg.warm_carry.hash(&mut h);
     cfg.min_rel_gain.to_bits().hash(&mut h);
-    cfg.time_quantum_frac.to_bits().hash(&mut h);
-    cfg.cycle_quantum_frac.to_bits().hash(&mut h);
+    TIME_QUANTUM_FRAC.to_bits().hash(&mut h);
+    CYCLE_QUANTUM_FRAC.to_bits().hash(&mut h);
     cfg.solver.accept_tol_ms.to_bits().hash(&mut h);
     let al = &cfg.solver.auglag;
     al.outer_iters.hash(&mut h);

@@ -19,7 +19,7 @@
 //! acsched trace check <trace>...              validate trace files
 //! ```
 
-use acs_core::{synthesize_acs_best, synthesize_acs_warm, synthesize_wcs, SynthesisOptions};
+use acs_core::{synthesize_acs_best, synthesize_acs_warm, synthesize_wcs};
 use acs_runtime::{AggregateSink, CsvSink, JsonlSink, ResultSink, Tee};
 use acs_scenario::{Scenario, SynthProfile};
 use acs_serve::{ServerConfig, SubmitOptions};
@@ -44,7 +44,9 @@ USAGE:
             [--kind wcs|acs] [--out FILE]
         Synthesize the offline schedule for one (task set, processor)
         pair of the scenario and export it as an `acsched-schedule v1`
-        artifact (default kind: acs, to stdout).
+        artifact (default kind: acs, to stdout). The set is scheduled
+        under the scenario's first `class` (rm when it declares none),
+        the class of the grid's first cells; stderr names it.
 
     acsched serve [--addr HOST:PORT] [--ckpt-dir DIR] [--max-campaigns N]
             [--inflight N] [--chunk N] [--threads N] [--cache-capacity N]
@@ -69,8 +71,8 @@ USAGE:
             [--seed N] [--tasks N] [--out FILE]
         Synthesize an `acsched-trace v1` arrival trace over the built-in
         task set (default: bursty, 1000000 jobs, seed 0, 4 tasks, to
-        stdout). Replay it with `taskset <name> trace <path>` in a v4
-        scenario. Format: docs/TRACE_FORMAT.md.
+        stdout). Replay it with a `taskset <name> trace <path>` line
+        in a scenario. Format: docs/TRACE_FORMAT.md.
 
     acsched trace check <trace>...
         Validate trace files: stream every record (bounded memory),
@@ -661,6 +663,11 @@ fn cmd_synth(args: &[String]) -> Result<ExitCode, String> {
                 names.join(", ")
             )
         })?;
+    // Schedule under the class of the grid's first cells, so the export
+    // is one that a cell of this scenario runs.
+    let class = scenario.classes.first().copied().unwrap_or_default();
+    let set = set.clone().with_class(class);
+    eprintln!("synth: scheduling class {class}");
     let cpus = scenario
         .materialize_processors()
         .map_err(|e| e.to_string())?;
@@ -676,17 +683,14 @@ fn cmd_synth(args: &[String]) -> Result<ExitCode, String> {
             )
         })?;
 
-    let options = match scenario.synthesis {
-        Some(SynthProfile::Default) => SynthesisOptions::default(),
-        _ => SynthesisOptions::quick(),
-    };
-    let wcs = synthesize_wcs(set, cpu, &options).map_err(|e| format!("synth: wcs: {e}"))?;
+    let options = scenario.synthesis.unwrap_or(SynthProfile::Quick).options();
+    let wcs = synthesize_wcs(&set, cpu, &options).map_err(|e| format!("synth: wcs: {e}"))?;
     let schedule = if kind == "wcs" {
         wcs
     } else if scenario.acs_multistart {
-        synthesize_acs_best(set, cpu, &options, &wcs).map_err(|e| format!("synth: acs: {e}"))?
+        synthesize_acs_best(&set, cpu, &options, &wcs).map_err(|e| format!("synth: acs: {e}"))?
     } else {
-        synthesize_acs_warm(set, cpu, &options, &wcs).map_err(|e| format!("synth: acs: {e}"))?
+        synthesize_acs_warm(&set, cpu, &options, &wcs).map_err(|e| format!("synth: acs: {e}"))?
     };
     let text = acs_core::export::to_text(&schedule);
     match flag(&flags, "out") {

@@ -227,3 +227,66 @@ fn edf_vs_rm_scenario_meets_the_acceptance_bar() {
         "expected a strict EDF reclamation gain on the mixed set"
     );
 }
+
+/// `acsched synth` exports the schedule the scenario's own cells run:
+/// the set is expanded under the scenario's first class, so a `class
+/// edf` copy of `edf_vs_rm.txt` exports the EDF sub-instance order of
+/// the `mixed` set (periods 10/15/30), which differs from RM's.
+#[test]
+fn synth_exports_the_sub_instance_order_of_the_scenarios_class() {
+    let text = std::fs::read_to_string(scenario_path()).unwrap();
+    assert!(text.contains("\nclass rm,edf\n"), "edf_vs_rm.txt changed");
+    let dir = std::env::temp_dir().join(format!("acsched-synth-class-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mixed = Scenario::from_text(&text)
+        .unwrap()
+        .materialize_task_sets()
+        .unwrap()
+        .into_iter()
+        .find(|(name, _)| name == "mixed")
+        .unwrap()
+        .1;
+    let mut orders = Vec::new();
+    for class in [SchedulingClass::FixedPriorityRm, SchedulingClass::Edf] {
+        let path = dir.join(format!("{class}.txt"));
+        std::fs::write(
+            &path,
+            text.replace("\nclass rm,edf\n", &format!("\nclass {class}\n")),
+        )
+        .unwrap();
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_acsched"))
+            .arg("synth")
+            .arg(&path)
+            .args(["--task-set", "mixed", "--processor", "linear50"])
+            .args(["--kind", "wcs"])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "synth failed: {stderr}");
+        assert!(
+            stderr.contains(&format!("scheduling class {class}")),
+            "{stderr}"
+        );
+        // (task, instance) columns of the export, in sub-instance order.
+        let exported: Vec<(usize, u64)> = String::from_utf8(out.stdout)
+            .unwrap()
+            .lines()
+            .skip_while(|l| !l.starts_with("# sub"))
+            .skip(1)
+            .map(|l| {
+                let cols: Vec<&str> = l.split_whitespace().collect();
+                (cols[1].parse().unwrap(), cols[2].parse().unwrap())
+            })
+            .collect();
+        let fps = FullyPreemptiveSchedule::expand(&mixed.clone().with_class(class)).unwrap();
+        let expected: Vec<(usize, u64)> = fps
+            .sub_instances()
+            .iter()
+            .map(|s| (s.instance.task.0, s.instance.index))
+            .collect();
+        assert_eq!(exported, expected, "{class} export");
+        orders.push(expected);
+    }
+    assert_ne!(orders[0], orders[1], "RM and EDF orders coincide");
+    std::fs::remove_dir_all(&dir).ok();
+}

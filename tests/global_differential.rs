@@ -15,8 +15,8 @@
 //!   CSVs at 1, 2 and 8 threads (cache hits and resolves compared by
 //!   their sum at >1 thread, same convention as the engine
 //!   differential), and its
-//!   `hexad` partitioned rows are byte-identical to a v4 twin scenario
-//!   that never heard of placements.
+//!   `hexad` partitioned rows are byte-identical to a twin scenario
+//!   without a `placement` line.
 //! * **Acceptance numbers** — on `dag_global.txt`, global EDF at WCS
 //!   draws meets every deadline while migrating, and the paper's
 //!   ACS-vs-WCS gain is nonzero on the DAG set.
@@ -163,8 +163,10 @@ fn dag_global_campaign_is_thread_count_deterministic() {
     }
 }
 
-/// A v4 twin of `dag_global.txt`'s edge-free `hexad` grid — identical
-/// axes, no `placement` directive, no `dag` block, scenario version 4.
+/// A twin of `dag_global.txt`'s edge-free `hexad` grid, written as a
+/// v4 file: identical axes, but no `placement` directive and no `dag`
+/// block, so its multicore cells take the default partitioned
+/// placement.
 const HEXAD_V4_TWIN: &str = "\
 acsched-scenario v4
 taskset hexad
